@@ -24,9 +24,9 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .grid import Field, FieldPair, Grid, partial
+from .grid import Derivatives, Field, FieldPair
 from .vector_fields import (
-    GammaWord,
+    LETTERS,
     JetField,
     all_words,
     apply_gamma,
@@ -116,13 +116,18 @@ def ghost_weight_q(z, delta: float):
 # energies
 # ---------------------------------------------------------------------------
 
-def _grad_sq(f: Field) -> np.ndarray:
-    return np.sum(partial(f, 1).values ** 2 + partial(f, 2).values ** 2, axis=0)
+def _grad_sq(d) -> np.ndarray:
+    """|grad u|^2 summed over components, where d(a) returns d_a u."""
+    return np.sum(d(1) ** 2 + d(2) ** 2, axis=0)
+
+
+def _field_grad_sq(f: Field) -> np.ndarray:
+    return _grad_sq(Derivatives(f.grid, f.values))
 
 
 def energy(p: FieldPair, m: int) -> float:
     """Natural energy: int |u_t|^2 + |grad u|^2 + m^2 |u|^2 dx."""
-    dens = np.sum(p.ut.values**2, axis=0) + _grad_sq(p.u) \
+    dens = np.sum(p.ut.values**2, axis=0) + _field_grad_sq(p.u) \
         + float(m) ** 2 * np.sum(p.u.values**2, axis=0)
     return float(np.sum(dens) * p.grid.cell_area)
 
@@ -205,7 +210,7 @@ def multiplier_residual(traj, which: str = "E", delta: float = 0.1,
         eq = np.exp(ghost_weight_q(rho - t, delta))
         tw = jbracket(t) ** (-kappa)
         ut_sq = np.sum(jet.ut**2, axis=0)
-        e_dens = ut_sq + _grad_sq(Field(g, jet.u)) \
+        e_dens = ut_sq + _grad_sq(jet.d) \
             + mass**2 * np.sum(jet.u**2, axis=0)
         b_term = 0.5 * float(np.sum(tw * eq * e_dens) * g.cell_area)
         ghost_dens = 0.5 * delta * jbracket(rho - t) ** (-(1.0 + delta)) \
@@ -252,7 +257,7 @@ def weighted_exterior_energy(traj, which: str = "n_delta", eta: float = 0.5,
     state0 = traj.states[0]
     p0 = _pair_of(state0, which)
     rb = jbracket(R) ** (2.0 * eta)
-    dens0 = np.sum(p0.ut.values**2, axis=0) + _grad_sq(p0.u)
+    dens0 = np.sum(p0.ut.values**2, axis=0) + _field_grad_sq(p0.u)
     ext_data = float(np.sum(rb * dens0) * g.cell_area)
     if mass:
         ext_data += float(np.sum(rb * np.sum(p0.u.values**2, axis=0)) * g.cell_area)
@@ -263,7 +268,7 @@ def weighted_exterior_energy(traj, which: str = "n_delta", eta: float = 0.5,
     for k, state in enumerate(traj.states):
         t = traj.times[k]
         p = _pair_of(state, which)
-        dens = np.sum(p.ut.values**2, axis=0) + _grad_sq(p.u) \
+        dens = np.sum(p.ut.values**2, axis=0) + _field_grad_sq(p.u) \
             + mass**2 * np.sum(p.u.values**2, axis=0)
         w_ext = chi(R - t) * jbracket(R - t) ** (2.0 * eta)
         tr = t - R
@@ -355,13 +360,10 @@ class _GhostEnergyTracker:
         max_budget = max(w.time_budget() for w in self.words)
         jet = traj.jet(k, self.which, depth=3 if max_budget >= 2 else 2)
         for i, w in enumerate(self.words):
-            val = apply_gamma(w, jet)
-            vt = apply_letters(("dt",) + w.letters, jet)
-            gjet = JetField(traj.grid, traj.times[k], val.values, vt.values,
-                            np.zeros_like(val.values))
-            integ[i] = _ghost_integrand(gjet, self.m, self.delta)
-            dens = np.sum(vt.values**2, axis=0) + _grad_sq(val) \
-                + float(self.m) ** 2 * np.sum(val.values**2, axis=0)
+            wjet = apply_letters(w.letters, jet, depth=2)
+            integ[i] = _ghost_integrand(wjet, self.m, self.delta)
+            dens = np.sum(wjet.ut**2, axis=0) + _grad_sq(wjet.d) \
+                + float(self.m) ** 2 * np.sum(wjet.u**2, axis=0)
             vals[i] = float(np.sum(dens) * traj.grid.cell_area)
         if self.prev is not None:
             h = traj.times[k] - traj.times[k - 1]
@@ -433,10 +435,10 @@ def _term_series(traj, spec: WeightSpec) -> np.ndarray:
             total = _sum_l2(traj, k, "E", cap, w)
             jet = traj.jet(k, "E", depth=3 if cap >= 2 else 2)
             for word in all_words(cap):
-                for dletter in ("dt", "d1", "d2"):
-                    dval = apply_letters((dletter,) + word.letters, jet)
+                wjet = apply_letters(word.letters, jet, depth=2)
+                for dval in (wjet.ut, wjet.d(1), wjet.d(2)):
                     total += float(np.sqrt(
-                        np.sum(w * np.sum(dval.values**2, axis=0)) * g.cell_area))
+                        np.sum(w * np.sum(dval**2, axis=0)) * g.cell_area))
             out[k] = pref * total
         elif name == "kg_sup":
             out[k] = _max_sup(traj, k, "E", cap, jbracket(t + R))
@@ -488,49 +490,62 @@ def xnorm_distance(a, b, delta: float = 0.1, gamma_cap: int = 1,
     """
     if len(a.times) != len(b.times) or not np.allclose(a.times, b.times):
         raise ValueError("trajectories cover different time grids")
-    g = a.grid
-    R = g.R
     words = all_words(gamma_cap)
     best = 0.0
     st_acc = np.zeros(len(words))
     st_prev = None
     for k in range(len(a.times)):
         t = a.times[k]
-        tb = jbracket(t)
-        jet_E = _diff_jet(a, b, k, "E")
-        jet_n = _diff_jet(a, b, k, "n")
-        cone_w = (jbracket(t + R) / jbracket(t - R)) ** 2
-        total = 0.0
-        st_integ = np.empty(len(words))
-        for i, w in enumerate(words):
-            vE = apply_gamma(w, jet_E)
-            vEt = apply_letters(("dt",) + w.letters, jet_E)
-            dens = np.sum(vEt.values**2, axis=0) + _grad_sq(vE) \
-                + np.sum(vE.values**2, axis=0)
-            e1 = float(np.sum(dens) * g.cell_area)
-            vn = apply_gamma(w, jet_n)
-            l2n = float(np.sqrt(np.sum(vn.values**2) * g.cell_area))
-            cone = float(np.sqrt(np.sum(cone_w * np.sum(vE.values**2, axis=0))
-                                 * g.cell_area))
-            total += tb ** (-delta) * (math.sqrt(max(e1, 0.0)) + l2n + cone)
-            if include_spacetime:
-                stw = (tb ** (-0.5 * delta)
-                       * jbracket(t - R) ** (-0.5 - 0.5 * delta)) ** 2
-                st_integ[i] = float(np.sum(stw * np.sum(vE.values**2, axis=0))
-                                    * g.cell_area)
+        total, st_integ = _xnorm_snapshot(a, b, k, words, delta,
+                                          include_spacetime)
         if include_spacetime:
             if st_prev is not None:
                 st_acc += 0.5 * (st_prev + st_integ) * (t - a.times[k - 1])
             st_prev = st_integ
-            total += tb ** (-0.5 * delta) * float(np.sqrt(np.sum(st_acc)))
+            total += jbracket(t) ** (-0.5 * delta) \
+                * float(np.sqrt(np.sum(st_acc)))
         best = max(best, total)
     return best
 
 
-def _diff_jet(a, b, k: int, which: str) -> JetField:
-    ja = a.jet(k, which)
-    jb_ = b.jet(k, which)
-    return JetField(a.grid, ja.t, ja.u - jb_.u, ja.ut - jb_.ut, ja.utt - jb_.utt)
+def _xnorm_snapshot(a, b, k: int, words, delta: float,
+                    include_spacetime: bool):
+    """Snapshot k's sum over words of the distance terms, and the integrands
+    of the spacetime term.  The difference jets, with the derivatives they
+    keep, are freed when this returns, before the next snapshot's jets are
+    built."""
+    g = a.grid
+    R = g.R
+    t = a.times[k]
+    tb = jbracket(t)
+    jet_E = _diff_jet(a, b, k, "E")
+    jet_n = _diff_jet(a, b, k, "n", depth=1)
+    cone_w = (jbracket(t + R) / jbracket(t - R)) ** 2
+    total = 0.0
+    st_integ = np.empty(len(words))
+    for i, w in enumerate(words):
+        vE = apply_letters(w.letters, jet_E, depth=2)
+        dens = np.sum(vE.ut**2, axis=0) + _grad_sq(vE.d) \
+            + np.sum(vE.u**2, axis=0)
+        e1 = float(np.sum(dens) * g.cell_area)
+        vn = apply_gamma(w, jet_n)
+        l2n = float(np.sqrt(np.sum(vn.values**2) * g.cell_area))
+        cone = float(np.sqrt(np.sum(cone_w * np.sum(vE.u**2, axis=0))
+                             * g.cell_area))
+        total += tb ** (-delta) * (math.sqrt(max(e1, 0.0)) + l2n + cone)
+        if include_spacetime:
+            stw = (tb ** (-0.5 * delta)
+                   * jbracket(t - R) ** (-0.5 - 0.5 * delta)) ** 2
+            st_integ[i] = float(np.sum(stw * np.sum(vE.u**2, axis=0))
+                                * g.cell_area)
+    return total, st_integ
+
+
+def _diff_jet(a, b, k: int, which: str, depth: int = 2) -> JetField:
+    ja = a.jet(k, which, depth=depth)
+    jb_ = b.jet(k, which, depth=depth)
+    utt = None if depth < 2 else ja.utt - jb_.utt
+    return JetField(a.grid, ja.t, ja.u - jb_.u, ja.ut - jb_.ut, utt)
 
 
 # ---------------------------------------------------------------------------
@@ -574,11 +589,9 @@ def ks_ratio(traj, which: str = "n", gamma_cap: int = 2):
 def _second_derivatives(jet: JetField) -> np.ndarray:
     """Pointwise Frobenius norm of the spacetime Hessian, over components."""
     g = jet.grid
-    d1u = _dx_arr(g, jet.u, 1)
-    d2u = _dx_arr(g, jet.u, 2)
-    parts = [jet.utt,
-             _dx_arr(g, jet.ut, 1), _dx_arr(g, jet.ut, 2),
-             _dx_arr(g, d1u, 1), _dx_arr(g, d1u, 2), _dx_arr(g, d2u, 2)]
+    d1u = Derivatives(g, jet.d(1))
+    parts = [jet.utt, jet.d(1, 1), jet.d(2, 1),
+             d1u(1), d1u(2), Derivatives(g, jet.d(2))(2)]
     weights = [1.0, 2.0, 2.0, 1.0, 2.0, 1.0]  # off-diagonal pairs twice
     total = 0.0
     for w, p in zip(weights, parts):
@@ -586,26 +599,20 @@ def _second_derivatives(jet: JetField) -> np.ndarray:
     return np.sqrt(total)
 
 
-def _dx_arr(g: Grid, arr: np.ndarray, axis: int) -> np.ndarray:
-    return g.irfft(g.spectral["d1" if axis == 1 else "d2"] * g.rfft(arr))
-
-
 def _first_derivatives(jet: JetField) -> np.ndarray:
-    g = jet.grid
     total = np.sum(jet.ut**2, axis=0) \
-        + np.sum(_dx_arr(g, jet.u, 1) ** 2, axis=0) \
-        + np.sum(_dx_arr(g, jet.u, 2) ** 2, axis=0)
+        + np.sum(jet.d(1) ** 2, axis=0) \
+        + np.sum(jet.d(2) ** 2, axis=0)
     return np.sqrt(total)
 
 
-def _gamma_first_derivatives(traj, k: int, which: str) -> np.ndarray:
+def _gamma_first_derivatives(jet: JetField) -> np.ndarray:
     """sqrt(sum over Gamma, alpha of |d_alpha Gamma u|^2) pointwise."""
-    jet = traj.jet(k, which)
     total = 0.0
-    for letter in ("dt", "d1", "d2", "rot", "L1", "L2"):
-        for dletter in ("dt", "d1", "d2"):
-            val = apply_gamma(GammaWord((dletter, letter)), jet)
-            total = total + np.sum(val.values**2, axis=0)
+    for letter in LETTERS:
+        wjet = apply_letters((letter,), jet, depth=2)
+        for val in (wjet.ut, wjet.d(1), wjet.d(2)):
+            total = total + np.sum(val**2, axis=0)
     return np.sqrt(total)
 
 
@@ -644,7 +651,7 @@ def hessian_decay_ratio(traj, which: str = "n_delta"):
         jet = traj.jet(k, which)
         F = traj.snapshot_source(k, which)
         lhs, rhs = hessian_pointwise(
-            jet, _gamma_first_derivatives(traj, k, which),
+            jet, _gamma_first_derivatives(jet),
             np.sqrt(np.sum(F.values**2, axis=0)))
         out_t.append(t)
         out_v.append(_masked_max_ratio(lhs, rhs, g.R <= 3.0 * t))
@@ -678,7 +685,7 @@ def kg_extra_decay_ratio(traj, which: str = "E"):
         jet = traj.jet(k, which)
         F = traj.snapshot_source(k, which)
         lhs, rhs = kg_pointwise(
-            jet, _gamma_first_derivatives(traj, k, which),
+            jet, _gamma_first_derivatives(jet),
             np.sqrt(np.sum(F.values**2, axis=0)))
         out_t.append(t)
         out_v.append(_masked_max_ratio(lhs, rhs, g.R <= 3.0 * t))
@@ -697,16 +704,17 @@ def wave_reexpression_residual(jet: JetField) -> float:
     t = jet.t
     if t < 1.0:
         raise ValueError("re-expression check requires t >= 1")
-    lhs = jet.utt - _dx_arr(g, _dx_arr(g, jet.u, 1), 1) \
-        - _dx_arr(g, _dx_arr(g, jet.u, 2), 2)
+    lhs = jet.utt - Derivatives(g, jet.d(1))(1) \
+        - Derivatives(g, jet.d(2))(2)
     X = (g.X1, g.X2)
     R2 = g.R**2
     rhs = ((t**2 - R2) / t**2) * jet.utt
-    for a, (la, da) in enumerate((("L1", "d1"), ("L2", "d2")), start=1):
+    for a, la in enumerate(("L1", "L2"), start=1):
         xa = X[a - 1]
-        rhs = rhs + (xa / t**2) * apply_gamma(GammaWord(("dt", la)), jet).values
-        rhs = rhs - (1.0 / t) * apply_gamma(GammaWord((da, la)), jet).values
-        rhs = rhs - (xa / t**2) * _dx_arr(g, jet.u, a)
+        boost = apply_letters((la,), jet, depth=2)
+        rhs = rhs + (xa / t**2) * boost.ut
+        rhs = rhs - (1.0 / t) * boost.d(a)
+        rhs = rhs - (xa / t**2) * jet.d(a)
     rhs = rhs + (2.0 / t) * jet.ut
     return float(np.max(np.abs(lhs - rhs)))
 

@@ -21,6 +21,7 @@ __all__ = [
     "make_grid",
     "laplacian",
     "partial",
+    "Derivatives",
     "dealias",
     "dealiased_product",
     "l2_norm",
@@ -182,14 +183,6 @@ class FieldPair:
         return FieldPair(self.u - other.u, self.ut - other.ut)
 
 
-def zero_field(grid: Grid, components: int = 1) -> Field:
-    return Field(grid, np.zeros((components, grid.n, grid.n)))
-
-
-def zero_pair(grid: Grid, components: int = 1) -> FieldPair:
-    return FieldPair(zero_field(grid, components), zero_field(grid, components))
-
-
 # ---------------------------------------------------------------------------
 # spectral calculus
 # ---------------------------------------------------------------------------
@@ -201,13 +194,41 @@ def laplacian(f: Field) -> Field:
     return Field(g, g.irfft(-g.spectral["k_sq"] * hat))
 
 
+class Derivatives:
+    """The first spatial derivatives of one array, each taken on demand.
+
+    Calling d(axis) returns the spectral derivative d_axis of the array.
+    The forward transform is done once, at the first call, and shared by
+    both axes; each derivative is kept, so asking for it again costs
+    nothing.  The transform is dropped once both derivatives are held.
+    """
+
+    __slots__ = ("grid", "values", "_hat", "_d")
+
+    def __init__(self, grid: Grid, values: np.ndarray):
+        self.grid = grid
+        self.values = values
+        self._hat = None
+        self._d = {}
+
+    def __call__(self, axis: int) -> np.ndarray:
+        out = self._d.get(axis)
+        if out is None:
+            if axis not in (1, 2):
+                raise ValueError(f"axis must be 1 or 2, got {axis}")
+            g = self.grid
+            if self._hat is None:
+                self._hat = g.rfft(self.values)
+            mult = g.spectral["d1" if axis == 1 else "d2"]
+            out = self._d[axis] = g.irfft(mult * self._hat)
+            if len(self._d) == 2:
+                self._hat = None
+        return out
+
+
 def partial(f: Field, axis: int) -> Field:
     """Spectral first derivative along axis 1 or 2."""
-    g = f.grid
-    if axis not in (1, 2):
-        raise ValueError(f"axis must be 1 or 2, got {axis}")
-    mult = g.spectral["d1" if axis == 1 else "d2"]
-    return Field(g, g.irfft(mult * g.rfft(f.values)))
+    return Field(f.grid, Derivatives(f.grid, f.values)(axis))
 
 
 def dealias(f: Field) -> Field:

@@ -35,7 +35,13 @@ from .scattering import (
     source_norm_series,
     write_profile,
 )
-from .system import evolve, gaussian_data, picard_solve, ring_data
+from .system import (
+    PicardNonConvergence,
+    evolve,
+    gaussian_data,
+    picard_solve,
+    ring_data,
+)
 
 __all__ = [
     "RunConfig",
@@ -114,7 +120,6 @@ def parse_config(path) -> RunConfig:
     """Parse a flat UTF-8 `key = value` file with # comments."""
     values = {}
     known = {f.name: f.type for f in dc_fields(RunConfig)}
-    defaults = RunConfig.__dict__  # for type probing via dataclass defaults
     proto = RunConfig()
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -550,7 +555,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (InstabilityError, TailDivergenceError, ValueError) as exc:
+    except (InstabilityError, PicardNonConvergence, TailDivergenceError,
+            ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -131,7 +131,7 @@ def solve_linear(op: LinearOperator, data: FieldPair, source, T: float, dt: floa
                 raise ValueError(f"source returned non-finite values at t={t + 0.5 * dt}")
             ut_hat = ut_hat + dt * g.rfft(f_mid.values)
         u_hat, ut_hat = _free_step_hat(op, u_hat, ut_hat, 0.5 * dt)
-        if _pair_scale(u_hat, ut_hat) > limit:
+        if not _pair_scale(u_hat, ut_hat) <= limit:
             raise InstabilityError(
                 f"linear solve unstable at t={t + dt:.6g}: amplitude exceeded 1e6 x initial"
             )

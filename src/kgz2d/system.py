@@ -159,10 +159,13 @@ class Trajectory:
         return _products_at(self.states[k])
 
     def jet(self, k: int, which: str, depth: int = 2) -> JetField:
-        """Snapshot jet (u, u_t, u_tt[, u_ttt]) with time derivatives
-        supplied by the field's own equation."""
+        """Snapshot jet (u, u_t[, u_tt[, u_ttt]]) up to the depth-th time
+        derivative, the second and third supplied by the field's own
+        equation."""
         state = self.states[k]
         pair = {"E": state.E, "n": state.n, "n_delta": state.n_delta}[which]
+        if depth < 2:
+            return JetField(self.grid, state.t, pair.u.values, pair.ut.values)
         m_sq = 1.0 if which == "E" else 0.0
         source = self.snapshot_source(k, which)
         utt = laplacian(pair.u).values - m_sq * pair.u.values + source.values
@@ -360,7 +363,7 @@ def _march(data: InitialData, T: float, dt: float, *, apply_sources: bool,
         if direct_n:
             Nu, Nut = _free_step_hat(op_w, Nu, Nut, 0.5 * dt)
 
-        if scale_now() > limit:
+        if not scale_now() <= limit:
             raise InstabilityError(
                 f"evolution unstable at t={t + dt:.6g}: "
                 "amplitude exceeded 1e6 x initial")
@@ -413,11 +416,11 @@ def free_flow(data: InitialData, T: float, dt: float, *, store_every: int = 1,
 
 class PicardNonConvergence(RuntimeError):
     def __init__(self, ratios, distances):
-        self.ratios = list(ratios)
-        self.distances = list(distances)
+        self.ratios = [float(r) for r in ratios]
+        self.distances = [float(d) for d in distances]
         super().__init__(
-            f"Picard iteration did not converge: distances={distances}, "
-            f"contraction ratios={ratios} (data may be outside the "
+            f"Picard iteration did not converge: distances={self.distances}, "
+            f"contraction ratios={self.ratios} (data may be outside the "
             "contraction regime)")
 
 

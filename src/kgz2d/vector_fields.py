@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Grid
+from .grid import Derivatives, Field, Grid
 
 __all__ = [
     "LETTERS",
@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 LETTERS = ("dt", "d1", "d2", "rot", "L1", "L2")
+TIME_LETTERS = ("dt", "L1", "L2")
 MAX_ORDER = 2
 
 
@@ -59,7 +60,7 @@ class GammaWord:
 
     def time_budget(self) -> int:
         """Jet depth consumed: one unit per dt or boost letter."""
-        return sum(1 for ell in self.letters if ell in ("dt", "L1", "L2"))
+        return sum(1 for ell in self.letters if ell in TIME_LETTERS)
 
 
 def all_words(max_order: int, letters: tuple[str, ...] = LETTERS) -> list[GammaWord]:
@@ -72,20 +73,27 @@ def all_words(max_order: int, letters: tuple[str, ...] = LETTERS) -> list[GammaW
 
 @dataclass(frozen=True, eq=False)
 class JetField:
-    """Snapshot values u plus u_t and the equation-supplied u_tt.
+    """Snapshot values u plus u_t and, as far as given, the equation-supplied
+    u_tt and a third time derivative u_ttt.
 
-    An optional third time derivative extends the budget for diagnostics
-    that time-differentiate an order-2 word (e.g. energies of Gamma^I u).
+    The levels present bound the words a jet can evaluate: each dt or boost
+    letter reads one level more.  The third derivative extends the budget
+    for diagnostics that time-differentiate an order-2 word (e.g. energies
+    of Gamma^I u).  Every level keeps its spatial derivatives once taken
+    (`d`), so all words evaluated on one jet share one forward transform
+    per level.
     """
 
     grid: Grid
     t: float
     u: np.ndarray
     ut: np.ndarray
-    utt: np.ndarray
+    utt: np.ndarray | None = None
     uttt: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.utt is None and self.uttt is not None:
+            raise ValueError("a jet with u_ttt needs u_tt")
         for name in ("u", "ut", "utt", "uttt"):
             arr = getattr(self, name)
             if arr is None:
@@ -96,74 +104,95 @@ class JetField:
             if arr.shape != ((arr.shape[0],) + (self.grid.n, self.grid.n)):
                 raise ValueError(f"bad jet array shape {arr.shape}")
             object.__setattr__(self, name, arr)
-        shapes = {self.u.shape, self.ut.shape, self.utt.shape}
-        if self.uttt is not None:
-            shapes.add(self.uttt.shape)
-        if len(shapes) != 1:
+        if len({lv.shape for lv in self.levels()}) != 1:
             raise ValueError("jet levels must share one shape")
+        object.__setattr__(self, "_stack", tuple(
+            Derivatives(self.grid, lv) for lv in self.levels()))
 
     @property
     def components(self) -> int:
         return self.u.shape[0]
 
     def levels(self) -> list[np.ndarray]:
-        if self.uttt is None:
-            return [self.u, self.ut, self.utt]
-        return [self.u, self.ut, self.utt, self.uttt]
+        return [lv for lv in (self.u, self.ut, self.utt, self.uttt)
+                if lv is not None]
+
+    def d(self, axis: int, level: int = 0) -> np.ndarray:
+        """d_axis of time level `level`, computed once per jet."""
+        return self._stack[level](axis)
 
 
-def _dx(grid: Grid, arr: np.ndarray, axis: int) -> np.ndarray:
-    mult = grid.spectral["d1" if axis == 1 else "d2"]
-    return grid.irfft(mult * grid.rfft(arr))
+def _jet_of(grid: Grid, t: float, stack: list[Derivatives]) -> JetField:
+    """A jet on the given levels that keeps their spatial derivatives."""
+    jet = JetField(grid, t, *(lv.values for lv in stack))
+    object.__setattr__(jet, "_stack", tuple(stack))
+    return jet
 
 
-def _apply_letter(grid: Grid, t: float, levels: list[np.ndarray], letter: str):
+def _apply_letter(grid: Grid, t: float, levels: list[Derivatives],
+                  letter: str, count: int) -> list[Derivatives]:
     """Push one vector field through a jet level stack.
 
-    Level j of the result is the j-th time derivative of (letter applied to
-    the base field); dt and boosts consume one level of depth, the purely
-    spatial letters preserve it.
+    Returns the first `count` levels of (letter applied to the base field),
+    level j being its j-th time derivative.  The spatial letters read
+    `count` input levels; dt and the boosts read one more.
     """
     if letter == "dt":
-        if len(levels) < 2:
-            raise ValueError("jet depth exhausted applying dt")
-        return levels[1:]
+        return levels[1:count + 1]
     if letter in ("d1", "d2"):
         axis = 1 if letter == "d1" else 2
-        return [_dx(grid, lv, axis) for lv in levels]
+        return [Derivatives(grid, lv(axis)) for lv in levels[:count]]
     if letter == "rot":
         x1, x2 = grid.X1, grid.X2
-        return [x1 * _dx(grid, lv, 2) - x2 * _dx(grid, lv, 1) for lv in levels]
-    if letter in ("L1", "L2"):
-        if len(levels) < 2:
-            raise ValueError("jet depth exhausted applying a boost")
-        axis = 1 if letter == "L1" else 2
-        xa = grid.X1 if axis == 1 else grid.X2
-        out = []
-        for j in range(len(levels) - 1):
-            val = xa * levels[j + 1] + t * _dx(grid, levels[j], axis)
-            if j >= 1:
-                val = val + j * _dx(grid, levels[j - 1], axis)
-            out.append(val)
-        return out
-    raise ValueError(f"unknown vector field {letter!r}")
+        return [Derivatives(grid, x1 * lv(2) - x2 * lv(1))
+                for lv in levels[:count]]
+    axis = 1 if letter == "L1" else 2
+    xa = grid.X1 if axis == 1 else grid.X2
+    out = []
+    for j in range(count):
+        val = xa * levels[j + 1].values + t * levels[j](axis)
+        if j >= 1:
+            val = val + j * levels[j - 1](axis)
+        out.append(Derivatives(grid, val))
+    return out
 
 
 def apply_letters(letters: tuple[str, ...], jet: JetField,
-                  t: float | None = None) -> Field:
+                  t: float | None = None,
+                  depth: int = 1) -> Field | JetField:
     """Apply a raw letter sequence to a jet, right to left (no order cap).
+
+    depth=1 returns Gamma u as a Field.  depth=k > 1 returns, from the same
+    pass, the word's own jet (Gamma u, d_t Gamma u, ...) with k levels; its
+    values equal those of the words dt^j Gamma bit for bit.  Only the levels
+    the result reads are evaluated: working from the outermost letter
+    inward, each stage asks the one inside it for as many levels as it
+    needs itself, one more for dt and the boosts.
 
     Raises when the sequence consumes more time derivatives than the jet
     provides.
     """
-    budget = sum(1 for ell in letters if ell in ("dt", "L1", "L2"))
-    if budget > len(jet.levels()) - 1:
+    for ell in letters:
+        if ell not in LETTERS:
+            raise ValueError(f"unknown vector field {ell!r}")
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
+    counts = []
+    need = depth
+    for letter in letters:
+        counts.append(need)
+        need += 1 if letter in TIME_LETTERS else 0
+    if need > len(jet._stack):
         raise ValueError(f"letters {letters} exceed the jet's derivative budget")
     tv = jet.t if t is None else t
-    levels = jet.levels()
-    for letter in reversed(letters):
-        levels = _apply_letter(jet.grid, tv, levels, letter)
-    return Field(jet.grid, levels[0])
+    levels = list(jet._stack[:need])
+    for letter, count in zip(reversed(letters), reversed(counts)):
+        levels = _apply_letter(jet.grid, tv, levels, letter, count)
+    if depth == 1:
+        return Field(jet.grid, levels[0].values)
+    if not all(np.all(np.isfinite(lv.values)) for lv in levels):
+        raise ValueError("field contains non-finite values")
+    return _jet_of(jet.grid, tv, levels)
 
 
 def apply_gamma(word: GammaWord, jet: JetField, t: float | None = None) -> Field:
@@ -182,7 +211,7 @@ def good_derivative(a: int, jet: JetField) -> Field:
         raise ValueError(f"axis must be 1 or 2, got {a}")
     xa = g.X1 if a == 1 else g.X2
     r_reg = np.sqrt(g.R**2 + g.h**2)
-    return Field(g, (xa / r_reg) * jet.ut + _dx(g, jet.u, a))
+    return Field(g, (xa / r_reg) * jet.ut + jet.d(a))
 
 
 @dataclass(frozen=True)

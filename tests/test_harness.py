@@ -224,6 +224,21 @@ class TestCli:
         main(["run", str(path), "--out", str(out), "--quiet"])
         assert main(["fit", str(out / "diagnostics.csv"), "nope", "0.2", "2.0"]) == 2
 
+    def test_picard_nonconvergence_exit_code(self, tmp_path, capsys):
+        # amplitude 0.5 is outside the contraction regime: two maps do not
+        # reach the tolerance
+        path = write_config(tmp_path, (
+            "points_per_axis = 64\nL = 12\namplitude = 0.5\n"
+            "dt = 0.05\nT = 1.5\npicard_max_iter = 2\n"))
+        code = main(["picard", str(path), "--out", str(tmp_path / "out"),
+                     "--quiet"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("numerical failure: Picard iteration did not "
+                              "converge: distances=[")
+        assert "np.float64" not in err
+        assert "Traceback" not in err
+
     def test_check_verb(self):
         results = run_check(quiet=True)
         assert all(ok for _, ok, _ in results)

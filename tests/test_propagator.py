@@ -184,6 +184,19 @@ class TestSolveLinear:
         with pytest.raises(InstabilityError):
             solve_linear(op, p, exploding, 2.0, 0.1)
 
+    def test_non_finite_blow_up_is_caught_at_once(self, grid64):
+        # a source at the edge of the float range overflows the transform
+        # and turns the state to NaN in the first step
+        op = LinearOperator(grid64, 1)
+        bump = np.exp(-grid64.R**2)[None]
+
+        def huge(t):
+            return Field(grid64, 1e307 * bump)
+
+        with np.errstate(all="ignore"):
+            with pytest.raises(InstabilityError, match="t=0.05:"):
+                solve_linear(op, gaussian_pair(grid64), huge, 1.0, 0.05)
+
     def test_wave_self_convergence(self):
         # Gaussian data, m=0: coarse run against a 2x-resolution, dt/2 oracle
         results = {}

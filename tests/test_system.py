@@ -122,6 +122,14 @@ class TestEvolve:
             scale = max(np.max(np.abs(s.n.u.values)), 1e-30)
             assert resid <= 1e-8 * scale
 
+    def test_non_finite_blow_up_is_caught_at_once(self, grid64):
+        # the products overflow to inf and NaN in the first step; the
+        # guard must stop there, not march on and fail on the dump
+        data = gaussian_data(grid64, 1e160)
+        with np.errstate(all="ignore"):
+            with pytest.raises(InstabilityError, match="t=0.05:"):
+                evolve(data, 1.0, 0.05, store_every=20, record_sources=False)
+
 
 class TestDirectN:
     def test_matches_divergence_form(self, grid64):

@@ -1,9 +1,19 @@
 import numpy as np
 import pytest
 
-from kgz2d.grid import Field, FieldPair, bump_window, laplacian, make_grid, partial
+from kgz2d.energy_diag import xnorm_distance
+from kgz2d.grid import (
+    Field,
+    FieldPair,
+    Grid,
+    bump_window,
+    laplacian,
+    make_grid,
+    partial,
+)
 from kgz2d.propagator import LinearOperator, solve_linear
 from kgz2d.vector_fields import (
+    LETTERS,
     GammaWord,
     JetField,
     all_words,
@@ -40,6 +50,161 @@ class TestWords:
         jet = windowed_random_jet(grid64, 1)
         with pytest.raises(ValueError):
             apply_letters(("dt", "L1", "L2"), jet)
+
+
+def depth3_jet(grid, seed, t=0.8, components=1):
+    """Windowed random jet that also carries a third time derivative."""
+    base = windowed_random_jet(grid, seed, t, components)
+    return JetField(grid, t, base.u, base.ut, base.utt,
+                    windowed_random_field(grid, seed + 3000, components))
+
+
+def reference_word(letters, jet):
+    """Every time level of a word, each letter pushed through all levels
+    with its own forward transform per derivative: the plain evaluation
+    the one-pass word layer must reproduce bit for bit."""
+    g, t = jet.grid, jet.t
+
+    def dx(arr, axis):
+        return g.irfft(g.spectral["d1" if axis == 1 else "d2"] * g.rfft(arr))
+
+    levels = jet.levels()
+    for letter in reversed(letters):
+        if letter == "dt":
+            levels = levels[1:]
+        elif letter in ("d1", "d2"):
+            levels = [dx(lv, 1 if letter == "d1" else 2) for lv in levels]
+        elif letter == "rot":
+            levels = [g.X1 * dx(lv, 2) - g.X2 * dx(lv, 1) for lv in levels]
+        else:
+            axis = 1 if letter == "L1" else 2
+            xa = g.X1 if axis == 1 else g.X2
+            out = []
+            for j in range(len(levels) - 1):
+                val = xa * levels[j + 1] + t * dx(levels[j], axis)
+                if j >= 1:
+                    val = val + j * dx(levels[j - 1], axis)
+                out.append(val)
+            levels = out
+    return levels
+
+
+class TestOnePass:
+    def test_matches_two_passes_for_every_word(self, grid64):
+        for w in all_words(2):
+            one = apply_letters(w.letters, depth3_jet(grid64, 30), depth=2)
+            jet = depth3_jet(grid64, 30)
+            assert np.array_equal(one.u, apply_gamma(w, jet).values), w
+            assert np.array_equal(
+                one.ut, apply_letters(("dt",) + w.letters, jet).values), w
+
+    def test_bit_identical_to_plain_evaluation(self, grid64):
+        for w in all_words(2):
+            one = apply_letters(w.letters, depth3_jet(grid64, 31, 1.3,
+                                                      components=2), depth=2)
+            ref = reference_word(w.letters,
+                                 depth3_jet(grid64, 31, 1.3, components=2))
+            assert np.array_equal(one.u, ref[0]), w
+            assert np.array_equal(one.ut, ref[1]), w
+
+    def test_word_jet_derivatives_match_partial(self, grid64):
+        jet = windowed_random_jet(grid64, 32)
+        wjet = apply_letters(("rot",), jet, depth=2)
+        for a in (1, 2):
+            assert np.array_equal(wjet.d(a),
+                                  partial(Field(grid64, wjet.u), a).values)
+            assert np.array_equal(wjet.d(a, 1),
+                                  partial(Field(grid64, wjet.ut), a).values)
+
+    def test_budget_counts_the_extra_levels(self, grid64):
+        jet = windowed_random_jet(grid64, 33)
+        apply_letters(("L1",), jet, depth=2)
+        with pytest.raises(ValueError, match="derivative budget"):
+            apply_letters(("L1", "L2"), jet, depth=2)
+        with pytest.raises(ValueError, match="derivative budget"):
+            apply_letters(("dt", "L1", "L2"), jet)
+        with pytest.raises(ValueError, match="derivative budget"):
+            apply_letters(("dt", "L1", "L2"), depth3_jet(grid64, 33), depth=2)
+        with pytest.raises(ValueError):
+            apply_letters((), jet, depth=0)
+
+    def test_unknown_letter(self, grid64):
+        with pytest.raises(ValueError, match="unknown vector field"):
+            apply_letters(("dx",), windowed_random_jet(grid64, 34))
+
+    def test_shallow_jet(self, grid64):
+        base = windowed_random_jet(grid64, 35)
+        jet = JetField(grid64, base.t, base.u, base.ut)
+        assert len(jet.levels()) == 2
+        assert np.array_equal(apply_gamma(GammaWord(("L2",)), jet).values,
+                              apply_gamma(GammaWord(("L2",)), base).values)
+        with pytest.raises(ValueError):
+            JetField(grid64, base.t, base.u, base.ut, None, base.utt)
+
+
+@pytest.fixture
+def transforms(monkeypatch):
+    """Counts of Grid.rfft and Grid.irfft calls from the moment of reset."""
+    calls = {"rfft": 0, "irfft": 0}
+    for name in calls:
+        original = getattr(Grid, name)
+
+        def counted(self, arr, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, arr)
+
+        monkeypatch.setattr(Grid, name, counted)
+
+    def reset():
+        calls.update(rfft=0, irfft=0)
+        return calls
+
+    return reset
+
+
+class OneSnapshot:
+    """The trajectory interface xnorm_distance reads, with one snapshot."""
+
+    def __init__(self, grid, jets):
+        self.grid = grid
+        self.times = np.array([jets["E"].t])
+        self.jets = jets
+
+    def jet(self, k, which, depth=2):
+        jet = self.jets[which]
+        return JetField(self.grid, jet.t, *jet.levels()[:depth + 1])
+
+
+class TestTransformCounts:
+    # Each forward transform of an array is shared by both its derivatives
+    # and by every word of the jet; only the levels a word reads are built.
+    @pytest.mark.parametrize("letter, counts", [
+        ("dt", (0, 0)), ("d1", (1, 1)), ("d2", (1, 1)), ("rot", (1, 2)),
+        ("L1", (1, 1)), ("L2", (1, 1))])
+    def test_single_letter_word(self, grid64, transforms, letter, counts):
+        jet = windowed_random_jet(grid64, 40)
+        calls = transforms()
+        apply_gamma(GammaWord((letter,)), jet)
+        assert (calls["rfft"], calls["irfft"]) == counts
+
+    def test_words_share_the_jet_transforms(self, grid64, transforms):
+        jet = windowed_random_jet(grid64, 41)
+        calls = transforms()
+        for letter in LETTERS:
+            apply_gamma(GammaWord((letter,)), jet)
+        assert (calls["rfft"], calls["irfft"]) == (1, 2)
+
+    def test_xnorm_distance_snapshot(self, grid64, transforms):
+        def jets(seed):
+            return {"E": windowed_random_jet(grid64, seed, components=2),
+                    "n": windowed_random_jet(grid64, seed + 1)}
+
+        a, b = OneSnapshot(grid64, jets(42)), OneSnapshot(grid64, jets(44))
+        calls = transforms()
+        xnorm_distance(a, b)
+        # per order <= 1 word: one rfft and two irffts for grad Gamma dE;
+        # d1 and d2 of dn once for the whole snapshot
+        assert (calls["rfft"], calls["irfft"]) == (8, 16)
 
 
 class TestApplyGamma:
