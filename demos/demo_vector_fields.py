@@ -11,7 +11,7 @@ Run from the repository root:  python3 demos/demo_vector_fields.py
 
 import numpy as np
 
-from kgz2d import Field, FieldPair, LinearOperator, laplacian, make_grid, partial, solve_linear
+from kgz2d import Field, FieldPair, LinearOperator, free_step, laplacian, make_grid, partial
 from kgz2d.energy_diag import ks_ratio
 from kgz2d.grid import bump_window
 from kgz2d.system import free_flow, gaussian_data
@@ -36,11 +36,9 @@ def main():
 
     # good derivatives along the cone of an outgoing wave
     amp = np.exp(-grid.R**2 / 2.0)
-    traj = solve_linear(LinearOperator(grid, 0),
-                        FieldPair(Field(grid, amp), Field(grid, 0 * amp)),
-                        None, 8.0, 0.1)
-    pair = traj.pairs[-1]
-    t = traj.times[-1]
+    t = 8.0
+    pair = free_step(LinearOperator(grid, 0),
+                     FieldPair(Field(grid, amp), Field(grid, 0 * amp)), t)
     wjet = JetField(grid, t, pair.u.values, pair.ut.values,
                     laplacian(pair.u).values)
     shell = np.abs(grid.R - t) <= 1.0

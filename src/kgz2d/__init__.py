@@ -30,10 +30,8 @@ from .grid import (
 from .propagator import (
     InstabilityError,
     LinearOperator,
-    PairTrajectory,
     forced_step,
     free_step,
-    solve_linear,
 )
 from .system import (
     InitialData,

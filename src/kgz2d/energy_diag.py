@@ -332,138 +332,141 @@ def _sum_l2(traj, k, which, cap, weight) -> float:
     return total
 
 
-def _max_sup(traj, k, which, cap, weight) -> float:
-    best = 0.0
-    for val in _word_values(traj, k, which, cap):
-        mag = np.sqrt(np.sum(val.values**2, axis=0))
-        best = max(best, float(np.max(weight * mag)))
-    return best
+# Reductions turn a field's words and a per-snapshot weight sequence into
+# one value per snapshot: reduction(traj, which, cap, delta, weights).
+
+def _l2(traj, which, cap, d, weights):
+    """Sum over words of ||weight^{1/2} Gamma^I u||_{L^2}."""
+    for k, weight in enumerate(weights):
+        yield _sum_l2(traj, k, which, cap, weight)
 
 
-class _GhostEnergyTracker:
-    """Running E_gst(t, Gamma^I u) for every word up to a cap."""
+def _exterior_l2(traj, which, cap, d, weights):
+    """_l2 plus the same norms of every word's first derivatives."""
+    for k, weight in enumerate(weights):
+        total = _sum_l2(traj, k, which, cap, weight)
+        jet = traj.jet(k, which, depth=3 if cap >= 2 else 2)
+        for word in all_words(cap):
+            wjet = apply_letters(word.letters, jet, depth=2)
+            for dval in (wjet.ut, wjet.d(1), wjet.d(2)):
+                total += float(np.sqrt(np.sum(weight * np.sum(dval**2, axis=0))
+                                       * traj.grid.cell_area))
+        yield total
 
-    def __init__(self, traj, which: str, cap: int, delta: float, m: int):
-        self.traj, self.which, self.delta, self.m = traj, which, delta, m
-        self.words = all_words(cap)
-        self.acc = np.zeros(len(self.words))
-        self.prev = None
-        self.k_done = -1
-        self.values = None
 
-    def advance(self, k: int) -> np.ndarray:
-        if k != self.k_done + 1:
-            raise ValueError("ghost tracker must advance one snapshot at a time")
-        traj = self.traj
-        integ = np.empty(len(self.words))
-        vals = np.empty(len(self.words))
-        max_budget = max(w.time_budget() for w in self.words)
-        jet = traj.jet(k, self.which, depth=3 if max_budget >= 2 else 2)
-        for i, w in enumerate(self.words):
+def _sup(traj, which, cap, d, weights):
+    """Max over words of sup_x weight |Gamma^I u|."""
+    for k, weight in enumerate(weights):
+        best = 0.0
+        for val in _word_values(traj, k, which, cap):
+            mag = np.sqrt(np.sum(val.values**2, axis=0))
+            best = max(best, float(np.max(weight * mag)))
+        yield best
+
+
+def _ghost(traj, which, cap, d, weights):
+    """Sum over words of E_gst(t, Gamma^I u)^{1/2}: each word's natural
+    energy plus its running ghost integral (trapezoid rule).  Takes no
+    weight."""
+    words = all_words(cap)
+    m = _MASS[which]
+    depth = 3 if max(w.time_budget() for w in words) >= 2 else 2
+    acc = np.zeros(len(words))
+    prev = None
+    for k, _ in enumerate(weights):
+        jet = traj.jet(k, which, depth=depth)
+        integ = np.empty(len(words))
+        vals = np.empty(len(words))
+        for i, w in enumerate(words):
             wjet = apply_letters(w.letters, jet, depth=2)
-            integ[i] = _ghost_integrand(wjet, self.m, self.delta)
+            integ[i] = _ghost_integrand(wjet, m, d)
             dens = np.sum(wjet.ut**2, axis=0) + _grad_sq(wjet.d) \
-                + float(self.m) ** 2 * np.sum(wjet.u**2, axis=0)
+                + float(m) ** 2 * np.sum(wjet.u**2, axis=0)
             vals[i] = float(np.sum(dens) * traj.grid.cell_area)
-        if self.prev is not None:
-            h = traj.times[k] - traj.times[k - 1]
-            self.acc += 0.5 * (self.prev + integ) * h
-        self.prev = integ
-        self.k_done = k
-        self.values = vals + self.acc
-        return self.values
+        if prev is not None:
+            acc += 0.5 * (prev + integ) * (traj.times[k] - traj.times[k - 1])
+        prev = integ
+        yield float(np.sum(np.sqrt(np.maximum(vals + acc, 0.0))))
+
+
+def _spacetime(traj, which, cap, d, weights):
+    """(Sum over words of the running time integral, trapezoid rule, of
+    ||weight^{1/2} Gamma^I u||^2)^{1/2}."""
+    acc = np.zeros(len(all_words(cap)))
+    prev = None
+    for k, weight in enumerate(weights):
+        integ = np.array([
+            float(np.sum(weight * np.sum(v.values**2, axis=0))
+                  * traj.grid.cell_area)
+            for v in _word_values(traj, k, which, cap)])
+        if prev is not None:
+            acc += 0.5 * (prev + integ) * (traj.times[k] - traj.times[k - 1])
+        prev = integ
+        yield float(np.sqrt(np.sum(acc)))
+
+
+def _one(*args):
+    return 1.0
+
+
+def _decay(tb, d):
+    return tb ** (-d)
+
+
+def _exterior_w(t, R, d):
+    return chi(R - t) * jbracket(t - R) ** 2
+
+
+# name: (field, weight(t, R, delta), prefactor(<t>, delta), reduction)
+_XNORM_TABLE = {
+    "wave_l2": ("n", _one, _decay, _l2),
+    "kg_energy": ("E", _one, _decay, _ghost),
+    "kg_spacetime": (
+        "E",
+        lambda t, R, d: (jbracket(t) ** (-d)
+                         * jbracket(t - R) ** (-0.5 - 0.5 * d)) ** 2,
+        lambda tb, d: tb ** (-0.5 * d), _spacetime),
+    "kg_cone_l2": (
+        "E", lambda t, R, d: (jbracket(t + R) / jbracket(t - R)) ** 2,
+        _decay, _l2),
+    "wave_energy_uniform": ("n", _one, _one, _ghost),
+    "kg_energy_uniform": ("E", _one, _one, _ghost),
+    "wave_interior_l2": (
+        "n", lambda t, R, d: (1.0 - chi(R - 2.0 * t)) * jbracket(t - R) ** 2,
+        _decay, _l2),
+    "wave_interior_strong": (
+        "n", lambda t, R, d: ((1.0 - chi(R - 2.0 * t))
+                              * jbracket(t - R) ** (2.0 * (1.0 - d))),
+        _one, _l2),
+    "wave_exterior_l2": ("n", _exterior_w, lambda tb, d: tb ** (-0.5 - d), _l2),
+    "wave_exterior_low": ("n", _exterior_w, _decay, _l2),
+    "kg_exterior_l2": ("E", _exterior_w, lambda tb, d: tb ** (-0.5 - d),
+                       _exterior_l2),
+    "kg_exterior_low": ("E", _exterior_w, _decay, _exterior_l2),
+    "kg_sup": ("E", lambda t, R, d: jbracket(t + R), _one, _sup),
+    "kg_sup_cone": (
+        "E", lambda t, R, d: jbracket(t - R) ** (-1.0) * jbracket(t + R) ** 2,
+        _one, _sup),
+    "wave_sup": (
+        "n", lambda t, R, d: jbracket(t - R) ** (1.0 - d) * jbracket(t + R) ** 0.5,
+        _one, _sup),
+    "kg_sup_exterior": (
+        "E", lambda t, R, d: chi(R - t) * jbracket(t + R) ** (1.25 - d),
+        _one, _sup),
+}
+
+XNORM_TERMS = tuple(_XNORM_TABLE)
 
 
 def _term_series(traj, spec: WeightSpec) -> np.ndarray:
-    """Instantaneous series of one X-norm term (running integrals inside)."""
-    g = traj.grid
-    R = g.R
+    """Series of one X-norm term: prefactor(<t>) * reduction(weight(t, r))."""
+    which, weight, prefactor, reduction = _XNORM_TABLE[spec.name]
     d = spec.delta
-    cap = spec.gamma_cap
-    n_snap = len(traj.states)
-    out = np.empty(n_snap)
-    name = spec.name
-
-    if name in ("kg_energy", "kg_energy_uniform", "wave_energy_uniform"):
-        which = "E" if name.startswith("kg") else "n"
-        tracker = _GhostEnergyTracker(traj, which, cap, d, _MASS[which])
-        for k in range(n_snap):
-            vals = tracker.advance(k)
-            total = float(np.sum(np.sqrt(np.maximum(vals, 0.0))))
-            w = jbracket(traj.times[k]) ** (-d) if name == "kg_energy" else 1.0
-            out[k] = w * total
-        return out
-
-    if name == "kg_spacetime":
-        words = all_words(cap)
-        acc = np.zeros(len(words))
-        prev = None
-        for k in range(n_snap):
-            t = traj.times[k]
-            weight = (jbracket(t) ** (-d) * jbracket(t - R) ** (-0.5 - 0.5 * d)) ** 2
-            vals = _word_values(traj, k, "E", cap)
-            integ = np.array([
-                float(np.sum(weight * np.sum(v.values**2, axis=0)) * g.cell_area)
-                for v in vals])
-            if prev is not None:
-                acc += 0.5 * (prev + integ) * (t - traj.times[k - 1])
-            prev = integ
-            out[k] = jbracket(t) ** (-0.5 * d) * float(np.sqrt(np.sum(acc)))
-        return out
-
-    for k in range(n_snap):
-        t = traj.times[k]
-        tb = jbracket(t)
-        if name == "wave_l2":
-            out[k] = tb ** (-d) * _sum_l2(traj, k, "n", cap, 1.0)
-        elif name == "kg_cone_l2":
-            w = (jbracket(t + R) / jbracket(t - R)) ** 2
-            out[k] = tb ** (-d) * _sum_l2(traj, k, "E", cap, w)
-        elif name == "wave_interior_l2":
-            w = (1.0 - chi(R - 2.0 * t)) * jbracket(t - R) ** 2
-            out[k] = tb ** (-d) * _sum_l2(traj, k, "n", cap, w)
-        elif name == "wave_interior_strong":
-            w = (1.0 - chi(R - 2.0 * t)) * jbracket(t - R) ** (2.0 * (1.0 - d))
-            out[k] = _sum_l2(traj, k, "n", cap, w)
-        elif name in ("wave_exterior_l2", "wave_exterior_low"):
-            w = chi(R - t) * jbracket(t - R) ** 2
-            pref = tb ** (-0.5 - d) if name == "wave_exterior_l2" else tb ** (-d)
-            out[k] = pref * _sum_l2(traj, k, "n", cap, w)
-        elif name in ("kg_exterior_l2", "kg_exterior_low"):
-            w = chi(R - t) * jbracket(t - R) ** 2
-            pref = tb ** (-0.5 - d) if name == "kg_exterior_l2" else tb ** (-d)
-            total = _sum_l2(traj, k, "E", cap, w)
-            jet = traj.jet(k, "E", depth=3 if cap >= 2 else 2)
-            for word in all_words(cap):
-                wjet = apply_letters(word.letters, jet, depth=2)
-                for dval in (wjet.ut, wjet.d(1), wjet.d(2)):
-                    total += float(np.sqrt(
-                        np.sum(w * np.sum(dval**2, axis=0)) * g.cell_area))
-            out[k] = pref * total
-        elif name == "kg_sup":
-            out[k] = _max_sup(traj, k, "E", cap, jbracket(t + R))
-        elif name == "kg_sup_cone":
-            w = jbracket(t - R) ** (-1.0) * jbracket(t + R) ** 2
-            out[k] = _max_sup(traj, k, "E", cap, w)
-        elif name == "wave_sup":
-            w = jbracket(t - R) ** (1.0 - d) * jbracket(t + R) ** 0.5
-            out[k] = _max_sup(traj, k, "n", cap, w)
-        elif name == "kg_sup_exterior":
-            w = chi(R - t) * jbracket(t + R) ** (1.25 - d)
-            out[k] = _max_sup(traj, k, "E", cap, w)
-        else:
-            raise ValueError(f"unknown X-norm term {name!r}")
-    return out
-
-
-XNORM_TERMS = (
-    "wave_l2", "kg_energy", "kg_spacetime", "kg_cone_l2",
-    "wave_energy_uniform", "kg_energy_uniform",
-    "wave_interior_l2", "wave_interior_strong",
-    "wave_exterior_l2", "wave_exterior_low",
-    "kg_exterior_l2", "kg_exterior_low",
-    "kg_sup", "kg_sup_cone", "wave_sup", "kg_sup_exterior",
-)
+    R = traj.grid.R
+    values = reduction(traj, which, spec.gamma_cap, d,
+                       (weight(t, R, d) for t in traj.times))
+    return np.array([prefactor(jbracket(t), d) * v
+                     for t, v in zip(traj.times, values)])
 
 
 def xnorm_terms(traj, specs: list[WeightSpec]) -> "DiagnosticsReport":

@@ -340,7 +340,10 @@ def read_field(path, grid: Grid | None = None) -> tuple[Field, float]:
             raise ValueError(f"not a kgzfield v1 dump: {header!r}")
         comps, n = int(parts[2]), int(parts[3])
         length, t = float(parts[4]), float(parts[5])
-        raw = fh.read(comps * n * n * 8)
+        raw = fh.read()
+    if len(raw) != comps * n * n * 8:
+        raise ValueError(f"{path}: expected {comps * n * n * 8} data bytes "
+                         f"after the header, found {len(raw)}")
     if grid is None:
         grid = make_grid(n, length)
     elif grid.n != n or grid.length != length:

@@ -17,6 +17,7 @@ worker pool used for multi-config sweeps.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -37,6 +38,7 @@ from .scattering import (
 )
 from .system import (
     PicardNonConvergence,
+    _steps_for,
     evolve,
     gaussian_data,
     picard_solve,
@@ -93,8 +95,22 @@ class RunConfig:
     def __post_init__(self):
         if self.profile not in ("gaussian", "ring"):
             raise ConfigError(f"unknown profile {self.profile!r}")
-        if self.amplitude < 0:
-            raise ConfigError("amplitude must be nonnegative")
+        if not (math.isfinite(self.amplitude) and self.amplitude >= 0):
+            raise ConfigError(
+                f"amplitude must be finite and nonnegative, got {self.amplitude}")
+        if len(self.center) != 2:
+            raise ConfigError(f"center needs 2 coordinates, got {self.center}")
+        if not all(math.isfinite(v) and v > 0 for v in (self.T, self.dt)):
+            raise ConfigError(f"T and dt must be finite and positive, "
+                              f"got T={self.T}, dt={self.dt}")
+        try:
+            make_grid(self.points_per_axis, self.L)
+            steps = _steps_for(self.T, self.dt)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        if self.store_every < 1 or steps % self.store_every:
+            raise ConfigError(f"store_every={self.store_every} does not "
+                              f"divide the {steps} steps")
         if self.fit_t2 == 0.0:
             self.fit_t2 = min(28.0, self.T - 2.0)
         for name in ("delta", "kappa", "eta"):
@@ -456,12 +472,11 @@ def run_check(quiet: bool = False) -> list[tuple[str, bool, str]]:
     gauss = np.exp(-(g.X1**2 + g.X2**2) / 2.0)
     pair = FieldPair(Field(g, 1e-2 * gauss), Field(g, np.zeros_like(gauss)))
     op = LinearOperator(g, 1)
-    from .energy_diag import energy as _energy
-    e0 = _energy(pair, 1)
+    e0 = energy(pair, 1)
     q = pair
     for _ in range(200):
         q = free_step(op, q, 0.1)
-    drift = abs(_energy(q, 1) - e0) / e0
+    drift = abs(energy(q, 1) - e0) / e0
     record("free KG conservation (200 steps)", drift <= 1e-11,
            f"rel drift {drift:.2e}")
 
@@ -478,9 +493,8 @@ def run_check(quiet: bool = False) -> list[tuple[str, bool, str]]:
     record("commutator identities", rep.max_relative() <= 1e-8,
            f"max rel residual {rep.max_relative():.2e}")
 
-    from .system import gaussian_data as _gd, evolve as _ev
-    d2 = _gd(g, 1e-2)
-    t1 = _ev(d2, 2.0, 0.1, record_sources=False)
+    d2 = gaussian_data(g, 1e-2)
+    t1 = evolve(d2, 2.0, 0.1, record_sources=False)
     t2 = evolve_direct_n(d2, 2.0, 0.1, record_sources=False)
     nd = np.max(np.abs(t1.states[-1].n.u.values - t2.states[-1].n.u.values))
     scale = np.max(np.abs(t1.states[-1].n.u.values))

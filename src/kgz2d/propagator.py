@@ -21,14 +21,12 @@ __all__ = [
     "LinearOperator",
     "free_step",
     "forced_step",
-    "solve_linear",
-    "PairTrajectory",
     "InstabilityError",
 ]
 
 
 class InstabilityError(RuntimeError):
-    """Raised when a solve blows past 1e6 x the initial field scale."""
+    """Raised when an evolution blows past 1e6 x the initial field scale."""
 
 
 @dataclass(frozen=True)
@@ -86,55 +84,3 @@ def forced_step(op: LinearOperator, p: FieldPair, source, t: float, dt: float) -
     ut_hat = ut_hat + dt * g.rfft(f_mid.values)
     u_hat, ut_hat = _free_step_hat(op, u_hat, ut_hat, 0.5 * dt)
     return FieldPair(Field(g, g.irfft(u_hat)), Field(g, g.irfft(ut_hat)))
-
-
-@dataclass(frozen=True)
-class PairTrajectory:
-    """Uniform-dt snapshots of a linear solve."""
-
-    op: LinearOperator
-    dt: float
-    times: np.ndarray
-    pairs: list
-
-    def __len__(self):
-        return len(self.pairs)
-
-
-def _pair_scale(u_hat, ut_hat) -> float:
-    return float(max(np.max(np.abs(u_hat)), np.max(np.abs(ut_hat))))
-
-
-def solve_linear(op: LinearOperator, data: FieldPair, source, T: float, dt: float) -> PairTrajectory:
-    """March the forced equation from 0 to T; first snapshot is `data` itself.
-
-    Aborts with InstabilityError when the spectral amplitude exceeds
-    1e6 x its initial value.  dt must divide T within round-off.
-    """
-    if not T > 0:
-        raise ValueError("horizon T must be positive")
-    steps = int(round(T / dt))
-    if abs(steps * dt - T) > 1e-9 * max(1.0, T):
-        raise ValueError(f"dt={dt} does not divide T={T}")
-    g = op.grid
-    u_hat = g.rfft(data.u.values)
-    ut_hat = g.rfft(data.ut.values)
-    limit = 1e6 * (_pair_scale(u_hat, ut_hat) + 1e-300)
-    pairs = [data]
-    times = [0.0]
-    for k in range(steps):
-        t = k * dt
-        u_hat, ut_hat = _free_step_hat(op, u_hat, ut_hat, 0.5 * dt)
-        if source is not None:
-            f_mid = source(t + 0.5 * dt)
-            if not np.all(np.isfinite(f_mid.values)):
-                raise ValueError(f"source returned non-finite values at t={t + 0.5 * dt}")
-            ut_hat = ut_hat + dt * g.rfft(f_mid.values)
-        u_hat, ut_hat = _free_step_hat(op, u_hat, ut_hat, 0.5 * dt)
-        if not _pair_scale(u_hat, ut_hat) <= limit:
-            raise InstabilityError(
-                f"linear solve unstable at t={t + dt:.6g}: amplitude exceeded 1e6 x initial"
-            )
-        pairs.append(FieldPair(Field(g, g.irfft(u_hat)), Field(g, g.irfft(ut_hat))))
-        times.append((k + 1) * dt)
-    return PairTrajectory(op, dt, np.asarray(times), pairs)

@@ -107,6 +107,23 @@ def _fit_tail(times, norms, t_max: float):
     return value_at_cut * t_max / (-1.0 - slope), slope
 
 
+def _duhamel_sum(traj, t: float, t_max: float):
+    """Spectral (u, u_t) of sum over midpoints t < tau < t_max of
+    dt S1(t - tau)(0, Q(tau)), accumulated in midpoint order."""
+    g = traj.grid
+    op = LinearOperator(g, 1)
+    acc_u = np.zeros((2, g.n, g.n // 2 + 1), dtype=complex)
+    acc_ut = np.zeros_like(acc_u)
+    for k, tau in enumerate(np.asarray(traj.source_times, dtype=float)):
+        if tau <= t or tau >= t_max:
+            continue
+        Q_hat = g.rfft(traj.source_history[k][0].values)
+        du, dut = _free_step_hat(op, np.zeros_like(Q_hat), Q_hat, t - tau)
+        acc_u += traj.dt * du
+        acc_ut += traj.dt * dut
+    return acc_u, acc_ut
+
+
 def build_scatter_data(traj, s: float = 1.0, t_max: float | None = None, *,
                        require_convergent_tail: bool = True) -> ScatterProfile:
     """Accumulate data+ = data(0) + sum_k dt * S1(-tau_k)(0, Q_k) over the
@@ -123,17 +140,8 @@ def build_scatter_data(traj, s: float = 1.0, t_max: float | None = None, *,
         t_max = traj.t_end
     if t_max > traj.t_end + 1e-9:
         raise ValueError(f"t_max={t_max} exceeds the trajectory horizon")
-    op = LinearOperator(g, 1)
     times = np.asarray(traj.source_times, dtype=float)
-    acc_u = np.zeros_like(g.rfft(traj.states[0].E.u.values))
-    acc_ut = np.zeros_like(acc_u)
-    for k, tau in enumerate(times):
-        if tau >= t_max:
-            break
-        Q_hat = g.rfft(traj.source_history[k][0].values)
-        du, dut = _free_step_hat(op, np.zeros_like(Q_hat), Q_hat, -tau)
-        acc_u += traj.dt * du
-        acc_ut += traj.dt * dut
+    acc_u, acc_ut = _duhamel_sum(traj, 0.0, t_max)
     E0 = traj.states[0].E
     data_plus = FieldPair(
         Field(g, E0.u.values + g.irfft(acc_u)),
@@ -186,22 +194,8 @@ def duhamel_tail_norm(traj, profile: ScatterProfile, t: float, s: float | None =
     """
     if s is None:
         s = profile.s
+    acc_u, acc_ut = _duhamel_sum(traj, t, profile.t_max)
     g = traj.grid
-    op = LinearOperator(g, 1)
-    times = np.asarray(traj.source_times, dtype=float)
-    acc_u = None
-    for k, tau in enumerate(times):
-        if tau <= t or tau >= profile.t_max:
-            continue
-        Q_hat = g.rfft(traj.source_history[k][0].values)
-        du, dut = _free_step_hat(op, np.zeros_like(Q_hat), Q_hat, t - tau)
-        if acc_u is None:
-            acc_u, acc_ut = traj.dt * du, traj.dt * dut
-        else:
-            acc_u += traj.dt * du
-            acc_ut += traj.dt * dut
-    if acc_u is None:
-        return 0.0
     return _combined_norm(g, g.irfft(acc_u), g.irfft(acc_ut), s)
 
 

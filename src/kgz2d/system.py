@@ -65,10 +65,11 @@ class Trajectory:
 
     source_history holds (Q, S) = (-nE, |E|^2) sampled along this
     trajectory at every step midpoint (2/3-dealiased, exactly the products
-    a solution map would feed to the linear equations).  kick_history holds
-    the sources that were actually applied as kicks: identical to
-    source_history for the nonlinear evolution, zero (None) for free flow,
-    and the guess's history for a Picard iterate.
+    a solution map would feed to the linear equations).  The equation
+    sources at snapshot times follow from kind: the snapshot's own products
+    for the nonlinear flows ("coupled", "direct"), zero for "free", and the
+    recorded snapshot_sources for a Picard iterate ("picard"), which solves
+    the linear system whose sources are its guess's products.
     """
 
     grid: Grid
@@ -78,11 +79,7 @@ class Trajectory:
     states: list
     source_times: np.ndarray | None
     source_history: list | None
-    kick_history: list | None
-    source_mode: str  # "self" | "none" | "replay"
-    kind: str
-    # equation sources at snapshot times, recorded when they cannot be
-    # reconstructed from the states alone (Picard iterates)
+    kind: str  # "coupled" | "direct" | "free" | "picard"
     snapshot_sources: list | None = None
 
     def __post_init__(self):
@@ -108,55 +105,40 @@ class Trajectory:
     # -- equation sources at snapshot times (for jets and identities) --
 
     def snapshot_source(self, k: int, which: str) -> Field:
-        state = self.states[k]
-        g = self.grid
-        if self.source_mode == "none":
-            comps = 2 if which == "E" else 1
-            return Field(g, np.zeros((comps, g.n, g.n)))
-        if self.source_mode == "self":
-            q, s = _products_at(state)
-            if which == "E":
-                return q
-            return laplacian(s) if which == "n" else s
-        if self.snapshot_sources is not None:
+        if self.kind == "free":
+            return self._zero_source(which)
+        if self.kind == "picard":
             q, s = self.snapshot_sources[k]
-            if which == "E":
-                return q
-            return laplacian(s) if which == "n" else s
-        # fallback: average the midpoint kicks bracketing the snapshot
-        step = k * self.store_every
-        idx = 0 if which == "E" else 1
-        lo = self.kick_history[max(step - 1, 0)][idx]
-        hi = self.kick_history[min(step, len(self.kick_history) - 1)][idx]
-        mid = Field(self.grid, 0.5 * (lo.values + hi.values))
-        return laplacian(mid) if which == "n" else mid
+            src = q if which == "E" else s
+        else:
+            src = _product(self.states[k], which)
+        return laplacian(src) if which == "n" else src
 
     def snapshot_source_dt(self, k: int, which: str) -> Field:
         """Time derivative of the snapshot source (for depth-3 jets)."""
+        if self.kind == "free":
+            return self._zero_source(which)
+        if self.kind == "picard":
+            raise ValueError("a Picard iterate records no source derivative, "
+                             "so its jets stop at depth 2")
         state = self.states[k]
         g = self.grid
-        if self.source_mode == "none":
-            comps = 2 if which == "E" else 1
-            return Field(g, np.zeros((comps, g.n, g.n)))
-        if self.source_mode == "self":
-            if which == "E":
-                prod = (state.n.ut.values[0] * state.E.u.values
-                        + state.n.u.values[0] * state.E.ut.values)
-                return -1.0 * dealias(Field(g, prod))
-            s = dealias(Field(g, 2.0 * np.sum(state.E.u.values
-                                              * state.E.ut.values, axis=0)))
-            return laplacian(s) if which == "n" else s
-        # replay: one-sided difference of the bracketing kicks
-        step = k * self.store_every
-        idx = 0 if which == "E" else 1
-        lo = self.kick_history[max(step - 1, 0)][idx]
-        hi = self.kick_history[min(step, len(self.kick_history) - 1)][idx]
-        der = Field(self.grid, (hi.values - lo.values) / self.dt)
-        return laplacian(der) if which == "n" else der
+        if which == "E":
+            prod = (state.n.ut.values[0] * state.E.u.values
+                    + state.n.u.values[0] * state.E.ut.values)
+            return -1.0 * dealias(Field(g, prod))
+        s = dealias(Field(g, 2.0 * np.sum(state.E.u.values
+                                          * state.E.ut.values, axis=0)))
+        return laplacian(s) if which == "n" else s
+
+    def _zero_source(self, which: str) -> Field:
+        g = self.grid
+        comps = 2 if which == "E" else 1
+        return Field(g, np.zeros((comps, g.n, g.n)))
 
     def products(self, k: int) -> tuple[Field, Field]:
         """Dealiased (-nE, |E|^2) evaluated on snapshot k's own fields."""
-        return _products_at(self.states[k])
+        return _product(self.states[k], "E"), _product(self.states[k], "n_delta")
 
     def jet(self, k: int, which: str, depth: int = 2) -> JetField:
         """Snapshot jet (u, u_t[, u_tt[, u_ttt]]) up to the depth-th time
@@ -177,12 +159,13 @@ class Trajectory:
                         utt, uttt)
 
 
-def _products_at(state: KGZState) -> tuple[Field, Field]:
-    """The quadratic products (-nE, |E|^2) of one state, 2/3-dealiased."""
+def _product(state: KGZState, which: str) -> Field:
+    """The 2/3-dealiased quadratic product that drives one field: -nE for
+    "E", |E|^2 for "n_delta" (and, through its Laplacian, for "n")."""
     g = state.E.grid
-    q = -1.0 * dealias(Field(g, state.n.u.values[0] * state.E.u.values))
-    s = dealias(Field(g, np.sum(state.E.u.values**2, axis=0)))
-    return q, s
+    if which == "E":
+        return -1.0 * dealias(Field(g, state.n.u.values[0] * state.E.u.values))
+    return dealias(Field(g, np.sum(state.E.u.values**2, axis=0)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,16 +254,17 @@ def _steps_for(T: float, dt: float) -> int:
     return steps
 
 
-def _march(data: InitialData, T: float, dt: float, *, apply_sources: bool,
-           direct_n: bool, store_every: int, record_sources: bool,
-           replay: list | None = None, kind: str) -> Trajectory:
+def _march(data: InitialData, T: float, dt: float, *, kicks,
+           store_every: int, record_sources: bool,
+           direct_n: bool = False) -> Trajectory:
     """Shared Strang march for every evolution flavour.
 
-    apply_sources  -- kick with this trajectory's own midpoint products
-    replay         -- kick with the given midpoint source list instead
-                      (the linear solution map); overrides apply_sources
-    direct_n       -- additionally evolve n directly with source lap(|E|^2)
-                      and take the state's n from that integration
+    kicks     -- the midpoint kick: "self" for this march's own midpoint
+                 products (the nonlinear flow), None for none (the free
+                 flow), or a recorded per-step list of (Q, S) midpoint
+                 sources (the linear solution map)
+    direct_n  -- additionally evolve n directly with source lap(|E|^2)
+                 and take the state's n from that integration
     """
     g = data.grid
     if not T + data.radius < g.length:
@@ -288,8 +272,15 @@ def _march(data: InitialData, T: float, dt: float, *, apply_sources: bool,
             f"wrap-free window violated: T + R = {T + data.radius:.3g} "
             f">= L = {g.length:.3g}")
     steps = _steps_for(T, dt)
-    if replay is not None and len(replay) != steps:
-        raise ValueError(f"replay history has {len(replay)} steps, need {steps}")
+    if kicks is None:
+        kind = "free"
+    elif kicks == "self":
+        kind = "direct" if direct_n else "coupled"
+    else:
+        kind = "picard"
+        if len(kicks) != steps:
+            raise ValueError(f"kick history has {len(kicks)} steps, need {steps}")
+    own = kind in ("coupled", "direct")
 
     op_kg = LinearOperator(g, 1)
     op_w = LinearOperator(g, 0)
@@ -338,7 +329,7 @@ def _march(data: InitialData, T: float, dt: float, *, apply_sources: bool,
             Nu, Nut = _free_step_hat(op_w, Nu, Nut, 0.5 * dt)
 
         # midpoint products from the half-stepped positions
-        if apply_sources or record_sources:
+        if own or record_sources:
             E_mid = g.irfft(Eu)
             n_mid = g.irfft(Nu) if direct_n else g.irfft(-k_sq * Du)
             Q_hat = mask * g.rfft(-n_mid[0] * E_mid)
@@ -348,11 +339,11 @@ def _march(data: InitialData, T: float, dt: float, *, apply_sources: bool,
                                 Field(g, g.irfft(S_hat))))
                 source_times.append(t + 0.5 * dt)
 
-        if replay is not None:
-            Qk, Sk = replay[k]
-            Eut = Eut + dt * (mask * g.rfft(Qk.values))
-            Dut = Dut + dt * (mask * g.rfft(Sk.values))
-        elif apply_sources:
+        if kind == "picard":
+            Qk, Sk = kicks[k]
+            Q_hat = mask * g.rfft(Qk.values)
+            S_hat = mask * g.rfft(Sk.values)
+        if kicks is not None:
             Eut = Eut + dt * Q_hat
             Dut = Dut + dt * S_hat
             if direct_n:
@@ -371,43 +362,33 @@ def _march(data: InitialData, T: float, dt: float, *, apply_sources: bool,
             states.append(snapshot((k + 1) * dt))
             times.append((k + 1) * dt)
 
-    if replay is not None:
-        kick, mode = replay, "replay"
-    elif apply_sources:
-        kick, mode = history, "self"
-    else:
-        kick, mode = None, "none"
     return Trajectory(
         grid=g, dt=dt, store_every=store_every,
         times=np.asarray(times), states=states,
         source_times=np.asarray(source_times) if record_sources else None,
-        source_history=history, kick_history=kick,
-        source_mode=mode, kind=kind,
+        source_history=history, kind=kind,
     )
 
 
 def evolve(data: InitialData, T: float, dt: float, *, store_every: int = 1,
            record_sources: bool = True) -> Trajectory:
     """Nonlinear KGZ evolution in divergence form (n reconstructed as lap nD)."""
-    return _march(data, T, dt, apply_sources=True, direct_n=False,
-                  store_every=store_every, record_sources=record_sources,
-                  kind="coupled")
+    return _march(data, T, dt, kicks="self", store_every=store_every,
+                  record_sources=record_sources)
 
 
 def evolve_direct_n(data: InitialData, T: float, dt: float, *,
                     store_every: int = 1, record_sources: bool = True) -> Trajectory:
     """Same system with n evolved directly from -box(n) = lap(|E|^2)."""
-    return _march(data, T, dt, apply_sources=True, direct_n=True,
-                  store_every=store_every, record_sources=record_sources,
-                  kind="direct")
+    return _march(data, T, dt, kicks="self", store_every=store_every,
+                  record_sources=record_sources, direct_n=True)
 
 
 def free_flow(data: InitialData, T: float, dt: float, *, store_every: int = 1,
               record_sources: bool = True) -> Trajectory:
     """Source-free flow of the same data; still records -nE and |E|^2."""
-    return _march(data, T, dt, apply_sources=False, direct_n=False,
-                  store_every=store_every, record_sources=record_sources,
-                  kind="free")
+    return _march(data, T, dt, kicks=None, store_every=store_every,
+                  record_sources=record_sources)
 
 
 # ---------------------------------------------------------------------------
@@ -435,12 +416,11 @@ def picard_map(guess: Trajectory, data: InitialData) -> Trajectory:
         raise ValueError("guess and data live on different grids")
     if guess.store_every != 1 or guess.source_history is None:
         raise ValueError("picard_map needs a dense guess with recorded sources")
-    out = _march(data, guess.t_end, guess.dt, apply_sources=False,
-                 direct_n=False, store_every=1, record_sources=True,
-                 replay=guess.source_history, kind="picard")
+    out = _march(data, guess.t_end, guess.dt, kicks=guess.source_history,
+                 store_every=1, record_sources=True)
     # the iterate solves the linear system whose sources are the guess's
     # products; record them at snapshot times so jets are exact
-    out.snapshot_sources = [_products_at(s) for s in guess.states]
+    out.snapshot_sources = [guess.products(k) for k in range(len(guess))]
     return out
 
 

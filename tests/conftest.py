@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kgz2d.grid import Field, FieldPair, bump_window, make_grid
+from kgz2d.grid import Field, FieldPair, Grid, bump_window, make_grid
 from kgz2d.vector_fields import JetField
 
 
@@ -50,3 +50,23 @@ def grid64():
 @pytest.fixture(scope="session")
 def grid128():
     return make_grid(128, 24.0)
+
+
+@pytest.fixture
+def transforms(monkeypatch):
+    """Counts of Grid.rfft and Grid.irfft calls from the moment of reset."""
+    calls = {"rfft": 0, "irfft": 0}
+    for name in calls:
+        original = getattr(Grid, name)
+
+        def counted(self, arr, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, arr)
+
+        monkeypatch.setattr(Grid, name, counted)
+
+    def reset():
+        calls.update(rfft=0, irfft=0)
+        return calls
+
+    return reset

@@ -216,3 +216,15 @@ class TestDumpFormat:
         path.write_bytes(b"not a dump\n")
         with pytest.raises(ValueError):
             read_field(path)
+
+    @pytest.mark.parametrize("edit", ["append", "truncate"])
+    def test_rejects_wrong_length(self, tmp_path, grid64, edit):
+        path = tmp_path / "field.kgz"
+        write_field(path, Field(grid64, np.ones((1, 64, 64))), t=1.0)
+        raw = path.read_bytes()
+        raw = raw + bytes(8) if edit == "append" else raw[:-16]
+        path.write_bytes(raw)
+        found = 64 * 64 * 8 + (8 if edit == "append" else -16)
+        with pytest.raises(ValueError, match=f"expected 32768 data bytes "
+                                             f"after the header, found {found}"):
+            read_field(path)

@@ -5,6 +5,7 @@ import pytest
 
 from kgz2d.energy_diag import jbracket
 from kgz2d.grid import Field, FieldPair, make_grid, read_field
+from kgz2d import harness
 from kgz2d.harness import (
     ConfigError,
     RunConfig,
@@ -17,7 +18,7 @@ from kgz2d.harness import (
     run_picard,
     shell_sup_series,
 )
-from kgz2d.propagator import LinearOperator, solve_linear
+from kgz2d.propagator import LinearOperator, free_step
 from kgz2d.system import evolve, gaussian_data
 
 
@@ -83,9 +84,10 @@ class TestFitEnvelope:
         g = make_grid(256, 40.0)
         amp = 1e-2 * np.exp(-(g.X1**2 + g.X2**2) / 2.0)
         pair = FieldPair(Field(g, amp), Field(g, np.zeros_like(amp)))
-        traj = solve_linear(LinearOperator(g, 1), pair, None, 30.0, 0.25)
-        sup = np.array([p.u.abs_max() for p in traj.pairs])
-        fit = fit_envelope(traj.times, sup, (5.0, 30.0))
+        op = LinearOperator(g, 1)
+        times = 0.25 * np.arange(121)
+        sup = np.array([free_step(op, pair, t).u.abs_max() for t in times])
+        fit = fit_envelope(times, sup, (5.0, 30.0))
         assert -1.15 <= fit.exponent <= -0.85
 
 
@@ -210,6 +212,22 @@ class TestCli:
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = write_config(tmp_path, "nonsense_key = 1\n")
         assert main(["run", str(bad)]) == 2
+
+    @pytest.mark.parametrize("line", [
+        "points_per_axis = 63", "L = -3", "dt = 0.07", "dt = -0.05", "T = 0",
+        "amplitude = nan", "store_every = 7", "center = 1 2 3"])
+    def test_bad_config_exits_before_compute(self, tmp_path, monkeypatch,
+                                             capsys, line):
+        calls = []
+        monkeypatch.setattr(harness, "evolve",
+                            lambda *args, **kwargs: calls.append(args))
+        path = write_config(tmp_path, (
+            "points_per_axis = 64\nL = 12\ndt = 0.05\nT = 1.5\n" + line + "\n"))
+        code = main(["run", str(path), "--out", str(tmp_path / "out"),
+                     "--quiet"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert calls == []
 
     def test_run_and_fit_verbs(self, tmp_path):
         path = write_config(tmp_path, SMALL_CONFIG)

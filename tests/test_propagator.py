@@ -1,17 +1,35 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from kgz2d.energy_diag import energy
-from kgz2d.grid import Field, FieldPair, make_grid
+from kgz2d.grid import Field, FieldPair, dealias, make_grid
 from kgz2d.propagator import (
     InstabilityError,
     LinearOperator,
     forced_step,
     free_step,
-    solve_linear,
 )
+from kgz2d.system import free_flow, gaussian_data, picard_map
 
 from conftest import gaussian_pair
+
+
+def zero_sources(grid):
+    def source(t):
+        return (Field(grid, np.zeros((2, grid.n, grid.n))),
+                Field(grid, np.zeros((1, grid.n, grid.n))))
+    return source
+
+
+def linear_solve(data, T, dt, source):
+    """The linear KGZ system from `data`, kicked at every step midpoint tau
+    with source(tau) = (Q, S): the solution map applied to a free-flow guess
+    whose recorded midpoint sources are replaced by the given ones."""
+    guess = free_flow(data, T, dt)
+    history = [source(tau) for tau in guess.source_times]
+    return picard_map(dataclasses.replace(guess, source_history=history), data)
 
 
 def cos_pair(grid):
@@ -149,61 +167,67 @@ class TestForcedStep:
 
 
 class TestSolveLinear:
+    """Solving the linear equations.  Free data needs no march: the exact
+    propagator sampled at the snapshot times, free_step(op, data, t_k), is
+    the free solution.  Recorded sources are applied by the one Strang
+    march, through the solution map picard_map, whose guards live there."""
+
     def test_zero_everything(self, grid64):
         op = LinearOperator(grid64, 1)
         z = Field(grid64, np.zeros((1, 64, 64)))
-        traj = solve_linear(op, FieldPair(z, z), None, 1.0, 0.1)
-        assert len(traj) == 11
-        assert all(np.all(p.u.values == 0) for p in traj.pairs)
+        pairs = [free_step(op, FieldPair(z, z), t) for t in 0.1 * np.arange(11)]
+        assert len(pairs) == 11
+        assert all(np.all(p.u.values == 0) for p in pairs)
 
     def test_first_snapshot_is_data(self, grid64):
-        op = LinearOperator(grid64, 1)
-        p = gaussian_pair(grid64)
-        traj = solve_linear(op, p, None, 0.5, 0.1)
-        assert traj.pairs[0] is p
+        # the march keeps the data's dealiased fields as its t = 0 snapshot
+        data = gaussian_data(grid64, 1e-2)
+        first = linear_solve(data, 0.5, 0.1, zero_sources(grid64)).states[0]
+        assert first.t == 0.0
+        assert np.array_equal(first.E.u.values, dealias(data.E0).values)
+        assert np.array_equal(first.n_delta.ut.values,
+                              dealias(data.n1_delta).values)
 
     def test_free_energy_constant(self, grid64):
         op = LinearOperator(grid64, 1)
-        traj = solve_linear(op, gaussian_pair(grid64), None, 5.0, 0.1)
-        energies = [energy(p, 1) for p in traj.pairs]
+        p = gaussian_pair(grid64)
+        energies = [energy(free_step(op, p, t), 1) for t in 0.1 * np.arange(51)]
         drift = (max(energies) - min(energies)) / energies[0]
         assert drift <= 1e-12
 
     def test_dt_must_divide(self, grid64):
-        op = LinearOperator(grid64, 1)
-        with pytest.raises(ValueError):
-            solve_linear(op, gaussian_pair(grid64), None, 1.0, 0.3)
+        with pytest.raises(ValueError, match="does not divide"):
+            free_flow(gaussian_data(grid64, 1e-2), 1.0, 0.3)
 
-    def test_instability_abort(self, grid32):
-        op = LinearOperator(grid32, 0)
-        p = cos_pair(grid32)
-
+    def test_instability_abort(self, grid64):
         def exploding(t):
-            return Field(grid32, np.full((1, 32, 32), np.exp(t * 40.0)))
+            grow = np.exp(t * 40.0)
+            return (Field(grid64, np.full((2, 64, 64), grow)),
+                    Field(grid64, np.full((1, 64, 64), grow)))
 
-        with pytest.raises(InstabilityError):
-            solve_linear(op, p, exploding, 2.0, 0.1)
+        with pytest.raises(InstabilityError, match="amplitude exceeded"):
+            linear_solve(gaussian_data(grid64, 1e-2), 2.0, 0.1, exploding)
 
     def test_non_finite_blow_up_is_caught_at_once(self, grid64):
         # a source at the edge of the float range overflows the transform
         # and turns the state to NaN in the first step
-        op = LinearOperator(grid64, 1)
         bump = np.exp(-grid64.R**2)[None]
 
         def huge(t):
-            return Field(grid64, 1e307 * bump)
+            return (Field(grid64, 1e307 * np.concatenate([bump, bump])),
+                    Field(grid64, 1e307 * bump))
 
         with np.errstate(all="ignore"):
             with pytest.raises(InstabilityError, match="t=0.05:"):
-                solve_linear(op, gaussian_pair(grid64), huge, 1.0, 0.05)
+                linear_solve(gaussian_data(grid64, 1e-2), 1.0, 0.05, huge)
 
     def test_wave_self_convergence(self):
-        # Gaussian data, m=0: coarse run against a 2x-resolution, dt/2 oracle
+        # Gaussian data, m=0: coarse grid against a 2x-resolution oracle
         results = {}
-        for n, dt in ((48, 0.1), (96, 0.05)):
+        for n in (48, 96):
             g = make_grid(n, 12.0)
             op = LinearOperator(g, 0)
-            traj = solve_linear(op, gaussian_pair(g, amplitude=1.0), None, 4.0, dt)
-            results[n] = np.max(np.abs(traj.pairs[-1].u.values))
+            pair = free_step(op, gaussian_pair(g, amplitude=1.0), 4.0)
+            results[n] = np.max(np.abs(pair.u.values))
         rel = abs(results[48] - results[96]) / abs(results[96])
         assert rel <= 1e-4

@@ -39,8 +39,7 @@ def wave_only_data(grid):
 
 def with_history(traj, history):
     """Clone a trajectory with a synthetic midpoint source history."""
-    return dataclasses.replace(traj, source_history=history,
-                               kick_history=history, source_mode="replay")
+    return dataclasses.replace(traj, source_history=history)
 
 
 class TestSourceNorms:

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from kgz2d.energy_diag import xnorm_distance
-from kgz2d.grid import Field, laplacian, make_grid
-from kgz2d.propagator import InstabilityError, LinearOperator, solve_linear
+from kgz2d.grid import Field, FieldPair, dealias, laplacian, make_grid
+from kgz2d.propagator import InstabilityError, LinearOperator, free_step
 from kgz2d.system import (
     InitialData,
     PicardNonConvergence,
@@ -66,11 +66,9 @@ class TestEvolve:
         traj = evolve(data, 3.0, 0.1)
         assert traj.states[-1].E.u.abs_max() == 0.0
         op = LinearOperator(grid64, 0)
-        from kgz2d.grid import FieldPair, dealias
-        free = solve_linear(
-            op, FieldPair(dealias(data.n0_delta), dealias(data.n1_delta)),
-            None, 3.0, 0.1)
-        want = laplacian(free.pairs[-1].u).values
+        free = free_step(
+            op, FieldPair(dealias(data.n0_delta), dealias(data.n1_delta)), 3.0)
+        want = laplacian(free.u).values
         got = traj.states[-1].n.u.values
         assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1e-30)
 
@@ -208,3 +206,36 @@ class TestTrajectory:
         traj = evolve(data, 2.0, 0.1, store_every=4)
         assert traj.times[1] - traj.times[0] == pytest.approx(0.4)
         assert len(traj.source_history) == 20
+
+
+class TestJet:
+    """A snapshot jet transforms only what it returns: lap(u) for u_tt and
+    the one dealiased product that drives the field, plus its Laplacian
+    for n."""
+
+    @pytest.mark.parametrize("which, per_direction",
+                             [("E", 2), ("n", 3), ("n_delta", 2)])
+    def test_depth_two_transform_count(self, small_run, transforms, which,
+                                       per_direction):
+        _, traj = small_run
+        calls = transforms()
+        traj.jet(5, which)
+        assert calls == {"rfft": per_direction, "irfft": per_direction}
+
+    @pytest.mark.parametrize("which", ["E", "n", "n_delta"])
+    def test_utt_is_the_field_equation(self, small_run, which):
+        _, traj = small_run
+        pair = {"E": traj.states[5].E, "n": traj.states[5].n,
+                "n_delta": traj.states[5].n_delta}[which]
+        q, s = traj.products(5)
+        source = {"E": q, "n": laplacian(s), "n_delta": s}[which]
+        m_sq = 1.0 if which == "E" else 0.0
+        want = laplacian(pair.u).values - m_sq * pair.u.values + source.values
+        assert np.array_equal(traj.jet(5, which).utt, want)
+
+    def test_picard_iterate_stops_at_depth_two(self, small_run):
+        data, traj = small_run
+        mapped = picard_map(traj, data)
+        assert mapped.jet(5, "E").utt is not None
+        with pytest.raises(ValueError, match="source derivative"):
+            mapped.jet(5, "E", depth=3)
