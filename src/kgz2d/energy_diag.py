@@ -134,10 +134,7 @@ def energy(p: FieldPair, m: int) -> float:
 
 def _good_sq(jet: JetField) -> np.ndarray:
     """Sum over a of |G_a u|^2, summed over components."""
-    out = 0.0
-    for a in (1, 2):
-        out = out + np.sum(good_derivative(a, jet).values ** 2, axis=0)
-    return out
+    return sum(np.sum(good_derivative(a, jet).values ** 2, axis=0) for a in (1, 2))
 
 
 def _ghost_integrand(jet: JetField, m: int, delta: float) -> float:
@@ -248,11 +245,7 @@ def weighted_exterior_energy(traj, which: str = "n_delta", eta: float = 0.5,
     mass = _MASS[which] if m is None else m
     g = traj.grid
     R = g.R
-    n_snap = len(traj.states)
-    ext = np.empty(n_snap)
-    ext_rhs = np.empty(n_snap)
-    inter = np.empty(n_snap)
-    inter_rhs = np.empty(n_snap)
+    ext, ext_rhs, inter, inter_rhs = np.empty((4, len(traj.states)))
 
     state0 = traj.states[0]
     p0 = _pair_of(state0, which)
@@ -596,10 +589,7 @@ def _second_derivatives(jet: JetField) -> np.ndarray:
     parts = [jet.utt, jet.d(1, 1), jet.d(2, 1),
              d1u(1), d1u(2), Derivatives(g, jet.d(2))(2)]
     weights = [1.0, 2.0, 2.0, 1.0, 2.0, 1.0]  # off-diagonal pairs twice
-    total = 0.0
-    for w, p in zip(weights, parts):
-        total = total + w * np.sum(p**2, axis=0)
-    return np.sqrt(total)
+    return np.sqrt(sum(w * np.sum(p**2, axis=0) for w, p in zip(weights, parts)))
 
 
 def _first_derivatives(jet: JetField) -> np.ndarray:
@@ -639,12 +629,9 @@ def hessian_pointwise(jet: JetField, gamma_first: np.ndarray,
     return lhs, rhs
 
 
-def hessian_decay_ratio(traj, which: str = "n_delta"):
-    """Wave-Hessian extra-decay ratio series, masked to |x| <= 3t, t >= 1.
-
-    ratio(t) = max over the mask of
-        |dd w| / ( <t-r>^{-1} (|d Gamma w| + |d w|) + t <t-r>^{-1} |F_w| ).
-    """
+def _extra_decay_series(traj, which: str, pointwise):
+    """Series of max over |x| <= 3t of lhs/rhs from pointwise(jet, |d Gamma
+    u|, |F|), at the snapshots with t >= 1."""
     g = traj.grid
     out_t, out_v = [], []
     for k in range(len(traj.times)):
@@ -653,12 +640,21 @@ def hessian_decay_ratio(traj, which: str = "n_delta"):
             continue
         jet = traj.jet(k, which)
         F = traj.snapshot_source(k, which)
-        lhs, rhs = hessian_pointwise(
+        lhs, rhs = pointwise(
             jet, _gamma_first_derivatives(jet),
             np.sqrt(np.sum(F.values**2, axis=0)))
         out_t.append(t)
         out_v.append(_masked_max_ratio(lhs, rhs, g.R <= 3.0 * t))
     return np.asarray(out_t), np.asarray(out_v)
+
+
+def hessian_decay_ratio(traj, which: str = "n_delta"):
+    """Wave-Hessian extra-decay ratio series, masked to |x| <= 3t, t >= 1.
+
+    ratio(t) = max over the mask of
+        |dd w| / ( <t-r>^{-1} (|d Gamma w| + |d w|) + t <t-r>^{-1} |F_w| ).
+    """
+    return _extra_decay_series(traj, which, hessian_pointwise)
 
 
 def kg_pointwise(jet: JetField, gamma_first: np.ndarray,
@@ -679,20 +675,7 @@ def kg_extra_decay_ratio(traj, which: str = "E"):
         |v| / ( (|t-r|/<t>) |dd v| + <t>^{-1} |d Gamma v|
                 + <t>^{-1} |d v| + |F_v| ).
     """
-    g = traj.grid
-    out_t, out_v = [], []
-    for k in range(len(traj.times)):
-        t = traj.times[k]
-        if t < 1.0:
-            continue
-        jet = traj.jet(k, which)
-        F = traj.snapshot_source(k, which)
-        lhs, rhs = kg_pointwise(
-            jet, _gamma_first_derivatives(jet),
-            np.sqrt(np.sum(F.values**2, axis=0)))
-        out_t.append(t)
-        out_v.append(_masked_max_ratio(lhs, rhs, g.R <= 3.0 * t))
-    return np.asarray(out_t), np.asarray(out_v)
+    return _extra_decay_series(traj, which, kg_pointwise)
 
 
 def wave_reexpression_residual(jet: JetField) -> float:
@@ -744,8 +727,7 @@ class DiagnosticsReport:
             self.series[name] = vals
 
     def write_csv(self, path) -> None:
-        cols = ["t"] + list(self.series)
-        lines = [",".join(cols)]
+        lines = [",".join(["t"] + list(self.series))]
         for i in range(len(self.times)):
             row = [f"{self.times[i]:.17g}"]
             row += [f"{self.series[name][i]:.17g}" for name in self.series]

@@ -273,16 +273,18 @@ def l2_norm(f: Field) -> float:
 def h_norm(f: Field, s: float) -> float:
     """Spectral Sobolev norm: sum over modes of (1+|k|^2)^s |u_hat|^2.
 
-    Normalised so h_norm(f, 0) equals the grid L^2 norm (Parseval).
+    Summed on the rfft half spectrum: every column stands for itself and
+    its conjugate mirror (multiplicity 2) except the zero and Nyquist
+    columns, which are their own mirrors (multiplicity 1).  Normalised so
+    h_norm(f, 0) equals the grid L^2 norm (Parseval).
     """
     if s < 0:
         raise ValueError(f"Sobolev index must be >= 0, got {s}")
     g = f.grid
-    hat = np.fft.fft2(f.values, axes=(-2, -1))
-    kx = g.k1[:, None]
-    ky = g.k1[None, :]
-    weight = (1.0 + kx**2 + ky**2) ** s
-    total = np.sum(weight * np.abs(hat) ** 2)
+    hat = g.rfft(f.values)
+    dens = (1.0 + g.spectral["k_sq"]) ** s * (hat.real**2 + hat.imag**2)
+    total = (np.sum(dens[..., 0]) + np.sum(dens[..., -1])
+             + 2.0 * np.sum(dens[..., 1:-1]))
     return float(np.sqrt(total * g.cell_area / g.n**2))
 
 

@@ -31,8 +31,9 @@ from .grid import Field, make_grid, read_field, write_field
 from .propagator import InstabilityError
 from .scattering import (
     TailDivergenceError,
-    build_scatter_data,
     residual_series,
+    scatter_launch,
+    scatter_profile,
     source_norm_series,
     write_profile,
 )
@@ -100,9 +101,9 @@ class RunConfig:
                 f"amplitude must be finite and nonnegative, got {self.amplitude}")
         if len(self.center) != 2:
             raise ConfigError(f"center needs 2 coordinates, got {self.center}")
-        if not all(math.isfinite(v) and v > 0 for v in (self.T, self.dt)):
-            raise ConfigError(f"T and dt must be finite and positive, "
-                              f"got T={self.T}, dt={self.dt}")
+        for name in ("T", "dt", "width"):
+            if not (math.isfinite(v := getattr(self, name)) and v > 0):
+                raise ConfigError(f"{name} must be finite and positive, got {v}")
         try:
             make_grid(self.points_per_axis, self.L)
             steps = _steps_for(self.T, self.dt)
@@ -111,6 +112,9 @@ class RunConfig:
         if self.store_every < 1 or steps % self.store_every:
             raise ConfigError(f"store_every={self.store_every} does not "
                               f"divide the {steps} steps")
+        if self.picard_max_iter < 2:
+            raise ConfigError(
+                f"picard_max_iter must be >= 2, got {self.picard_max_iter}")
         if self.fit_t2 == 0.0:
             self.fit_t2 = min(28.0, self.T - 2.0)
         for name in ("delta", "kappa", "eta"):
@@ -124,9 +128,14 @@ class RunConfig:
     def build_data(self):
         grid = make_grid(self.points_per_axis, self.L)
         if self.profile == "gaussian":
-            return gaussian_data(grid, self.amplitude, self.width, self.center)
-        return ring_data(grid, self.amplitude, self.width, self.ring_radius,
-                         self.center)
+            data = gaussian_data(grid, self.amplitude, self.width, self.center)
+        else:
+            data = ring_data(grid, self.amplitude, self.width,
+                             self.ring_radius, self.center)
+        if not self.T + data.radius < self.L:
+            raise ConfigError(f"wrap-free window violated: T + data radius = "
+                              f"{self.T + data.radius:.3g} >= L = {self.L:g}")
+        return data
 
 
 _TUPLE_KEYS = {"center": float, "scatter_s": float, "diagnostics": str}
@@ -307,10 +316,6 @@ def run(config: RunConfig, out_dir=None, quiet: bool = False) -> RunReport:
     out = Path(out_dir if out_dir is not None else config.out)
     out.mkdir(parents=True, exist_ok=True)
     data = config.build_data()
-    if not config.T + data.radius < config.L:
-        raise ConfigError(
-            f"wrap-free window violated: T + data radius = "
-            f"{config.T + data.radius:.3g} must stay below L = {config.L:g}")
     say = (lambda *a: None) if quiet else print
 
     say(f"[kgz2d] evolve: n={config.points_per_axis} L={config.L} "
@@ -368,12 +373,12 @@ def _scatter_outputs(config: RunConfig, traj, out: Path, report: RunReport, say)
     t_max = 0.8 * (config.L - report.scalars["data_radius"])
     t_max = min(t_max, traj.t_end)
     skipped = list(report.skipped)
+    launch = scatter_launch(traj, t_max)
     for s in config.scatter_s:
-        profile = build_scatter_data(traj, s, t_max=t_max,
-                                     require_convergent_tail=False)
+        times, norms, running = source_norm_series(traj, s)
+        profile = scatter_profile(traj, launch, s, t_max, norms)
         tag = f"s{s:g}"
         write_profile(out / f"scatter_{tag}", profile)
-        times, norms, running = source_norm_series(traj, s)
         DiagnosticsReport(
             times=times, series={"source_norm": norms, "running_integral": running},
         ).write_csv(out / f"source_norm_{tag}.csv")
@@ -445,7 +450,7 @@ def run_check(quiet: bool = False) -> list[tuple[str, bool, str]]:
     """Small-field invariant suite; returns (name, passed, detail) rows."""
     import tempfile
 
-    from .grid import FieldPair, h_norm, l2_norm
+    from .grid import FieldPair, bump_window, h_norm, l2_norm
     from .propagator import LinearOperator, free_step
     from .system import evolve_direct_n
     from .vector_fields import JetField, check_commutators
@@ -461,8 +466,7 @@ def run_check(quiet: bool = False) -> list[tuple[str, bool, str]]:
     rng = np.random.default_rng(7)
 
     f = Field(g, rng.standard_normal((1, g.n, g.n)))
-    hat = g.rfft(f.values)
-    back = g.irfft(hat)
+    back = g.irfft(g.rfft(f.values))
     err = np.max(np.abs(back - f.values)) / np.max(np.abs(f.values))
     record("transform round trip", err <= 1e-12, f"rel err {err:.2e}")
 
@@ -480,7 +484,6 @@ def run_check(quiet: bool = False) -> list[tuple[str, bool, str]]:
     record("free KG conservation (200 steps)", drift <= 1e-11,
            f"rel drift {drift:.2e}")
 
-    from .grid import bump_window
     window = bump_window(g, 0.4 * g.length)
     spec = np.zeros((1, g.n, g.n // 2 + 1), dtype=complex)
     low = 6

@@ -4,7 +4,8 @@ Exact spectral propagators for the free linear wave (m=0) and Klein-Gordon
 
 Each Fourier mode rotates at frequency omega(k) = sqrt(|k|^2 + m^2), so the
 free step is exact for the semidiscrete system; solver error never masks an
-energy identity.  The forced step is half free step, a full source kick
+energy identity.  LinearOperator.rotation(dt) is its one implementation,
+built once per dt.  The forced step is half free step, a full source kick
 applied to u_t at the interval midpoint, then another half free step
 (globally second order, time-symmetric).
 """
@@ -43,27 +44,31 @@ class LinearOperator:
         omega = np.sqrt(self.grid.spectral["k_sq"] + float(self.mass) ** 2)
         object.__setattr__(self, "omega", omega)
 
+    def rotation(self, dt: float):
+        """The exact free flow over dt: coefficients built once, returned as
+        the map (u_hat, ut_hat) -> (u_hat', ut_hat') that applies them:
 
-def _free_step_hat(op: LinearOperator, u_hat, ut_hat, dt: float):
-    """Advance spectral coefficients by dt under the free flow (exact).
+            u'   =  cos(w dt) u + sin(w dt)/w ut
+            ut'  = -w sin(w dt) u + cos(w dt) ut
 
-    u'   =  cos(w dt) u + sin(w dt)/w ut
-    ut'  = -w sin(w dt) u + cos(w dt) ut
-    sin(w dt)/w is evaluated as dt*sinc(w dt/pi), which also covers the
-    m=0 zero mode: u' = u + dt*ut, ut' = ut.
-    """
-    w = op.omega
-    c = np.cos(w * dt)
-    s_over_w = dt * np.sinc(w * dt / np.pi)
-    new_u = c * u_hat + s_over_w * ut_hat
-    new_ut = -(w**2) * s_over_w * u_hat + c * ut_hat
-    return new_u, new_ut
+        sin(w dt)/w is evaluated as dt*sinc(w dt/pi), which also covers the
+        m=0 zero mode: u' = u + dt*ut, ut' = ut.
+        """
+        w = self.omega
+        c = np.cos(w * dt)
+        s_over_w = dt * np.sinc(w * dt / np.pi)
+        w_s = -(w**2) * s_over_w
+
+        def rotate(u_hat, ut_hat):
+            return c * u_hat + s_over_w * ut_hat, w_s * u_hat + c * ut_hat
+
+        return rotate
 
 
 def free_step(op: LinearOperator, p: FieldPair, dt: float) -> FieldPair:
     """Exact free evolution of a pair by dt (negative dt allowed)."""
     g = op.grid
-    u_hat, ut_hat = _free_step_hat(op, g.rfft(p.u.values), g.rfft(p.ut.values), dt)
+    u_hat, ut_hat = op.rotation(dt)(g.rfft(p.u.values), g.rfft(p.ut.values))
     return FieldPair(Field(g, g.irfft(u_hat)), Field(g, g.irfft(ut_hat)))
 
 
@@ -75,12 +80,11 @@ def forced_step(op: LinearOperator, p: FieldPair, source, t: float, dt: float) -
     if not dt > 0:
         raise ValueError("forced_step needs dt > 0")
     g = op.grid
-    u_hat = g.rfft(p.u.values)
-    ut_hat = g.rfft(p.ut.values)
-    u_hat, ut_hat = _free_step_hat(op, u_hat, ut_hat, 0.5 * dt)
+    half = op.rotation(0.5 * dt)
+    u_hat, ut_hat = half(g.rfft(p.u.values), g.rfft(p.ut.values))
     f_mid = source(t + 0.5 * dt)
     if not np.all(np.isfinite(f_mid.values)):
         raise ValueError(f"source returned non-finite values at t={t + 0.5 * dt}")
     ut_hat = ut_hat + dt * g.rfft(f_mid.values)
-    u_hat, ut_hat = _free_step_hat(op, u_hat, ut_hat, 0.5 * dt)
+    u_hat, ut_hat = half(u_hat, ut_hat)
     return FieldPair(Field(g, g.irfft(u_hat)), Field(g, g.irfft(ut_hat)))

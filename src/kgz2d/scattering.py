@@ -23,11 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Field, FieldPair, Grid, h_norm, read_field, write_field
-from .propagator import LinearOperator, _free_step_hat
+from .propagator import LinearOperator
 
 __all__ = [
     "ScatterProfile",
     "source_norm_series",
+    "scatter_launch",
+    "scatter_profile",
     "build_scatter_data",
     "residual_series",
     "duhamel_tail_norm",
@@ -82,8 +84,7 @@ def source_norm_series(traj, s: float = 1.0):
     _require_history(traj)
     times = np.asarray(traj.source_times, dtype=float)
     norms = np.array([h_norm(Q, s) for Q, _ in traj.source_history])
-    running = np.cumsum(norms) * traj.dt
-    return times, norms, running
+    return times, norms, np.cumsum(norms) * traj.dt
 
 
 def _fit_tail(times, norms, t_max: float):
@@ -118,43 +119,55 @@ def _duhamel_sum(traj, t: float, t_max: float):
         if tau <= t or tau >= t_max:
             continue
         Q_hat = g.rfft(traj.source_history[k][0].values)
-        du, dut = _free_step_hat(op, np.zeros_like(Q_hat), Q_hat, t - tau)
+        du, dut = op.rotation(t - tau)(np.zeros_like(Q_hat), Q_hat)
         acc_u += traj.dt * du
         acc_ut += traj.dt * dut
     return acc_u, acc_ut
 
 
+def scatter_launch(traj, t_max: float) -> FieldPair:
+    """data+ = data(0) + sum_k dt * S1(-tau_k)(0, Q_k) over the recorded
+    midpoints tau_k < t_max; one launch serves every Sobolev index."""
+    _require_history(traj)
+    g = traj.grid
+    acc_u, acc_ut = _duhamel_sum(traj, 0.0, t_max)
+    E0 = traj.states[0].E
+    return FieldPair(Field(g, E0.u.values + g.irfft(acc_u)),
+                     Field(g, E0.ut.values + g.irfft(acc_ut)))
+
+
+def scatter_profile(traj, data_plus: FieldPair, s: float, t_max: float,
+                    norms) -> ScatterProfile:
+    """The H^s profile of a launch: the tail fitted to the source norms
+    (from source_norm_series(traj, s)) over the last window, and the
+    integral captured below t_max.  A divergent tail is carried as inf."""
+    times = np.asarray(traj.source_times, dtype=float)
+    tail, slope = _fit_tail(times, norms, t_max)
+    captured = float(np.sum(norms[times < t_max]) * traj.dt)
+    return ScatterProfile(data_plus=data_plus, t_max=float(t_max), s=float(s),
+                          tail=tail, tail_slope=slope, captured=captured)
+
+
 def build_scatter_data(traj, s: float = 1.0, t_max: float | None = None, *,
                        require_convergent_tail: bool = True) -> ScatterProfile:
-    """Accumulate data+ = data(0) + sum_k dt * S1(-tau_k)(0, Q_k) over the
-    recorded midpoints tau_k < t_max.
+    """The launch and its H^s profile up to t_max (default: the horizon).
 
     A fitted source-norm slope >= -1 means the infinite-time tail diverges:
     by default that raises TailDivergenceError; with
     require_convergent_tail=False the profile is still built and carries an
     infinite tail proxy (useful on short pre-asymptotic runs).
     """
-    _require_history(traj)
-    g = traj.grid
     if t_max is None:
         t_max = traj.t_end
     if t_max > traj.t_end + 1e-9:
         raise ValueError(f"t_max={t_max} exceeds the trajectory horizon")
-    times = np.asarray(traj.source_times, dtype=float)
-    acc_u, acc_ut = _duhamel_sum(traj, 0.0, t_max)
-    E0 = traj.states[0].E
-    data_plus = FieldPair(
-        Field(g, E0.u.values + g.irfft(acc_u)),
-        Field(g, E0.ut.values + g.irfft(acc_ut)),
-    )
-    _, norms, running = source_norm_series(traj, s)
-    tail, slope = _fit_tail(times, norms, t_max)
-    if require_convergent_tail and not np.isfinite(tail):
-        raise TailDivergenceError(
-            f"source norm slope {slope:.3f} >= -1: Duhamel tail diverges")
-    captured = float(np.sum(norms[times < t_max]) * traj.dt)
-    return ScatterProfile(data_plus=data_plus, t_max=float(t_max), s=float(s),
-                          tail=tail, tail_slope=slope, captured=captured)
+    launch = scatter_launch(traj, t_max)
+    _, norms, _ = source_norm_series(traj, s)
+    profile = scatter_profile(traj, launch, s, t_max, norms)
+    if require_convergent_tail and not np.isfinite(profile.tail):
+        raise TailDivergenceError(f"source norm slope {profile.tail_slope:.3f} "
+                                  ">= -1: Duhamel tail diverges")
+    return profile
 
 
 def _combined_norm(g: Grid, u_vals: np.ndarray, ut_vals: np.ndarray, s: float) -> float:
@@ -177,7 +190,7 @@ def residual_series(traj, profile: ScatterProfile, s: float | None = None):
     ut0_hat = g.rfft(profile.data_plus.ut.values)
     res = np.empty(len(traj.times))
     for k, t in enumerate(traj.times):
-        up_hat, upt_hat = _free_step_hat(op, u0_hat, ut0_hat, t)
+        up_hat, upt_hat = op.rotation(t)(u0_hat, ut0_hat)
         state = traj.states[k]
         du = state.E.u.values - g.irfft(up_hat)
         dut = state.E.ut.values - g.irfft(upt_hat)

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -137,6 +140,18 @@ class TestTransforms:
         f = Field(grid64, rng.standard_normal((1, 64, 64)))
         assert h_norm(f, 0.0) == pytest.approx(l2_norm(f), rel=1e-10)
 
+    def test_one_transform_path(self):
+        # Grid.rfft / Grid.irfft are the only transforms: no other module
+        # may call an FFT library directly
+        src = Path(__file__).resolve().parents[1] / "src" / "kgz2d"
+        pattern = re.compile(r"\b(np|numpy|scipy)\.fft\b"
+                             r"|from\s+(numpy|scipy)\s+import\s+fft\b")
+        modules = sorted(src.glob("*.py"))
+        assert len(modules) > 1
+        offenders = [m.name for m in modules
+                     if m.name != "grid.py" and pattern.search(m.read_text())]
+        assert offenders == []
+
     def test_dealias_idempotent(self, grid64):
         rng = np.random.default_rng(5)
         f = Field(grid64, rng.standard_normal((1, 64, 64)))
@@ -179,6 +194,28 @@ class TestSobolevNorm:
         assert rep.u == pytest.approx(h_norm(u, 1.0))
         assert rep.ut == pytest.approx(h_norm(u, 0.0))
         assert rep.total == rep.u + rep.ut
+
+    @staticmethod
+    def full_fft_h_norm(f, s):
+        """The full-plane FFT formula the half-spectrum h_norm replaced."""
+        g = f.grid
+        hat = np.fft.fft2(f.values, axes=(-2, -1))
+        kx = g.k1[:, None]
+        ky = g.k1[None, :]
+        weight = (1.0 + kx**2 + ky**2) ** s
+        total = np.sum(weight * np.abs(hat) ** 2)
+        return float(np.sqrt(total * g.cell_area / g.n**2))
+
+    @pytest.mark.parametrize("components", [1, 2])
+    @pytest.mark.parametrize("s", [0.0, 0.5, 1.0, 2.0])
+    def test_half_spectrum_matches_full_fft(self, grid64, s, components):
+        # white noise fills the zero and Nyquist columns too
+        rng = np.random.default_rng(8)
+        for vals in (rng.standard_normal((components, 64, 64)),
+                     windowed_random_field(grid64, 9, components)):
+            f = Field(grid64, vals)
+            assert h_norm(f, s) == pytest.approx(
+                self.full_fft_h_norm(f, s), rel=1e-13)
 
     def test_negative_s_rejected(self, grid64):
         u = Field(grid64, np.zeros((1, 64, 64)))

@@ -5,7 +5,7 @@ import pytest
 
 from kgz2d.energy_diag import jbracket
 from kgz2d.grid import Field, FieldPair, make_grid, read_field
-from kgz2d import harness
+from kgz2d import harness, scattering
 from kgz2d.harness import (
     ConfigError,
     RunConfig,
@@ -165,6 +165,32 @@ class TestRun:
         assert all(r <= 0.5 for r in ratios)
 
 
+class TestScatterVerb:
+    def test_one_launch_per_run_one_norm_series_per_s(self, tmp_path,
+                                                      monkeypatch):
+        counts = {"launch": 0, "h_norm": 0}
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(scattering, "_duhamel_sum",
+                            counted("launch", scattering._duhamel_sum))
+        monkeypatch.setattr(scattering, "h_norm",
+                            counted("h_norm", scattering.h_norm))
+        cfg = RunConfig(points_per_axis=64, L=12.0, amplitude=1e-2, T=2.0,
+                        dt=0.1, scatter_s=(1.0, 2.0), diagnostics=("decay",))
+        harness.run_scatter(cfg, tmp_path / "out", quiet=True)
+        steps, snapshots = 20, 21
+        assert counts["launch"] == 1
+        # per s: one source norm per step, two residual norms per snapshot
+        assert counts["h_norm"] == 2 * (steps + 2 * snapshots)
+        for tag in ("s1", "s2"):
+            assert (tmp_path / "out" / f"scatter_{tag}_meta.txt").exists()
+
+
 class TestShellProbes:
     def test_shell_series_shapes(self, grid64):
         traj = evolve(gaussian_data(grid64, 1e-2), 2.0, 0.1, store_every=5)
@@ -215,7 +241,8 @@ class TestCli:
 
     @pytest.mark.parametrize("line", [
         "points_per_axis = 63", "L = -3", "dt = 0.07", "dt = -0.05", "T = 0",
-        "amplitude = nan", "store_every = 7", "center = 1 2 3"])
+        "amplitude = nan", "store_every = 7", "center = 1 2 3",
+        "picard_max_iter = 1", "width = 0", "width = nan"])
     def test_bad_config_exits_before_compute(self, tmp_path, monkeypatch,
                                              capsys, line):
         calls = []
@@ -227,6 +254,23 @@ class TestCli:
                      "--quiet"])
         assert code == 2
         assert capsys.readouterr().err.startswith("config error: ")
+        assert calls == []
+
+    @pytest.mark.parametrize("verb", ["run", "picard", "scatter"])
+    def test_wrap_free_window_exits_before_compute(self, tmp_path, monkeypatch,
+                                                   capsys, verb):
+        # the data radius is 8.1 at n=64, L=12, so T=6 reaches the wrap
+        calls = []
+        for name in ("evolve", "picard_solve"):
+            monkeypatch.setattr(harness, name,
+                                lambda *args, **kwargs: calls.append(args))
+        path = write_config(tmp_path,
+                            "points_per_axis = 64\nL = 12\ndt = 0.05\nT = 6\n")
+        code = main([verb, str(path), "--out", str(tmp_path / "out"),
+                     "--quiet"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: wrap-free window violated")
         assert calls == []
 
     def test_run_and_fit_verbs(self, tmp_path):

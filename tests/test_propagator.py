@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kgz2d.energy_diag import energy
 from kgz2d.grid import Field, FieldPair, dealias, make_grid
@@ -88,6 +89,56 @@ class TestFreeStep:
         for _ in range(1000):
             p = free_step(op, p, 0.1)
         assert abs(energy(p, 1) - e0) / e0 <= 1e-11
+
+
+def random_coefficients(grid, seed):
+    """Random rfft-shaped (u_hat, ut_hat) with a nonzero zero mode."""
+    rng = np.random.default_rng(seed)
+    shape = (1, grid.n, grid.n // 2 + 1)
+    u, ut = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+             for _ in range(2))
+    u[0, 0, 0], ut[0, 0, 0] = 1.0, 1.0
+    return u, ut
+
+
+def max_gap(a, b):
+    return max(np.max(np.abs(x - y)) for x, y in zip(a, b))
+
+
+durations = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)
+
+
+class TestRotation:
+    @settings(max_examples=40, deadline=None)
+    @given(mass=st.sampled_from([0, 1]), a=durations, b=durations,
+           seed=st.integers(0, 2**16))
+    def test_group_law(self, grid32, mass, a, b, seed):
+        rot = LinearOperator(grid32, mass).rotation
+        coeffs = random_coefficients(grid32, seed)
+        # coefficients are O(1); ut' carries a factor omega <= 23 on grid32
+        assert max_gap(rot(a)(*rot(b)(*coeffs)), rot(a + b)(*coeffs)) <= 1e-11
+
+    @settings(max_examples=40, deadline=None)
+    @given(mass=st.sampled_from([0, 1]), a=durations, seed=st.integers(0, 2**16))
+    def test_reversibility(self, grid32, mass, a, seed):
+        rot = LinearOperator(grid32, mass).rotation
+        coeffs = random_coefficients(grid32, seed)
+        assert max_gap(rot(-a)(*rot(a)(*coeffs)), coeffs) <= 1e-11
+
+    @pytest.mark.parametrize("mass", [0, 1])
+    @pytest.mark.parametrize("dt", [0.075, -1.3, 0.0])
+    def test_closed_form(self, grid32, mass, dt):
+        u, ut = random_coefficients(grid32, 11)
+        w = np.sqrt(grid32.spectral["k_sq"] + float(mass) ** 2)
+        c = np.cos(w * dt)
+        s_over_w = dt * np.sinc(w * dt / np.pi)
+        new_u, new_ut = LinearOperator(grid32, mass).rotation(dt)(u, ut)
+        assert np.array_equal(new_u, c * u + s_over_w * ut)
+        assert np.array_equal(new_ut, -(w**2) * s_over_w * u + c * ut)
+        if mass == 0:
+            # the zero mode drifts: u' = u + dt*ut, ut' = ut
+            assert new_u[0, 0, 0] == u[0, 0, 0] + dt * ut[0, 0, 0]
+            assert new_ut[0, 0, 0] == ut[0, 0, 0]
 
 
 class TestForcedStep:
