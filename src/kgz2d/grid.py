@@ -1,7 +1,8 @@
 """
 Periodic spectral grid for the square box [-L, L)^2 and the differential
 calculus built on it: Laplacian, first derivatives, Sobolev norms, 2/3-rule
-dealiasing and the binary field-dump format.
+dealiasing, band-limited fields packed to the dealias box, and the binary
+field-dump format.
 
 The box emulates R^2: both the wave and the Klein-Gordon operator propagate
 at speed <= 1, so runs that keep t_max + data_radius < L never see their own
@@ -18,6 +19,7 @@ __all__ = [
     "Grid",
     "Field",
     "FieldPair",
+    "Spectrum",
     "make_grid",
     "laplacian",
     "partial",
@@ -76,9 +78,14 @@ class Grid:
         d2 = 1j * np.where(np.abs(ky) < kmax - 1e-12, ky, 0.0) + 0.0 * kx
         cut = (2.0 / 3.0) * kmax
         mask = (np.abs(kx) <= cut + 1e-12) & (np.abs(ky) <= cut + 1e-12)
+        # the mask is a product of a row and a column cut: its box is the
+        # rows it keeps (two blocks, FFT order) by its leading columns
+        rows = np.flatnonzero(mask[:, 0])
+        cols = int(np.count_nonzero(mask[0]))
         X1, X2 = np.meshgrid(self.xs, self.xs, indexing="ij")
         cache = {
             "k_sq": k_sq, "d1": d1, "d2": d2, "dealias_mask": mask,
+            "box": (rows, cols), "box_k_sq": k_sq[rows, :cols],
             "X1": X1, "X2": X2, "R": np.sqrt(X1**2 + X2**2),
         }
         object.__setattr__(self, "_cache", cache)
@@ -105,6 +112,29 @@ class Grid:
 
     def irfft(self, hat: np.ndarray) -> np.ndarray:
         return np.fft.irfft2(hat, s=(self.n, self.n), axes=(-2, -1))
+
+    def hs_norm(self, hat: np.ndarray, s: float) -> float:
+        """Spectral Sobolev norm: sum over modes of (1+|k|^2)^s |u_hat|^2.
+
+        hat is a half spectrum: either the whole rfft output, or one packed
+        to the dealias box (Spectrum.values).  Every column stands for
+        itself and its conjugate mirror (multiplicity 2) except the zero
+        and Nyquist columns, which are their own mirrors (multiplicity 1);
+        the box holds no Nyquist column.  Normalised so that s = 0 gives
+        the grid L^2 norm (Parseval).
+        """
+        if s < 0:
+            raise ValueError(f"Sobolev index must be >= 0, got {s}")
+        full = hat.shape[-2:] == self.spectral["k_sq"].shape
+        if not full and hat.shape[-2:] != self.spectral["box_k_sq"].shape:
+            raise ValueError(f"{hat.shape} is neither a half spectrum nor "
+                             f"a dealias box for n={self.n}")
+        k_sq = self.spectral["k_sq" if full else "box_k_sq"]
+        dens = (1.0 + k_sq) ** s * (hat.real**2 + hat.imag**2)
+        nyquist = np.sum(dens[..., -1]) if full else 0.0
+        total = (np.sum(dens[..., 0]) + nyquist
+                 + 2.0 * np.sum(dens[..., 1:-1 if full else None]))
+        return float(np.sqrt(total * self.cell_area / self.n**2))
 
 
 def make_grid(points_per_axis: int, length: float) -> Grid:
@@ -181,6 +211,42 @@ class FieldPair:
 
     def __sub__(self, other: "FieldPair") -> "FieldPair":
         return FieldPair(self.u - other.u, self.ut - other.ut)
+
+
+@dataclass(frozen=True, eq=False)
+class Spectrum:
+    """A band-limited field kept as its rfft coefficients inside the 2/3
+    dealias box.
+
+    values has shape (components, rows, cols): the box's rows in FFT order
+    by its leading columns, about 0.45 of a physical plane in bytes.  pack
+    is the one way in; packing a field's whole rfft drops every mode
+    outside the box, i.e. dealiases it.
+    """
+
+    grid: Grid
+    values: np.ndarray
+
+    @classmethod
+    def pack(cls, grid: Grid, hat: np.ndarray) -> "Spectrum":
+        """The box of a half spectrum of shape (components, n, n//2 + 1)."""
+        rows, cols = grid.spectral["box"]
+        return cls(grid, hat[..., rows, :cols])
+
+    @property
+    def components(self) -> int:
+        return self.values.shape[0]
+
+    def unpack(self) -> np.ndarray:
+        """The whole half spectrum, zero outside the box."""
+        g = self.grid
+        rows, cols = g.spectral["box"]
+        hat = np.zeros((self.components, g.n, g.n // 2 + 1), dtype=complex)
+        hat[..., rows, :cols] = self.values
+        return hat
+
+    def field(self) -> Field:
+        return Field(self.grid, self.grid.irfft(self.unpack()))
 
 
 # ---------------------------------------------------------------------------
@@ -271,21 +337,9 @@ def l2_norm(f: Field) -> float:
 
 
 def h_norm(f: Field, s: float) -> float:
-    """Spectral Sobolev norm: sum over modes of (1+|k|^2)^s |u_hat|^2.
-
-    Summed on the rfft half spectrum: every column stands for itself and
-    its conjugate mirror (multiplicity 2) except the zero and Nyquist
-    columns, which are their own mirrors (multiplicity 1).  Normalised so
-    h_norm(f, 0) equals the grid L^2 norm (Parseval).
-    """
-    if s < 0:
-        raise ValueError(f"Sobolev index must be >= 0, got {s}")
-    g = f.grid
-    hat = g.rfft(f.values)
-    dens = (1.0 + g.spectral["k_sq"]) ** s * (hat.real**2 + hat.imag**2)
-    total = (np.sum(dens[..., 0]) + np.sum(dens[..., -1])
-             + 2.0 * np.sum(dens[..., 1:-1]))
-    return float(np.sqrt(total * g.cell_area / g.n**2))
+    """Spectral Sobolev norm of a field (Grid.hs_norm of its rfft);
+    h_norm(f, 0) equals the grid L^2 norm (Parseval)."""
+    return f.grid.hs_norm(f.grid.rfft(f.values), s)
 
 
 @dataclass(frozen=True)

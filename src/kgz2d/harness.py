@@ -10,8 +10,9 @@ Verbs:
     fit <csv> <column> <t1> <t2>
 
 Exit codes: 0 success, 2 config error, 3 numerical failure,
-4 acceptance-check failure.  The KGZ_THREADS environment variable caps the
-worker pool used for multi-config sweeps.
+4 acceptance-check failure.  A sweep parses and runs each config on its
+own, prints a status line per config and exits with the worst code.  The
+KGZ_THREADS environment variable caps the worker pool used for sweeps.
 """
 
 from __future__ import annotations
@@ -293,6 +294,8 @@ class RunReport:
 
 
 def _dump_states(traj, out_dir: Path, snap_every: int):
+    """Dump every snap_every-th snapshot and the recorded sources of every
+    snap_every-th step (chosen by step index, whatever the record stride)."""
     if snap_every <= 0:
         return
     for k in range(0, len(traj.states), snap_every):
@@ -301,14 +304,13 @@ def _dump_states(traj, out_dir: Path, snap_every: int):
         write_field(out_dir / f"E_t{tag}.kgz", state.E.u, state.t)
         write_field(out_dir / f"n_t{tag}.kgz", state.n.u, state.t)
         write_field(out_dir / f"nDelta_t{tag}.kgz", state.n_delta.u, state.t)
-    if traj.source_history is None:
-        return
-    for k in range(0, len(traj.source_history), snap_every):
-        q, s = traj.source_history[k]
-        tau = traj.source_times[k]
+    for i, (q, s) in enumerate(traj.source_history or ()):
+        if (i * traj.source_every) % snap_every:
+            continue
+        tau = traj.source_times[i]
         tag = f"{tau:08.3f}"
-        write_field(out_dir / f"srcQ_t{tag}.kgz", q, tau)
-        write_field(out_dir / f"srcS_t{tag}.kgz", s, tau)
+        write_field(out_dir / f"srcQ_t{tag}.kgz", q.field(), tau)
+        write_field(out_dir / f"srcS_t{tag}.kgz", s.field(), tau)
 
 
 def run(config: RunConfig, out_dir=None, quiet: bool = False) -> RunReport:
@@ -320,7 +322,11 @@ def run(config: RunConfig, out_dir=None, quiet: bool = False) -> RunReport:
 
     say(f"[kgz2d] evolve: n={config.points_per_axis} L={config.L} "
         f"T={config.T} dt={config.dt} amplitude={config.amplitude}")
-    traj = evolve(data, config.T, config.dt, store_every=config.store_every)
+    # the scatter outputs read every step's sources, the dumps every
+    # snap_every-th step's, and nothing else reads them
+    record = 1 if "scatter" in config.diagnostics else max(config.snap_every, 0)
+    traj = evolve(data, config.T, config.dt, store_every=config.store_every,
+                  record_sources=record)
     report = RunReport(out_dir=out)
     report.scalars["data_radius"] = data.radius
 
@@ -538,44 +544,69 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+def _attempt(fn) -> tuple[int, str | None]:
+    """fn()'s exit code, or the exit code and message of what it raised."""
     try:
-        if args.verb == "check":
-            results = run_check(quiet=args.quiet)
-            return 0 if all(ok for _, ok, _ in results) else 4
-        if args.verb == "fit":
-            rep = DiagnosticsReport.read_csv(args.csv)
-            if args.column not in rep.series:
-                raise ConfigError(f"no column {args.column!r} in {args.csv}")
-            fit = fit_envelope(rep.times, rep.series[args.column],
-                               (args.t1, args.t2))
-            print(f"{args.column}: {fit}")
-            return 0
-        paths = list(args.configs)
-        if args.config_flag:
-            paths.append(args.config_flag)
-        configs = [parse_config(p) for p in paths]
-        runner = {"run": run, "picard": run_picard, "scatter": run_scatter}[args.verb]
-        if len(configs) == 1:
-            runner(configs[0], args.out, args.quiet)
-        else:
-            workers = max(1, int(os.environ.get("KGZ_THREADS", "1")))
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futs = [pool.submit(runner, cfg,
-                                    Path(args.out or cfg.out) / f"run{i:02d}",
-                                    args.quiet)
-                        for i, cfg in enumerate(configs)]
-                for fut in futs:
-                    fut.result()
-        return 0
+        return fn(), None
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        return 2, f"config error: {exc}"
     except (InstabilityError, PicardNonConvergence, TailDivergenceError,
             ValueError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
+        return 3, f"numerical failure: {exc}"
+
+
+def _tool_verb(args) -> int:
+    if args.verb == "check":
+        results = run_check(quiet=args.quiet)
+        return 0 if all(ok for _, ok, _ in results) else 4
+    rep = DiagnosticsReport.read_csv(args.csv)
+    if args.column not in rep.series:
+        raise ConfigError(f"no column {args.column!r} in {args.csv}")
+    fit = fit_envelope(rep.times, rep.series[args.column], (args.t1, args.t2))
+    print(f"{args.column}: {fit}")
+    return 0
+
+
+def _run_configs(args) -> int:
+    """Parse and run each config on its own.  A sweep (several configs)
+    writes run<i> under the output directory, prints one status line per
+    config on stderr and exits with the worst code."""
+    paths = list(args.configs)
+    if args.config_flag:
+        paths.append(args.config_flag)
+    runner = {"run": run, "picard": run_picard, "scatter": run_scatter}[args.verb]
+    sweep = len(paths) > 1
+
+    def one(i, path):
+        def go():
+            cfg = parse_config(path)
+            out = Path(args.out or cfg.out) / f"run{i:02d}" if sweep else args.out
+            runner(cfg, out, args.quiet)
+            return 0
+        return _attempt(go)
+
+    if not sweep:
+        code, message = one(0, paths[0])
+        if message:
+            print(message, file=sys.stderr)
+        return code
+    workers = max(1, int(os.environ.get("KGZ_THREADS", "1")))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        results = list(pool.map(one, range(len(paths)), paths))
+    for i, (path, (code, message)) in enumerate(zip(paths, results)):
+        print(f"[kgz2d] run{i:02d} {path}: exit {code} {message or 'ok'}",
+              file=sys.stderr)
+    return max(code for code, _ in results)
+
+
+def main(argv=None) -> int:
+    args = _build_parser().parse_args(argv)
+    if args.verb in ("run", "picard", "scatter"):
+        return _run_configs(args)
+    code, message = _attempt(lambda: _tool_verb(args))
+    if message:
+        print(message, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

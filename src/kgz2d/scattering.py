@@ -11,9 +11,11 @@ where S1 is the exact free Klein-Gordon propagator.  The integral is
 accumulated with the midpoint rule on the recorded per-step midpoint
 sources -- the quadrature that is *exactly* aligned with the Strang
 stepping, so that the reconstruction E(t) - E+(t) = -sum of the future
-kicks holds to round-off.  All truncation is explicit: the ignored tail
-of the source-norm integral is extrapolated from a power-law fit on the
-last window and reported next to every residual statement.
+kicks holds to round-off.  The sources are read as the packed spectra the
+march recorded, and the record must hold every step.  All truncation is
+explicit: the ignored tail of the source-norm integral is extrapolated from
+a power-law fit on the last window and reported next to every residual
+statement.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ __all__ = [
 
 
 class MissingHistoryError(RuntimeError):
-    """The trajectory has no recorded source history."""
+    """The trajectory has no source record, or one without every step."""
 
 
 class TailDivergenceError(RuntimeError):
@@ -73,6 +75,10 @@ def _require_history(traj):
     if traj.source_history is None or traj.source_times is None:
         raise MissingHistoryError(
             "trajectory was run without source recording")
+    if traj.source_every != 1:
+        raise MissingHistoryError(
+            f"trajectory recorded the sources of every {traj.source_every}-th "
+            "step only; the Duhamel quadrature needs every step")
 
 
 def source_norm_series(traj, s: float = 1.0):
@@ -83,7 +89,8 @@ def source_norm_series(traj, s: float = 1.0):
     """
     _require_history(traj)
     times = np.asarray(traj.source_times, dtype=float)
-    norms = np.array([h_norm(Q, s) for Q, _ in traj.source_history])
+    g = traj.grid
+    norms = np.array([g.hs_norm(Q.values, s) for Q, _ in traj.source_history])
     return times, norms, np.cumsum(norms) * traj.dt
 
 
@@ -118,7 +125,7 @@ def _duhamel_sum(traj, t: float, t_max: float):
     for k, tau in enumerate(np.asarray(traj.source_times, dtype=float)):
         if tau <= t or tau >= t_max:
             continue
-        Q_hat = g.rfft(traj.source_history[k][0].values)
+        Q_hat = traj.source_history[k][0].unpack()
         du, dut = op.rotation(t - tau)(np.zeros_like(Q_hat), Q_hat)
         acc_u += traj.dt * du
         acc_ut += traj.dt * dut
@@ -205,11 +212,12 @@ def duhamel_tail_norm(traj, profile: ScatterProfile, t: float, s: float | None =
     and the Duhamel accumulation share one quadrature); comparing the two
     validates the whole construction.
     """
+    _require_history(traj)
     if s is None:
         s = profile.s
     acc_u, acc_ut = _duhamel_sum(traj, t, profile.t_max)
     g = traj.grid
-    return _combined_norm(g, g.irfft(acc_u), g.irfft(acc_ut), s)
+    return g.hs_norm(acc_u, s) + g.hs_norm(acc_ut, max(s - 1.0, 0.0))
 
 
 # ---------------------------------------------------------------------------

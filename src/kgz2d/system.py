@@ -10,10 +10,11 @@ solution of the corresponding *linear* system with sources read off the
 guess.
 
 Stepping is a Strang composition built on the exact mode-wise propagator:
-half free step, source kick at the interval midpoint, half free step.  The
-kick sources of every step are recorded, which makes the discrete solution
-an exact fixed point of the Picard map and makes Duhamel reconstructions
-exact up to round-off.
+half free step, source kick at the interval midpoint, half free step.  A
+march can record its midpoint sources (Q, S) = (-nE, |E|^2) as the packed
+dealiased spectra it kicks with, at every step or every m-th one.  Replayed
+as kicks, a full record makes the discrete solution an exact fixed point of
+the Picard map and makes Duhamel reconstructions exact up to round-off.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .grid import (
     Field,
     FieldPair,
     Grid,
+    Spectrum,
     dealias,
     laplacian,
 )
@@ -61,13 +63,17 @@ class KGZState:
 
 @dataclass(eq=False)
 class Trajectory:
-    """Time-ordered KGZ snapshots plus per-step midpoint source records.
+    """Time-ordered KGZ snapshots plus recorded midpoint sources.
 
     source_history holds (Q, S) = (-nE, |E|^2) sampled along this
-    trajectory at every step midpoint (2/3-dealiased, exactly the products
-    a solution map would feed to the linear equations).  The equation
-    sources at snapshot times follow from kind: the snapshot's own products
-    for the nonlinear flows ("coupled", "direct"), zero for "free", and the
+    trajectory at the midpoint of every source_every-th step, from step 0,
+    with source_times the midpoint times (None when nothing was recorded,
+    source_every 0).  Each is a Spectrum: the 2/3-dealiased coefficients
+    the march kicks with, exactly what a solution map feeds to the linear
+    equations.  Readers that need the whole step sequence (the Picard map,
+    the Duhamel sums) require source_every == 1.  The equation sources at
+    snapshot times follow from kind: the snapshot's own products for the
+    nonlinear flows ("coupled", "direct"), zero for "free", and the
     recorded snapshot_sources for a Picard iterate ("picard"), which solves
     the linear system whose sources are its guess's products.
     """
@@ -80,6 +86,7 @@ class Trajectory:
     source_times: np.ndarray | None
     source_history: list | None
     kind: str  # "coupled" | "direct" | "free" | "picard"
+    source_every: int
     snapshot_sources: list | None = None
 
     def __post_init__(self):
@@ -253,16 +260,18 @@ def _steps_for(T: float, dt: float) -> int:
 
 
 def _march(data: InitialData, T: float, dt: float, *, kicks,
-           store_every: int, record_sources: bool,
+           store_every: int, record_sources: int,
            direct_n: bool = False) -> Trajectory:
     """Shared Strang march for every evolution flavour.
 
-    kicks     -- the midpoint kick: "self" for this march's own midpoint
-                 products (the nonlinear flow), None for none (the free
-                 flow), or a recorded per-step list of (Q, S) midpoint
-                 sources (the linear solution map)
-    direct_n  -- additionally evolve n directly with source lap(|E|^2)
-                 and take the state's n from that integration
+    kicks          -- the midpoint kick: "self" for this march's own
+                      midpoint products (the nonlinear flow), None for none
+                      (the free flow), or a recorded per-step list of
+                      (Q, S) Spectrum pairs (the linear solution map)
+    record_sources -- step stride of the source record: 0 (or False)
+                      records none, 1 (or True) every step, m every m-th
+    direct_n       -- additionally evolve n directly with source lap(|E|^2)
+                      and take the state's n from that integration
     """
     g = data.grid
     if not T + data.radius < g.length:
@@ -270,6 +279,10 @@ def _march(data: InitialData, T: float, dt: float, *, kicks,
             f"wrap-free window violated: T + R = {T + data.radius:.3g} "
             f">= L = {g.length:.3g}")
     steps = _steps_for(T, dt)
+    every = int(record_sources)
+    if every < 0 or every != record_sources:
+        raise ValueError(f"record_sources must be a step stride >= 0, "
+                         f"got {record_sources!r}")
     if kicks is None:
         kind = "free"
     elif kicks == "self":
@@ -314,7 +327,7 @@ def _march(data: InitialData, T: float, dt: float, *, kicks,
     limit = 1e6 * (scale_now() + 1e-300)
     states = [snapshot(0.0)]
     times = [0.0]
-    history = [] if record_sources else None
+    history = [] if every else None
     source_times = []
 
     for k in range(steps):
@@ -325,20 +338,19 @@ def _march(data: InitialData, T: float, dt: float, *, kicks,
             Nu, Nut = w_half(Nu, Nut)
 
         # midpoint products from the half-stepped positions
-        if own or record_sources:
+        record = every and k % every == 0
+        if own or record:
             E_mid = g.irfft(Eu)
             n_mid = g.irfft(Nu) if direct_n else g.irfft(-k_sq * Du)
             Q_hat = mask * g.rfft(-n_mid[0] * E_mid)
             S_hat = mask * g.rfft(np.sum(E_mid**2, axis=0)[None])
-            if record_sources:
-                history.append((Field(g, g.irfft(Q_hat)),
-                                Field(g, g.irfft(S_hat))))
+            if record:
+                history.append((Spectrum.pack(g, Q_hat),
+                                Spectrum.pack(g, S_hat)))
                 source_times.append(t + 0.5 * dt)
 
         if kind == "picard":
-            Qk, Sk = kicks[k]
-            Q_hat = mask * g.rfft(Qk.values)
-            S_hat = mask * g.rfft(Sk.values)
+            Q_hat, S_hat = (src.unpack() for src in kicks[k])
         if kicks is not None:
             Eut = Eut + dt * Q_hat
             Dut = Dut + dt * S_hat
@@ -361,28 +373,35 @@ def _march(data: InitialData, T: float, dt: float, *, kicks,
     return Trajectory(
         grid=g, dt=dt, store_every=store_every,
         times=np.asarray(times), states=states,
-        source_times=np.asarray(source_times) if record_sources else None,
-        source_history=history, kind=kind,
+        source_times=np.asarray(source_times) if every else None,
+        source_history=history, kind=kind, source_every=every,
     )
 
 
 def evolve(data: InitialData, T: float, dt: float, *, store_every: int = 1,
-           record_sources: bool = True) -> Trajectory:
-    """Nonlinear KGZ evolution in divergence form (n reconstructed as lap nD)."""
+           record_sources: int = True) -> Trajectory:
+    """Nonlinear KGZ evolution in divergence form (n reconstructed as lap nD).
+
+    Snapshots are kept every store_every steps.  record_sources is the step
+    stride of the midpoint source record: False/0 none, True/1 every step
+    (what picard_map and the scattering construction read), m every m-th.
+    """
     return _march(data, T, dt, kicks="self", store_every=store_every,
                   record_sources=record_sources)
 
 
 def evolve_direct_n(data: InitialData, T: float, dt: float, *,
-                    store_every: int = 1, record_sources: bool = True) -> Trajectory:
+                    store_every: int = 1, record_sources: int = True) -> Trajectory:
     """Same system with n evolved directly from -box(n) = lap(|E|^2)."""
     return _march(data, T, dt, kicks="self", store_every=store_every,
                   record_sources=record_sources, direct_n=True)
 
 
 def free_flow(data: InitialData, T: float, dt: float, *, store_every: int = 1,
-              record_sources: bool = True) -> Trajectory:
-    """Source-free flow of the same data; still records -nE and |E|^2."""
+              record_sources: int = True) -> Trajectory:
+    """Source-free flow of the same data.  It still records -nE and |E|^2
+    along itself, with the same record_sources stride as evolve, which makes
+    it the Picard iteration's starting guess."""
     return _march(data, T, dt, kicks=None, store_every=store_every,
                   record_sources=record_sources)
 
@@ -410,8 +429,13 @@ def picard_map(guess: Trajectory, data: InitialData) -> Trajectory:
     """
     if guess.grid != data.grid:
         raise ValueError("guess and data live on different grids")
-    if guess.store_every != 1 or guess.source_history is None:
-        raise ValueError("picard_map needs a dense guess with recorded sources")
+    if guess.store_every != 1:
+        raise ValueError("picard_map needs a guess with a snapshot every step")
+    if guess.source_history is None or guess.source_every != 1:
+        raise ValueError(
+            "picard_map needs the guess's sources at every step; it recorded "
+            + ("none" if guess.source_history is None
+               else f"every {guess.source_every}-th step only"))
     out = _march(data, guess.t_end, guess.dt, kicks=guess.source_history,
                  store_every=1, record_sources=True)
     # the iterate solves the linear system whose sources are the guess's

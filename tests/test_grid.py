@@ -1,13 +1,16 @@
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kgz2d.grid import (
     Field,
     FieldPair,
     SobolevNorms,
+    Spectrum,
     dealias,
     dealiased_product,
     h_norm,
@@ -223,7 +226,64 @@ class TestSobolevNorm:
             sobolev_norm(FieldPair(u, u), -0.5)
 
 
+grid_sizes = st.sampled_from([8, 10, 16, 64])
+seeds = st.integers(0, 2**16)
+
+
+def masked_random_spectrum(grid, seed, components):
+    """The dealiased rfft of a random real field, as the march holds it."""
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((components, grid.n, grid.n))
+    return grid.spectral["dealias_mask"] * grid.rfft(values)
+
+
+class TestSpectrum:
+    @settings(max_examples=30, deadline=None)
+    @given(n=grid_sizes, components=st.sampled_from([1, 2]), seed=seeds)
+    def test_pack_unpack_round_trip(self, n, components, seed):
+        g = make_grid(n, 3.0)
+        hat = masked_random_spectrum(g, seed, components)
+        packed = Spectrum.pack(g, hat)
+        assert packed.values.size == components * np.count_nonzero(
+            g.spectral["dealias_mask"])
+        assert np.array_equal(packed.unpack(), hat)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=grid_sizes, components=st.sampled_from([1, 2]), seed=seeds,
+           s=st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+    def test_packed_norm_matches_h_norm(self, n, components, seed, s):
+        g = make_grid(n, 3.0)
+        packed = Spectrum.pack(g, masked_random_spectrum(g, seed, components))
+        assert g.hs_norm(packed.values, s) == pytest.approx(
+            h_norm(packed.field(), s), rel=1e-13)
+
+    def test_packing_dealiases(self, grid64):
+        # white noise fills every mode, the ones outside the box too
+        f = Field(grid64, np.random.default_rng(3).standard_normal((2, 64, 64)))
+        packed = Spectrum.pack(grid64, grid64.rfft(f.values))
+        assert np.array_equal(packed.field().values, dealias(f).values)
+
+    def test_rejects_foreign_shape(self, grid64):
+        with pytest.raises(ValueError, match="neither a half spectrum"):
+            grid64.hs_norm(np.zeros((1, 64, 64), dtype=complex), 1.0)
+
+
 class TestDumpFormat:
+    @settings(max_examples=30, deadline=None)
+    @given(n=grid_sizes, components=st.sampled_from([1, 2]), seed=seeds,
+           length=st.floats(0.1, 1e3), t=st.floats(-1e6, 1e6))
+    def test_round_trip_property(self, n, components, seed, length, t):
+        g = make_grid(n, length)
+        rng = np.random.default_rng(seed)
+        f = Field(g, rng.standard_normal((components, n, n)))
+        with tempfile.TemporaryDirectory() as td:
+            path = Path(td) / "f.kgz"
+            write_field(path, f, t)
+            back, t_back = read_field(path)
+        assert t_back == t
+        assert back.grid == g
+        assert np.array_equal(back.values, f.values)
+
     def test_round_trip_bit_exact(self, tmp_path, grid64):
         rng = np.random.default_rng(7)
         f = Field(grid64, rng.standard_normal((2, 64, 64)))

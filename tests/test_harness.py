@@ -1,10 +1,12 @@
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kgz2d.energy_diag import jbracket
-from kgz2d.grid import Field, FieldPair, make_grid, read_field
+from kgz2d.grid import Field, FieldPair, Grid, make_grid, read_field
 from kgz2d import harness, scattering
 from kgz2d.harness import (
     ConfigError,
@@ -91,7 +93,60 @@ class TestFitEnvelope:
         assert -1.15 <= fit.exponent <= -0.85
 
 
+def config_text(cfg: RunConfig) -> str:
+    """Every field of a config as flat `key = value` text."""
+    lines = []
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(value, tuple):
+            value = ", ".join(v if isinstance(v, str) else repr(v)
+                              for v in value)
+        elif isinstance(value, float):
+            value = repr(value)
+        lines.append(f"{f.name} = {value}\n")
+    return "".join(lines)
+
+
+unit_open = st.floats(0.001, 0.999)
+
+
+@st.composite
+def run_configs(draw):
+    steps = draw(st.integers(1, 400))
+    dt = draw(st.floats(0.001, 1.0))
+    divisors = [d for d in range(1, steps + 1) if steps % d == 0]
+    return RunConfig(
+        points_per_axis=draw(st.sampled_from([8, 64, 256])),
+        L=draw(st.floats(1.0, 100.0)),
+        profile=draw(st.sampled_from(["gaussian", "ring"])),
+        amplitude=draw(st.floats(0.0, 10.0)),
+        width=draw(st.floats(0.1, 5.0)),
+        center=draw(st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))),
+        ring_radius=draw(st.floats(0.0, 10.0)),
+        dt=dt, T=steps * dt,
+        snap_every=draw(st.integers(0, 100)),
+        store_every=draw(st.sampled_from(divisors)),
+        diagnostics=tuple(draw(st.lists(
+            st.sampled_from(["decay", "energies", "scatter"]), unique=True))),
+        delta=draw(unit_open), kappa=draw(unit_open), eta=draw(unit_open),
+        scatter_s=tuple(draw(st.lists(st.floats(0.0, 4.0), min_size=1,
+                                      max_size=3))),
+        fit_t1=draw(st.floats(0.1, 50.0)), fit_t2=draw(st.floats(0.0, 50.0)),
+        picard_tol=draw(st.floats(1e-12, 1.0)),
+        picard_max_iter=draw(st.integers(2, 50)),
+        out=draw(st.text(alphabet="abc_/-.", min_size=1, max_size=12)),
+        seed=draw(st.integers(0, 2**31)),
+    )
+
+
 class TestConfig:
+    @settings(max_examples=40, deadline=None)
+    @given(cfg=run_configs())
+    def test_config_text_round_trip(self, tmp_path_factory, cfg):
+        path = tmp_path_factory.mktemp("cfg") / "run.cfg"
+        path.write_text(config_text(cfg), encoding="utf-8")
+        assert parse_config(path) == cfg
+
     def test_defaults_roundtrip(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, SMALL_CONFIG))
         assert cfg.points_per_axis == 64
@@ -165,10 +220,41 @@ class TestRun:
         assert all(r <= 0.5 for r in ratios)
 
 
+class TestSourceDumps:
+    def test_run_records_only_the_dumped_steps(self, tmp_path, monkeypatch):
+        trajectories = []
+
+        def recorded(*args, **kwargs):
+            trajectories.append(evolve(*args, **kwargs))
+            return trajectories[-1]
+
+        monkeypatch.setattr(harness, "evolve", recorded)
+        # 30 steps; the sources of steps 0, 4, ..., 28 are dumped
+        cfg = dict(points_per_axis=64, L=12.0, amplitude=1e-2, T=1.5,
+                   dt=0.05, snap_every=4, diagnostics=("decay",))
+        run(RunConfig(**cfg), tmp_path / "run", quiet=True)
+        harness.run_scatter(RunConfig(**cfg), tmp_path / "scatter", quiet=True)
+        sparse, full = trajectories
+        dumped = range(0, 30, 4)
+        assert full.source_every == 1 and len(full.source_history) == 30
+        assert sparse.source_every == 4
+        assert np.array_equal(sparse.source_times, full.source_times[::4])
+        assert len(sparse.source_history) == len(dumped)
+
+        want = sorted(f"src{w}_t{(k + 0.5) * 0.05:08.3f}.kgz"
+                      for k in dumped for w in "QS")
+        for out in ("run", "scatter"):
+            got = sorted(p.name for p in (tmp_path / out).glob("src*.kgz"))
+            assert got == want
+        for name in want:
+            assert (tmp_path / "run" / name).read_bytes() \
+                == (tmp_path / "scatter" / name).read_bytes()
+
+
 class TestScatterVerb:
     def test_one_launch_per_run_one_norm_series_per_s(self, tmp_path,
                                                       monkeypatch):
-        counts = {"launch": 0, "h_norm": 0}
+        counts = {"launch": 0, "h_norm": 0, "hs_norm": 0}
 
         def counted(name, original):
             def wrapper(*args, **kwargs):
@@ -180,13 +266,16 @@ class TestScatterVerb:
                             counted("launch", scattering._duhamel_sum))
         monkeypatch.setattr(scattering, "h_norm",
                             counted("h_norm", scattering.h_norm))
+        monkeypatch.setattr(Grid, "hs_norm", counted("hs_norm", Grid.hs_norm))
         cfg = RunConfig(points_per_axis=64, L=12.0, amplitude=1e-2, T=2.0,
                         dt=0.1, scatter_s=(1.0, 2.0), diagnostics=("decay",))
         harness.run_scatter(cfg, tmp_path / "out", quiet=True)
         steps, snapshots = 20, 21
         assert counts["launch"] == 1
-        # per s: one source norm per step, two residual norms per snapshot
-        assert counts["h_norm"] == 2 * (steps + 2 * snapshots)
+        # per s: one source norm per step, read off the packed spectrum with
+        # no transform, and two residual norms per snapshot through h_norm
+        assert counts["hs_norm"] == 2 * (steps + 2 * snapshots)
+        assert counts["h_norm"] == 2 * 2 * snapshots
         for tag in ("s1", "s2"):
             assert (tmp_path / "out" / f"scatter_{tag}_meta.txt").exists()
 
@@ -272,6 +361,20 @@ class TestCli:
         assert capsys.readouterr().err.startswith(
             "config error: wrap-free window violated")
         assert calls == []
+
+    def test_sweep_runs_each_config_on_its_own(self, tmp_path, capsys):
+        bad = write_config(tmp_path, "nonsense_key = 1\n", "bad.cfg")
+        good = write_config(tmp_path, SMALL_CONFIG, "good.cfg")
+        out = tmp_path / "sweep"
+        code = main(["run", str(bad), str(good), "--out", str(out), "--quiet"])
+        assert code == 2
+        assert not (out / "run00").exists()
+        for name in ("diagnostics.csv", "fits.txt"):
+            assert (out / "run01" / name).exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert err[0].startswith(f"[kgz2d] run00 {bad}: exit 2 config error: ")
+        assert err[1] == f"[kgz2d] run01 {good}: exit 0 ok"
 
     def test_run_and_fit_verbs(self, tmp_path):
         path = write_config(tmp_path, SMALL_CONFIG)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kgz2d.energy_diag import energy
-from kgz2d.grid import Field, FieldPair, dealias, make_grid
+from kgz2d.grid import Field, FieldPair, Spectrum, dealias, make_grid
 from kgz2d.propagator import (
     InstabilityError,
     LinearOperator,
@@ -27,9 +27,12 @@ def zero_sources(grid):
 def linear_solve(data, T, dt, source):
     """The linear KGZ system from `data`, kicked at every step midpoint tau
     with source(tau) = (Q, S): the solution map applied to a free-flow guess
-    whose recorded midpoint sources are replaced by the given ones."""
+    whose recorded midpoint sources are replaced by the given ones, packed
+    (so dealiased) as the march packs its own."""
     guess = free_flow(data, T, dt)
-    history = [source(tau) for tau in guess.source_times]
+    g = data.grid
+    history = [tuple(Spectrum.pack(g, g.rfft(f.values)) for f in source(tau))
+               for tau in guess.source_times]
     return picard_map(dataclasses.replace(guess, source_history=history), data)
 
 

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from kgz2d.grid import Field, FieldPair, make_grid
+from kgz2d.grid import Field, FieldPair, Spectrum, dealias, make_grid
 from kgz2d.propagator import LinearOperator, free_step
 from kgz2d.scattering import (
     MissingHistoryError,
@@ -12,6 +12,7 @@ from kgz2d.scattering import (
     duhamel_tail_norm,
     read_profile,
     residual_series,
+    scatter_launch,
     source_norm_series,
     write_profile,
 )
@@ -38,8 +39,13 @@ def wave_only_data(grid):
 
 
 def with_history(traj, history):
-    """Clone a trajectory with a synthetic midpoint source history."""
-    return dataclasses.replace(traj, source_history=history)
+    """Clone a trajectory with a synthetic midpoint source history of
+    (Q, S) fields, packed as the march packs its own: truncated to the
+    dealias box."""
+    g = traj.grid
+    packed = [tuple(Spectrum.pack(g, g.rfft(f.values)) for f in pair)
+              for pair in history]
+    return dataclasses.replace(traj, source_history=packed)
 
 
 class TestSourceNorms:
@@ -60,6 +66,28 @@ class TestSourceNorms:
             source_norm_series(traj, 1.0)
 
 
+class TestSparseRecord:
+    """A record without every step cannot give the Duhamel quadrature."""
+
+    @pytest.fixture(scope="class")
+    def sparse_run(self, run_grid):
+        return evolve(gaussian_data(run_grid, 1e-2), 2.0, 0.1,
+                      record_sources=4)
+
+    def test_norms_and_launch_rejected(self, sparse_run):
+        for read in (lambda: source_norm_series(sparse_run, 1.0),
+                     lambda: scatter_launch(sparse_run, 2.0)):
+            with pytest.raises(MissingHistoryError,
+                               match="every 4-th step only"):
+                read()
+
+    def test_tail_norm_rejected(self, sparse_run, run_grid):
+        full = evolve(gaussian_data(run_grid, 1e-2), 2.0, 0.1)
+        profile = build_scatter_data(full, 1.0, require_convergent_tail=False)
+        with pytest.raises(MissingHistoryError, match="every 4-th step only"):
+            duhamel_tail_norm(sparse_run, profile, 1.0)
+
+
 class TestBuildScatterData:
     def test_zero_source_returns_data(self, run_grid):
         traj = evolve(wave_only_data(run_grid), 6.0, 0.1)
@@ -70,7 +98,7 @@ class TestBuildScatterData:
 
     def test_single_kick_analytic(self, run_grid, nonlinear_run):
         # one delta-like source sample: the profile shift is exactly
-        # dt * S1(-tau)(0, Q)
+        # dt * S1(-tau)(0, Q), Q the dealiased bump the record holds
         g = run_grid
         bump = Field(g, np.exp(-g.R**2)[None] * np.ones((2, 1, 1)))
         zero2 = Field(g, np.zeros((2, g.n, g.n)))
@@ -82,7 +110,7 @@ class TestBuildScatterData:
         profile = build_scatter_data(traj, 1.0)
         tau = traj.source_times[k0]
         op = LinearOperator(g, 1)
-        kicked = free_step(op, FieldPair(zero2, bump), -tau)
+        kicked = free_step(op, FieldPair(zero2, dealias(bump)), -tau)
         want_u = traj.states[0].E.u.values + traj.dt * kicked.u.values
         assert np.max(np.abs(profile.data_plus.u.values - want_u)) <= 1e-14
 

@@ -174,6 +174,14 @@ class TestPicard:
         with pytest.raises(ValueError):
             picard_map(sparse, data)
 
+    @pytest.mark.parametrize("record, says", [
+        (False, "it recorded none"), (4, "every 4-th step only")])
+    def test_requires_every_step_recorded(self, grid64, record, says):
+        data = gaussian_data(grid64, 1e-2)
+        guess = free_flow(data, 2.0, 0.1, record_sources=record)
+        with pytest.raises(ValueError, match=says):
+            picard_map(guess, data)
+
     def test_grid_mismatch(self, grid64):
         data = gaussian_data(grid64, 1e-2)
         other = gaussian_data(make_grid(32, 12.0), 1e-2)
@@ -206,6 +214,31 @@ class TestTrajectory:
         traj = evolve(data, 2.0, 0.1, store_every=4)
         assert traj.times[1] - traj.times[0] == pytest.approx(0.4)
         assert len(traj.source_history) == 20
+
+    @pytest.mark.parametrize("flow", [evolve, free_flow])
+    def test_record_stride_keeps_those_steps_exactly(self, small_run, flow):
+        data, _ = small_run
+        full = flow(data, 3.0, 0.1)
+        sparse = flow(data, 3.0, 0.1, record_sources=7)
+        assert sparse.source_every == 7
+        assert np.array_equal(sparse.source_times, full.source_times[::7])
+        for got, want in zip(sparse.source_history, full.source_history[::7],
+                             strict=True):
+            assert all(np.array_equal(a.values, b.values)
+                       for a, b in zip(got, want))
+        assert all(np.array_equal(a.E.u.values, b.E.u.values)
+                   for a, b in zip(sparse.states, full.states))
+
+    def test_no_record(self, small_run):
+        data, _ = small_run
+        traj = evolve(data, 1.0, 0.1, record_sources=0)
+        assert traj.source_history is None and traj.source_times is None
+
+    @pytest.mark.parametrize("bad", [-1, 2.5])
+    def test_rejects_bad_stride(self, small_run, bad):
+        data, _ = small_run
+        with pytest.raises(ValueError, match="step stride"):
+            evolve(data, 1.0, 0.1, record_sources=bad)
 
 
 class TestJet:
