@@ -14,17 +14,14 @@ from .grid import (
     Field,
     FieldPair,
     Grid,
-    SobolevNorms,
     bump_window,
     dealias,
-    dealiased_product,
     h_norm,
     l2_norm,
     laplacian,
     make_grid,
     partial,
     read_field,
-    sobolev_norm,
     write_field,
 )
 from .propagator import (
@@ -57,14 +54,12 @@ from .vector_fields import (
 from .energy_diag import (
     DiagnosticsReport,
     WeightSpec,
-    chi,
     energy,
     ghost_energy,
     hessian_decay_ratio,
     kg_extra_decay_ratio,
     ks_ratio,
     multiplier_residual,
-    weighted_exterior_energy,
     xnorm_distance,
     xnorm_terms,
 )

@@ -1,12 +1,11 @@
 """
-Energy functionals, ghost-weight machinery, weighted norms, multiplier
-identity residuals and decay-inequality ratio diagnostics.
+Energy functionals, ghost-weight machinery, the solution-space (X-norm)
+distance and uniform wave-energy term, multiplier identity residuals and
+decay-inequality ratio diagnostics.
 
 Conventions used throughout:
 
 * Japanese bracket <x> = sqrt(1 + x^2).
-* chi is the fixed smooth increasing cut-off: 0 for s <= 1, 1 for s >= 2,
-  realised as the quintic smoothstep in between (C^2, chi' >= 0).
 * Spacetime integrals over [t0, t] x box accumulate by the trapezoid rule
   on snapshot data, matching the second-order stepper.
 * Norms over solution-space weights truncate the vector-field order at
@@ -20,7 +19,7 @@ Trajectory arguments are duck-typed: anything with .grid, .times, .states,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,14 +34,11 @@ from .vector_fields import (
 )
 
 __all__ = [
-    "chi",
-    "chi_prime",
     "jbracket",
     "ghost_weight_q",
     "energy",
     "ghost_energy",
     "multiplier_residual",
-    "weighted_exterior_energy",
     "WeightSpec",
     "XNORM_TERMS",
     "xnorm_terms",
@@ -50,28 +46,13 @@ __all__ = [
     "ks_ratio",
     "hessian_decay_ratio",
     "kg_extra_decay_ratio",
-    "wave_reexpression_residual",
     "DiagnosticsReport",
 ]
 
 
 # ---------------------------------------------------------------------------
-# cut-off, brackets, ghost weight
+# brackets, ghost weight
 # ---------------------------------------------------------------------------
-
-def chi(s):
-    """Smooth increasing cut-off: 0 for s <= 1, 1 for s >= 2, quintic between."""
-    sigma = np.clip(np.asarray(s, dtype=np.float64) - 1.0, 0.0, 1.0)
-    return sigma**3 * (10.0 - 15.0 * sigma + 6.0 * sigma**2)
-
-
-def chi_prime(s):
-    """Derivative of chi; supported in [1, 2], nonnegative."""
-    arr = np.asarray(s, dtype=np.float64)
-    sigma = np.clip(arr - 1.0, 0.0, 1.0)
-    out = 30.0 * sigma**2 * (1.0 - sigma) ** 2
-    return np.where((arr > 1.0) & (arr < 2.0), out, 0.0)
-
 
 def jbracket(x):
     """<x> = sqrt(1 + x^2)."""
@@ -231,64 +212,6 @@ def multiplier_residual(traj, which: str = "E", delta: float = 0.1,
     return out
 
 
-def weighted_exterior_energy(traj, which: str = "n_delta", eta: float = 0.5,
-                             m: int | None = None) -> "DiagnosticsReport":
-    """Exterior <r-t>^{2 eta}-weighted and interior (t-r)^{-eta}-weighted
-    energies with their source-coupling right-hand sides.
-
-    Series: exterior, exterior_rhs, interior, interior_rhs.  The multiplier
-    identities guarantee LHS <= C * RHS for a constant C of order one; the
-    quotient is reported by the caller, not asserted here.
-    """
-    if not 0 < eta <= 1:
-        raise ValueError("eta must lie in (0, 1]")
-    mass = _MASS[which] if m is None else m
-    g = traj.grid
-    R = g.R
-    ext, ext_rhs, inter, inter_rhs = np.empty((4, len(traj.states)))
-
-    state0 = traj.states[0]
-    p0 = _pair_of(state0, which)
-    rb = jbracket(R) ** (2.0 * eta)
-    dens0 = np.sum(p0.ut.values**2, axis=0) + _field_grad_sq(p0.u)
-    ext_data = float(np.sum(rb * dens0) * g.cell_area)
-    if mass:
-        ext_data += float(np.sum(rb * np.sum(p0.u.values**2, axis=0)) * g.cell_area)
-    int_data = energy(p0, mass)
-
-    src_ext_acc = src_int_acc = 0.0
-    prev = None
-    for k, state in enumerate(traj.states):
-        t = traj.times[k]
-        p = _pair_of(state, which)
-        dens = np.sum(p.ut.values**2, axis=0) + _field_grad_sq(p.u) \
-            + mass**2 * np.sum(p.u.values**2, axis=0)
-        w_ext = chi(R - t) * jbracket(R - t) ** (2.0 * eta)
-        tr = t - R
-        # chi(tr) vanishes for tr <= 1, so the (t-r)^(-eta) factor is only
-        # ever evaluated where tr > 1
-        w_int = np.maximum(tr, 1.0) ** (-eta) * chi(tr) + 1.0 - chi(tr)
-        ext[k] = float(np.sum(w_ext * dens) * g.cell_area)
-        inter[k] = float(np.sum(w_int * dens) * g.cell_area)
-        F = traj.snapshot_source(k, which)
-        coupling = np.abs(np.sum(F.values * p.ut.values, axis=0))
-        s_ext = float(np.sum(w_ext * coupling) * g.cell_area)
-        s_int = float(np.sum(w_int * coupling) * g.cell_area)
-        if prev is not None:
-            h = traj.times[k] - traj.times[k - 1]
-            src_ext_acc += 0.5 * (prev[0] + s_ext) * h
-            src_int_acc += 0.5 * (prev[1] + s_int) * h
-        prev = (s_ext, s_int)
-        ext_rhs[k] = ext_data + src_ext_acc
-        inter_rhs[k] = int_data + src_int_acc
-    return DiagnosticsReport(
-        times=np.asarray(traj.times, dtype=float),
-        series={"exterior": ext, "exterior_rhs": ext_rhs,
-                "interior": inter, "interior_rhs": inter_rhs},
-        meta={"which": which, "eta": repr(eta), "m": str(mass)},
-    )
-
-
 # ---------------------------------------------------------------------------
 # solution-space (X-norm) terms
 # ---------------------------------------------------------------------------
@@ -300,166 +223,44 @@ class WeightSpec:
     name: str
     gamma_cap: int = 1
     delta: float = 0.1
-    eta: float = 0.5
-    kappa: float = 0.05
 
     def __post_init__(self):
         if not 0 <= self.gamma_cap <= 2:
             raise ValueError("gamma_cap must be 0, 1 or 2")
-        for p in ("delta", "eta", "kappa"):
-            v = getattr(self, p)
-            if not 0 < v < 1:
-                raise ValueError(f"{p} must lie in (0, 1), got {v}")
+        if not 0 < self.delta < 1:
+            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
 
 
-def _word_values(traj, k: int, which: str, cap: int) -> list[Field]:
-    jet = traj.jet(k, which)
-    return [apply_gamma(w, jet) for w in all_words(cap)]
-
-
-def _sum_l2(traj, k, which, cap, weight) -> float:
-    total = 0.0
-    for val in _word_values(traj, k, which, cap):
-        total += float(np.sqrt(np.sum(weight * np.sum(val.values**2, axis=0))
-                               * traj.grid.cell_area))
-    return total
-
-
-# Reductions turn a field's words and a per-snapshot weight sequence into
-# one value per snapshot: reduction(traj, which, cap, delta, weights).
-
-def _l2(traj, which, cap, d, weights):
-    """Sum over words of ||weight^{1/2} Gamma^I u||_{L^2}."""
-    for k, weight in enumerate(weights):
-        yield _sum_l2(traj, k, which, cap, weight)
-
-
-def _exterior_l2(traj, which, cap, d, weights):
-    """_l2 plus the same norms of every word's first derivatives."""
-    for k, weight in enumerate(weights):
-        total = _sum_l2(traj, k, which, cap, weight)
-        jet = traj.jet(k, which, depth=3 if cap >= 2 else 2)
-        for word in all_words(cap):
-            wjet = apply_letters(word.letters, jet, depth=2)
-            for dval in (wjet.ut, wjet.d(1), wjet.d(2)):
-                total += float(np.sqrt(np.sum(weight * np.sum(dval**2, axis=0))
-                                       * traj.grid.cell_area))
-        yield total
-
-
-def _sup(traj, which, cap, d, weights):
-    """Max over words of sup_x weight |Gamma^I u|."""
-    for k, weight in enumerate(weights):
-        best = 0.0
-        for val in _word_values(traj, k, which, cap):
-            mag = np.sqrt(np.sum(val.values**2, axis=0))
-            best = max(best, float(np.max(weight * mag)))
-        yield best
-
-
-def _ghost(traj, which, cap, d, weights):
-    """Sum over words of E_gst(t, Gamma^I u)^{1/2}: each word's natural
-    energy plus its running ghost integral (trapezoid rule).  Takes no
-    weight."""
+def _ghost(traj, which: str, cap: int, delta: float) -> np.ndarray:
+    """Series of the sum over words of E_gst(t, Gamma^I u)^{1/2}: each
+    word's natural energy plus its running ghost integral (trapezoid rule)."""
     words = all_words(cap)
     m = _MASS[which]
     depth = 3 if max(w.time_budget() for w in words) >= 2 else 2
     acc = np.zeros(len(words))
     prev = None
-    for k, _ in enumerate(weights):
+    out = np.empty(len(traj.times))
+    for k in range(len(traj.times)):
         jet = traj.jet(k, which, depth=depth)
         integ = np.empty(len(words))
         vals = np.empty(len(words))
         for i, w in enumerate(words):
             wjet = apply_letters(w.letters, jet, depth=2)
-            integ[i] = _ghost_integrand(wjet, m, d)
+            integ[i] = _ghost_integrand(wjet, m, delta)
             dens = np.sum(wjet.ut**2, axis=0) + _grad_sq(wjet.d) \
                 + float(m) ** 2 * np.sum(wjet.u**2, axis=0)
             vals[i] = float(np.sum(dens) * traj.grid.cell_area)
         if prev is not None:
             acc += 0.5 * (prev + integ) * (traj.times[k] - traj.times[k - 1])
         prev = integ
-        yield float(np.sum(np.sqrt(np.maximum(vals + acc, 0.0))))
+        out[k] = np.sum(np.sqrt(np.maximum(vals + acc, 0.0)))
+    return out
 
 
-def _spacetime(traj, which, cap, d, weights):
-    """(Sum over words of the running time integral, trapezoid rule, of
-    ||weight^{1/2} Gamma^I u||^2)^{1/2}."""
-    acc = np.zeros(len(all_words(cap)))
-    prev = None
-    for k, weight in enumerate(weights):
-        integ = np.array([
-            float(np.sum(weight * np.sum(v.values**2, axis=0))
-                  * traj.grid.cell_area)
-            for v in _word_values(traj, k, which, cap)])
-        if prev is not None:
-            acc += 0.5 * (prev + integ) * (traj.times[k] - traj.times[k - 1])
-        prev = integ
-        yield float(np.sqrt(np.sum(acc)))
-
-
-def _one(*args):
-    return 1.0
-
-
-def _decay(tb, d):
-    return tb ** (-d)
-
-
-def _exterior_w(t, R, d):
-    return chi(R - t) * jbracket(t - R) ** 2
-
-
-# name: (field, weight(t, R, delta), prefactor(<t>, delta), reduction)
-_XNORM_TABLE = {
-    "wave_l2": ("n", _one, _decay, _l2),
-    "kg_energy": ("E", _one, _decay, _ghost),
-    "kg_spacetime": (
-        "E",
-        lambda t, R, d: (jbracket(t) ** (-d)
-                         * jbracket(t - R) ** (-0.5 - 0.5 * d)) ** 2,
-        lambda tb, d: tb ** (-0.5 * d), _spacetime),
-    "kg_cone_l2": (
-        "E", lambda t, R, d: (jbracket(t + R) / jbracket(t - R)) ** 2,
-        _decay, _l2),
-    "wave_energy_uniform": ("n", _one, _one, _ghost),
-    "kg_energy_uniform": ("E", _one, _one, _ghost),
-    "wave_interior_l2": (
-        "n", lambda t, R, d: (1.0 - chi(R - 2.0 * t)) * jbracket(t - R) ** 2,
-        _decay, _l2),
-    "wave_interior_strong": (
-        "n", lambda t, R, d: ((1.0 - chi(R - 2.0 * t))
-                              * jbracket(t - R) ** (2.0 * (1.0 - d))),
-        _one, _l2),
-    "wave_exterior_l2": ("n", _exterior_w, lambda tb, d: tb ** (-0.5 - d), _l2),
-    "wave_exterior_low": ("n", _exterior_w, _decay, _l2),
-    "kg_exterior_l2": ("E", _exterior_w, lambda tb, d: tb ** (-0.5 - d),
-                       _exterior_l2),
-    "kg_exterior_low": ("E", _exterior_w, _decay, _exterior_l2),
-    "kg_sup": ("E", lambda t, R, d: jbracket(t + R), _one, _sup),
-    "kg_sup_cone": (
-        "E", lambda t, R, d: jbracket(t - R) ** (-1.0) * jbracket(t + R) ** 2,
-        _one, _sup),
-    "wave_sup": (
-        "n", lambda t, R, d: jbracket(t - R) ** (1.0 - d) * jbracket(t + R) ** 0.5,
-        _one, _sup),
-    "kg_sup_exterior": (
-        "E", lambda t, R, d: chi(R - t) * jbracket(t + R) ** (1.25 - d),
-        _one, _sup),
-}
+# name: the field whose uniform ghost energy the term is
+_XNORM_TABLE = {"wave_energy_uniform": "n"}
 
 XNORM_TERMS = tuple(_XNORM_TABLE)
-
-
-def _term_series(traj, spec: WeightSpec) -> np.ndarray:
-    """Series of one X-norm term: prefactor(<t>) * reduction(weight(t, r))."""
-    which, weight, prefactor, reduction = _XNORM_TABLE[spec.name]
-    d = spec.delta
-    R = traj.grid.R
-    values = reduction(traj, which, spec.gamma_cap, d,
-                       (weight(t, R, d) for t in traj.times))
-    return np.array([prefactor(jbracket(t), d) * v
-                     for t, v in zip(traj.times, values)])
 
 
 def xnorm_terms(traj, specs: list[WeightSpec]) -> "DiagnosticsReport":
@@ -468,11 +269,10 @@ def xnorm_terms(traj, specs: list[WeightSpec]) -> "DiagnosticsReport":
     for spec in specs:
         if spec.name not in XNORM_TERMS:
             raise ValueError(f"unknown X-norm term {spec.name!r}")
-        series[spec.name] = _term_series(traj, spec)
-    return DiagnosticsReport(
-        times=np.asarray(traj.times, dtype=float), series=series,
-        meta={"terms": ",".join(s.name for s in specs)},
-    )
+        series[spec.name] = _ghost(traj, _XNORM_TABLE[spec.name],
+                                   spec.gamma_cap, spec.delta)
+    return DiagnosticsReport(times=np.asarray(traj.times, dtype=float),
+                             series=series)
 
 
 def xnorm_distance(a, b, delta: float = 0.1, gamma_cap: int = 1,
@@ -678,44 +478,16 @@ def kg_extra_decay_ratio(traj, which: str = "E"):
     return _extra_decay_series(traj, which, kg_pointwise)
 
 
-def wave_reexpression_residual(jet: JetField) -> float:
-    """Residual of the wave-operator re-expression through d_t and boosts:
-
-    -box = ((t-r)(t+r)/t^2) dt dt + (x^a/t^2) dt L_a - (1/t) d^a L_a
-           + (2/t) dt - (x^a/t^2) d_a,     (t >= 1)
-
-    evaluated on a jet; returns the max-norm difference of the two sides.
-    """
-    g = jet.grid
-    t = jet.t
-    if t < 1.0:
-        raise ValueError("re-expression check requires t >= 1")
-    lhs = jet.utt - Derivatives(g, jet.d(1))(1) \
-        - Derivatives(g, jet.d(2))(2)
-    X = (g.X1, g.X2)
-    R2 = g.R**2
-    rhs = ((t**2 - R2) / t**2) * jet.utt
-    for a, la in enumerate(("L1", "L2"), start=1):
-        xa = X[a - 1]
-        boost = apply_letters((la,), jet, depth=2)
-        rhs = rhs + (xa / t**2) * boost.ut
-        rhs = rhs - (1.0 / t) * boost.d(a)
-        rhs = rhs - (xa / t**2) * jet.d(a)
-    rhs = rhs + (2.0 / t) * jet.ut
-    return float(np.max(np.abs(lhs - rhs)))
-
-
 # ---------------------------------------------------------------------------
 # report container
 # ---------------------------------------------------------------------------
 
 @dataclass(eq=False)
 class DiagnosticsReport:
-    """Named scalar time series plus run metadata; serialises to CSV."""
+    """Named scalar time series; serialises to CSV."""
 
     times: np.ndarray
     series: dict
-    meta: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
         for name, vals in self.series.items():

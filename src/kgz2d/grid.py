@@ -25,11 +25,8 @@ __all__ = [
     "partial",
     "Derivatives",
     "dealias",
-    "dealiased_product",
     "l2_norm",
     "h_norm",
-    "sobolev_norm",
-    "SobolevNorms",
     "write_field",
     "read_field",
 ]
@@ -303,19 +300,6 @@ def dealias(f: Field) -> Field:
     return Field(g, g.irfft(g.spectral["dealias_mask"] * g.rfft(f.values)))
 
 
-def dealiased_product(f: Field, g_field: Field) -> Field:
-    """Pointwise product of a scalar with a field, 2/3-rule truncated.
-
-    Both factors are assumed band-limited to the 2/3 ball (the solvers keep
-    them there); the product is truncated so the quadratic term stays
-    alias-free.
-    """
-    if f.components != 1:
-        raise ValueError("first factor must be scalar")
-    prod = Field(f.grid, f.values[0] * g_field.values)
-    return dealias(prod)
-
-
 # ---------------------------------------------------------------------------
 # norms
 # ---------------------------------------------------------------------------
@@ -340,32 +324,6 @@ def h_norm(f: Field, s: float) -> float:
     """Spectral Sobolev norm of a field (Grid.hs_norm of its rfft);
     h_norm(f, 0) equals the grid L^2 norm (Parseval)."""
     return f.grid.hs_norm(f.grid.rfft(f.values), s)
-
-
-@dataclass(frozen=True)
-class SobolevNorms:
-    """H^s report for a pair: ||u||_{H^s} and ||ut||_{H^{s-1}}."""
-
-    s: float
-    u: float
-    ut: float
-
-    @property
-    def total(self) -> float:
-        return self.u + self.ut
-
-
-def sobolev_norm(p: FieldPair, s: float):
-    """H^s norm of a pair.
-
-    For s >= 1 returns a SobolevNorms report (||u||_{H^s}, ||ut||_{H^{s-1}});
-    for 0 <= s < 1 returns ||u||_{H^s} alone.
-    """
-    if s < 0:
-        raise ValueError(f"Sobolev index must be >= 0, got {s}")
-    if s >= 1:
-        return SobolevNorms(s, h_norm(p.u, s), h_norm(p.ut, s - 1.0))
-    return h_norm(p.u, s)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, FieldPair, Grid, h_norm, read_field, write_field
+from .grid import Field, FieldPair, Grid, h_norm, write_field
 from .propagator import LinearOperator
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "residual_series",
     "duhamel_tail_norm",
     "write_profile",
-    "read_profile",
     "MissingHistoryError",
     "TailDivergenceError",
 ]
@@ -231,16 +230,3 @@ def write_profile(prefix, profile: ScatterProfile) -> None:
         fh.write(f"T_max={profile.t_max!r} tail={profile.tail!r} "
                  f"s={profile.s!r} tail_slope={profile.tail_slope!r} "
                  f"captured={profile.captured!r}\n")
-
-
-def read_profile(prefix, grid: Grid | None = None) -> ScatterProfile:
-    u, _ = read_field(f"{prefix}_u.kgz", grid)
-    ut, _ = read_field(f"{prefix}_ut.kgz", u.grid)
-    with open(f"{prefix}_meta.txt") as fh:
-        fields = dict(item.split("=") for item in fh.readline().split())
-    return ScatterProfile(
-        data_plus=FieldPair(u, ut),
-        t_max=float(fields["T_max"]), s=float(fields["s"]),
-        tail=float(fields["tail"]), tail_slope=float(fields["tail_slope"]),
-        captured=float(fields["captured"]),
-    )

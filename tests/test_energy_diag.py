@@ -7,8 +7,6 @@ from kgz2d.energy_diag import (
     DiagnosticsReport,
     WeightSpec,
     XNORM_TERMS,
-    chi,
-    chi_prime,
     energy,
     ghost_energy,
     ghost_weight_q,
@@ -17,16 +15,12 @@ from kgz2d.energy_diag import (
     kg_pointwise,
     ks_ratio,
     multiplier_residual,
-    wave_reexpression_residual,
-    weighted_exterior_energy,
     xnorm_distance,
     xnorm_terms,
 )
 from kgz2d.grid import Field, FieldPair, make_grid
 from kgz2d.system import evolve, free_flow, gaussian_data
 from kgz2d.vector_fields import JetField
-
-from conftest import windowed_random_jet
 
 
 @pytest.fixture(scope="module")
@@ -46,31 +40,6 @@ def zero_run(grid, T=1.0, dt=0.1):
     z1 = Field(grid, np.zeros((1, grid.n, grid.n)))
     z2 = Field(grid, np.zeros((2, grid.n, grid.n)))
     return evolve(InitialData(E0=z2, E1=z2, n0_delta=z1, n1_delta=z1), T, dt)
-
-
-class TestCutoff:
-    def test_plateaus(self):
-        assert chi(1.0) == 0.0
-        assert chi(2.0) == 1.0
-        assert chi(0.0) == 0.0
-        assert chi(5.0) == 1.0
-
-    def test_monotone(self):
-        s = np.linspace(-1, 4, 2001)
-        assert np.all(np.diff(chi(s)) >= -1e-15)
-        assert np.all(chi_prime(s) >= 0.0)
-
-    def test_derivative_support(self):
-        s = np.linspace(-1, 4, 2001)
-        d = chi_prime(s)
-        assert np.all(d[(s <= 1.0) | (s >= 2.0)] == 0.0)
-        assert np.max(d) > 0
-
-    def test_derivative_matches_finite_difference(self):
-        s = np.linspace(0.5, 2.5, 1001)
-        h = 1e-6
-        fd = (chi(s + h) - chi(s - h)) / (2 * h)
-        assert np.max(np.abs(fd - chi_prime(s))) < 1e-8
 
 
 class TestGhostWeight:
@@ -181,40 +150,6 @@ class TestMultiplierIdentity:
         assert resid[0.1] / resid[0.05] >= 3.5
 
 
-class TestWeightedExterior:
-    def test_zero_run(self, grid64):
-        rep = weighted_exterior_energy(zero_run(grid64), "n_delta", 0.5)
-        assert np.all(rep.series["exterior"] == 0.0)
-        assert np.all(rep.series["interior"] == 0.0)
-
-    def test_initial_value_quadrature(self, free_kg_run):
-        rep = weighted_exterior_energy(free_kg_run, "E", 0.5, m=1)
-        g = free_kg_run.grid
-        s0 = free_kg_run.states[0]
-        from kgz2d.grid import partial
-        dens = (np.sum(s0.E.ut.values**2, axis=0)
-                + np.sum(partial(s0.E.u, 1).values**2, axis=0)
-                + np.sum(partial(s0.E.u, 2).values**2, axis=0)
-                + np.sum(s0.E.u.values**2, axis=0))
-        w = chi(g.R) * jbracket(g.R) ** 1.0
-        oracle = np.sum(w * dens) * g.cell_area
-        assert rep.series["exterior"][0] == pytest.approx(oracle, rel=1e-12)
-
-    def test_free_exterior_nonincreasing(self, free_kg_run):
-        rep = weighted_exterior_energy(free_kg_run, "E", 0.5, m=1)
-        ext = rep.series["exterior"]
-        assert np.all(np.diff(ext) <= 1e-8 * max(ext[0], 1e-30))
-
-    def test_inequality_holds_with_order_one_constant(self, nonlinear_run):
-        rep = weighted_exterior_energy(nonlinear_run, "n_delta", 0.5)
-        ratio = rep.series["exterior"] / rep.series["exterior_rhs"]
-        assert np.all(ratio <= 10.0)
-
-    def test_eta_validation(self, free_kg_run):
-        with pytest.raises(ValueError):
-            weighted_exterior_energy(free_kg_run, "E", 0.0)
-
-
 class TestXnormTerms:
     def test_zero_run_all_terms(self, grid64):
         traj = zero_run(grid64)
@@ -227,21 +162,9 @@ class TestXnormTerms:
         with pytest.raises(ValueError):
             xnorm_terms(free_kg_run, [WeightSpec("no_such_term")])
 
-    def test_weighted_kg_energy_eventually_decays(self, grid128):
-        # <t>^-delta E_gst^(1/2): the weight decay dominates once the ghost
-        # accumulation settles, here past t ~ 2
-        data = gaussian_data(grid128, 1e-2)
-        traj = free_flow(data, 10.0, 0.1, store_every=5)
-        rep = xnorm_terms(traj, [WeightSpec("kg_energy", gamma_cap=0)])
-        series = rep.series["kg_energy"]
-        late = series[traj.times >= 2.0]
-        assert np.all(np.diff(late) <= 1e-12)
-
     def test_small_data_terms_bounded(self):
-        # uniform boundedness on a small-data run.  Most terms settle fast
-        # (late growth within a few percent); the cone-weighted KG sup climbs
-        # slowly toward its plateau (the analysis's C1*eps with a large C1),
-        # so for that one we require the growth increments to shrink.
+        # uniform boundedness on a small-data run: late growth within a few
+        # percent
         g = make_grid(192, 30.0)
         data = gaussian_data(g, 1e-2)
         traj = evolve(data, 21.0, 0.15, store_every=10)
@@ -253,12 +176,7 @@ class TestXnormTerms:
             if series.max() == 0.0:
                 continue
             v_half = np.interp(T / 2, traj.times, series)
-            v_3q = np.interp(0.75 * T, traj.times, series)
-            v_end = series[-1]
-            if name == "kg_sup_cone":
-                assert v_end - v_3q < v_3q - v_half, name
-            else:
-                assert v_end <= 1.3 * v_half, name
+            assert series[-1] <= 1.3 * v_half, name
 
     def test_weights_finite_and_nonnegative(self, nonlinear_run):
         specs = [WeightSpec(name, gamma_cap=1) for name in XNORM_TERMS]
@@ -340,19 +258,6 @@ class TestRatios:
         assert lhs[i0, i0] == pytest.approx(abs(np.cos(t)), rel=1e-12)
         assert rhs[i0, i0] == pytest.approx(
             (t / tb) * abs(np.cos(t)) + abs(np.sin(t)) / tb, rel=1e-9)
-
-
-class TestWaveReexpression:
-    def test_identity_on_jet(self, grid64):
-        jet = windowed_random_jet(grid64, 77, t=2.3)
-        resid = wave_reexpression_residual(jet)
-        scale = max(np.max(np.abs(jet.utt)), np.max(np.abs(jet.u)))
-        assert resid <= 1e-8 * scale
-
-    def test_requires_t_ge_1(self, grid64):
-        jet = windowed_random_jet(grid64, 78, t=0.3)
-        with pytest.raises(ValueError):
-            wave_reexpression_residual(jet)
 
 
 class TestDiagnosticsReport:

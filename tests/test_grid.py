@@ -9,17 +9,14 @@ from hypothesis import given, settings, strategies as st
 from kgz2d.grid import (
     Field,
     FieldPair,
-    SobolevNorms,
     Spectrum,
     dealias,
-    dealiased_product,
     h_norm,
     l2_norm,
     laplacian,
     make_grid,
     partial,
     read_field,
-    sobolev_norm,
     write_field,
 )
 
@@ -162,41 +159,24 @@ class TestTransforms:
         twice = dealias(once)
         assert np.max(np.abs(once.values - twice.values)) < 1e-14
 
-    def test_dealiased_product_requires_scalar_first(self, grid64):
-        v = Field(grid64, np.zeros((2, 64, 64)))
-        with pytest.raises(ValueError):
-            dealiased_product(v, v)
-
 
 class TestSobolevNorm:
     def test_zero(self, grid32):
         z = Field(grid32, np.zeros((1, 32, 32)))
-        assert sobolev_norm(FieldPair(z, z), 0.0) == 0.0
+        assert h_norm(z, 0.0) == 0.0
 
     def test_cos_l2_closed_form(self, grid32):
         # int cos^2 over [-pi, pi)^2 = 2 pi^2; quadrature oracle agrees
         u = Field(grid32, np.cos(grid32.X1))
-        z = Field(grid32, np.zeros((1, 32, 32)))
         quad = np.sqrt(np.sum(np.cos(grid32.X1) ** 2) * grid32.cell_area)
-        val = sobolev_norm(FieldPair(u, z), 0.0)
+        val = h_norm(u, 0.0)
         assert val == pytest.approx(np.sqrt(2 * np.pi**2), rel=1e-12)
         assert val == pytest.approx(quad, rel=1e-12)
 
     def test_s0_equals_l2(self, grid64):
         rng = np.random.default_rng(6)
         u = Field(grid64, rng.standard_normal((1, 64, 64)))
-        z = Field(grid64, np.zeros((1, 64, 64)))
-        assert sobolev_norm(FieldPair(u, z), 0.0) == pytest.approx(
-            l2_norm(u), rel=1e-12)
-
-    def test_pair_report_for_s_ge_1(self, grid64):
-        u = Field(grid64, np.exp(-grid64.R**2))
-        p = FieldPair(u, u)
-        rep = sobolev_norm(p, 1.0)
-        assert isinstance(rep, SobolevNorms)
-        assert rep.u == pytest.approx(h_norm(u, 1.0))
-        assert rep.ut == pytest.approx(h_norm(u, 0.0))
-        assert rep.total == rep.u + rep.ut
+        assert h_norm(u, 0.0) == pytest.approx(l2_norm(u), rel=1e-12)
 
     @staticmethod
     def full_fft_h_norm(f, s):
@@ -223,7 +203,7 @@ class TestSobolevNorm:
     def test_negative_s_rejected(self, grid64):
         u = Field(grid64, np.zeros((1, 64, 64)))
         with pytest.raises(ValueError):
-            sobolev_norm(FieldPair(u, u), -0.5)
+            h_norm(u, -0.5)
 
 
 grid_sizes = st.sampled_from([8, 10, 16, 64])

@@ -331,7 +331,9 @@ class TestCli:
     @pytest.mark.parametrize("line", [
         "points_per_axis = 63", "L = -3", "dt = 0.07", "dt = -0.05", "T = 0",
         "amplitude = nan", "store_every = 7", "center = 1 2 3",
-        "picard_max_iter = 1", "width = 0", "width = nan"])
+        "picard_max_iter = 1", "width = 0", "width = nan", "seed = -1",
+        "scatter_s = -1", "scatter_s = 1 inf", "picard_tol = nan",
+        "picard_tol = 0"])
     def test_bad_config_exits_before_compute(self, tmp_path, monkeypatch,
                                              capsys, line):
         calls = []

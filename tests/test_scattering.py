@@ -3,14 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from kgz2d.grid import Field, FieldPair, Spectrum, dealias, make_grid
+from kgz2d.grid import (Field, FieldPair, Spectrum, dealias, make_grid,
+                        read_field)
 from kgz2d.propagator import LinearOperator, free_step
 from kgz2d.scattering import (
     MissingHistoryError,
     TailDivergenceError,
     build_scatter_data,
     duhamel_tail_norm,
-    read_profile,
     residual_series,
     scatter_launch,
     source_norm_series,
@@ -206,9 +206,15 @@ class TestPersistence:
                                      require_convergent_tail=False)
         prefix = tmp_path / "prof"
         write_profile(prefix, profile)
-        back = read_profile(prefix)
-        assert np.array_equal(back.data_plus.u.values,
-                              profile.data_plus.u.values)
-        assert back.t_max == profile.t_max
-        assert back.tail == profile.tail
-        assert back.s == profile.s
+        for part, pair_field in (("u", profile.data_plus.u),
+                                 ("ut", profile.data_plus.ut)):
+            back, t = read_field(f"{prefix}_{part}.kgz", profile.grid)
+            assert t == 0.0
+            assert np.array_equal(back.values, pair_field.values)
+        meta = dict(item.split("=")
+                    for item in (tmp_path / "prof_meta.txt").read_text().split())
+        assert float(meta["T_max"]) == profile.t_max
+        assert float(meta["tail"]) == profile.tail
+        assert float(meta["s"]) == profile.s
+        assert float(meta["tail_slope"]) == profile.tail_slope
+        assert float(meta["captured"]) == profile.captured
