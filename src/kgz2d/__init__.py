@@ -15,7 +15,6 @@ from .grid import (
     FieldPair,
     Grid,
     bump_window,
-    dealias,
     h_norm,
     l2_norm,
     laplacian,

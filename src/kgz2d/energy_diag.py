@@ -12,8 +12,9 @@ Conventions used throughout:
   <= 2 (the analysis commutes far more); every weighted quantity reported
   here is the truncated version.
 
-Trajectory arguments are duck-typed: anything with .grid, .times, .states,
-.jet(k, which) and .snapshot_source(k, which) works.
+Trajectory arguments are duck-typed: anything with .grid, .times, .states
+(each with .pair(which)), .jet(k, which) and .snapshot_source(k, which)
+works.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Derivatives, Field, FieldPair
+from .grid import Derivatives, FieldPair
 from .vector_fields import (
     LETTERS,
     JetField,
@@ -102,13 +103,10 @@ def _grad_sq(d) -> np.ndarray:
     return np.sum(d(1) ** 2 + d(2) ** 2, axis=0)
 
 
-def _field_grad_sq(f: Field) -> np.ndarray:
-    return _grad_sq(Derivatives(f.grid, f.values))
-
-
 def energy(p: FieldPair, m: int) -> float:
     """Natural energy: int |u_t|^2 + |grad u|^2 + m^2 |u|^2 dx."""
-    dens = np.sum(p.ut.values**2, axis=0) + _field_grad_sq(p.u) \
+    dens = np.sum(p.ut.values**2, axis=0) \
+        + _grad_sq(Derivatives(p.grid, p.u.values)) \
         + float(m) ** 2 * np.sum(p.u.values**2, axis=0)
     return float(np.sum(dens) * p.grid.cell_area)
 
@@ -126,10 +124,6 @@ def _ghost_integrand(jet: JetField, m: int, delta: float) -> float:
 
 
 _MASS = {"E": 1, "n": 0, "n_delta": 0}
-
-
-def _pair_of(state, which: str) -> FieldPair:
-    return {"E": state.E, "n": state.n, "n_delta": state.n_delta}[which]
 
 
 def ghost_energy(traj, which: str = "n", delta: float = 0.1,
@@ -151,7 +145,7 @@ def ghost_energy(traj, which: str = "n", delta: float = 0.1,
         if prev is not None:
             acc += 0.5 * (prev + integ) * (traj.times[k] - traj.times[k - 1])
         prev = integ
-        out[k] = energy(_pair_of(state, which), mass) + acc
+        out[k] = energy(state.pair(which), mass) + acc
     return out
 
 
@@ -374,7 +368,7 @@ def ks_ratio(traj, which: str = "n", gamma_cap: int = 2):
     out_v = np.empty(len(valid))
     for i, k in enumerate(valid):
         t = times[k]
-        pair = _pair_of(traj.states[k], which)
+        pair = traj.states[k].pair(which)
         num = float(np.max(jbracket(t + g.R) ** 0.5 * pair.u.magnitude()))
         den = float(np.max(w_snap[times <= 2.0 * t + 1e-9]))
         out_t[i] = t

@@ -1,8 +1,8 @@
 """
 Periodic spectral grid for the square box [-L, L)^2 and the differential
-calculus built on it: Laplacian, first derivatives, Sobolev norms, 2/3-rule
-dealiasing, band-limited fields packed to the dealias box, and the binary
-field-dump format.
+calculus built on it: Laplacian, first derivatives, Sobolev norms,
+band-limited fields packed to the 2/3 dealias box (packing dealiases), and
+the binary field-dump format.
 
 The box emulates R^2: both the wave and the Klein-Gordon operator propagate
 at speed <= 1, so runs that keep t_max + data_radius < L never see their own
@@ -24,7 +24,6 @@ __all__ = [
     "laplacian",
     "partial",
     "Derivatives",
-    "dealias",
     "l2_norm",
     "h_norm",
     "write_field",
@@ -165,22 +164,8 @@ class Field:
     def components(self) -> int:
         return self.values.shape[0]
 
-    def __add__(self, other: "Field") -> "Field":
-        return Field(self.grid, self.values + other.values)
-
     def __sub__(self, other: "Field") -> "Field":
         return Field(self.grid, self.values - other.values)
-
-    def __mul__(self, a: float) -> "Field":
-        return Field(self.grid, self.values * a)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Field":
-        return Field(self.grid, -self.values)
-
-    def abs_max(self) -> float:
-        return float(np.max(np.abs(self.values)))
 
     def magnitude(self) -> np.ndarray:
         """Pointwise Euclidean norm over components, shape (n, n)."""
@@ -262,16 +247,19 @@ class Derivatives:
 
     Calling d(axis) returns the spectral derivative d_axis of the array.
     The forward transform is done once, at the first call, and shared by
-    both axes; each derivative is kept, so asking for it again costs
-    nothing.  The transform is dropped once both derivatives are held.
+    both axes; a caller that already holds the array's half spectrum passes
+    it as hat and none is done.  Each derivative is kept, so asking for it
+    again costs nothing.  The spectrum is dropped once both derivatives are
+    held.
     """
 
     __slots__ = ("grid", "values", "_hat", "_d")
 
-    def __init__(self, grid: Grid, values: np.ndarray):
+    def __init__(self, grid: Grid, values: np.ndarray,
+                 hat: np.ndarray | None = None):
         self.grid = grid
         self.values = values
-        self._hat = None
+        self._hat = hat
         self._d = {}
 
     def __call__(self, axis: int) -> np.ndarray:
@@ -292,12 +280,6 @@ class Derivatives:
 def partial(f: Field, axis: int) -> Field:
     """Spectral first derivative along axis 1 or 2."""
     return Field(f.grid, Derivatives(f.grid, f.values)(axis))
-
-
-def dealias(f: Field) -> Field:
-    """Zero every mode above the 2/3 cutoff in either wavenumber component."""
-    g = f.grid
-    return Field(g, g.irfft(g.spectral["dealias_mask"] * g.rfft(f.values)))
 
 
 # ---------------------------------------------------------------------------

@@ -89,7 +89,7 @@ class RunConfig:
     eta: float = 0.5
     scatter_s: tuple = (1.0, 2.0)
     fit_t1: float = 5.0
-    fit_t2: float = 0.0          # 0 -> min(28, T - 2)
+    fit_t2: float = 0.0          # 0 -> min(28, T - 2), at least 0
     picard_tol: float = 1e-6
     picard_max_iter: int = 12
     out: str = "kgz_out"
@@ -103,7 +103,7 @@ class RunConfig:
                 f"amplitude must be finite and nonnegative, got {self.amplitude}")
         if len(self.center) != 2:
             raise ConfigError(f"center needs 2 coordinates, got {self.center}")
-        for name in ("T", "dt", "width"):
+        for name in ("T", "dt", "width", "fit_t1"):
             if not (math.isfinite(v := getattr(self, name)) and v > 0):
                 raise ConfigError(f"{name} must be finite and positive, got {v}")
         try:
@@ -125,8 +125,12 @@ class RunConfig:
                               f"got {self.scatter_s}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not (math.isfinite(self.fit_t2) and self.fit_t2 >= 0):
+            raise ConfigError(f"fit_t2 must be finite and nonnegative "
+                              f"(0 for the default), got {self.fit_t2}")
         if self.fit_t2 == 0.0:
-            self.fit_t2 = min(28.0, self.T - 2.0)
+            # clamped so that the resolved config is itself a valid config
+            self.fit_t2 = max(min(28.0, self.T - 2.0), 0.0)
         for name in ("delta", "kappa", "eta"):
             v = getattr(self, name)
             if not 0 < v < 1:
@@ -337,10 +341,15 @@ def run(config: RunConfig, out_dir=None, quiet: bool = False) -> RunReport:
     report = RunReport(out_dir=out)
     report.scalars["data_radius"] = data.radius
 
-    series = {"sup_E": np.array([s.E.u.magnitude().max() for s in traj.states]),
-              "sup_n_shell": shell_sup_series(traj)}
-    if "energies" in config.diagnostics:
-        series["energy_E"] = np.array([energy(s.E, 1) for s in traj.states])
+    energies = "energies" in config.diagnostics
+    sup_E, energy_E = [], []
+    for E in (state.E for state in traj.states):  # built once, for both
+        sup_E.append(E.u.magnitude().max())
+        if energies:
+            energy_E.append(energy(E, 1))
+    series = {"sup_E": np.array(sup_E), "sup_n_shell": shell_sup_series(traj)}
+    if energies:
+        series["energy_E"] = np.array(energy_E)
         series["energy_n"] = np.array([energy(s.n, 0) for s in traj.states])
         gst = xnorm_terms(traj, [WeightSpec("wave_energy_uniform", gamma_cap=1,
                                             delta=config.delta)])

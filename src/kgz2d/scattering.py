@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, FieldPair, Grid, h_norm, write_field
+from .grid import Field, FieldPair, Grid, write_field
 from .propagator import LinearOperator
 
 __all__ = [
@@ -176,15 +176,12 @@ def build_scatter_data(traj, s: float = 1.0, t_max: float | None = None, *,
     return profile
 
 
-def _combined_norm(g: Grid, u_vals: np.ndarray, ut_vals: np.ndarray, s: float) -> float:
-    return h_norm(Field(g, u_vals), s) + h_norm(Field(g, ut_vals), max(s - 1.0, 0.0))
-
-
 def residual_series(traj, profile: ScatterProfile, s: float | None = None):
     """||(E - E+)(t)||_{H^s} + ||d_t (E - E+)(t)||_{H^{s-1}} per snapshot.
 
     E+ is propagated exactly (one spectral rotation per snapshot time) from
-    the profile's data.  Returns (times, residuals).
+    the profile's data and subtracted from the snapshot's spectra.  Returns
+    (times, residuals).
     """
     if profile.grid != traj.grid:
         raise ValueError("profile and trajectory grids differ")
@@ -197,10 +194,9 @@ def residual_series(traj, profile: ScatterProfile, s: float | None = None):
     res = np.empty(len(traj.times))
     for k, t in enumerate(traj.times):
         up_hat, upt_hat = op.rotation(t)(u0_hat, ut0_hat)
-        state = traj.states[k]
-        du = state.E.u.values - g.irfft(up_hat)
-        dut = state.E.ut.values - g.irfft(upt_hat)
-        res[k] = _combined_norm(g, du, dut, s)
+        e_hat, et_hat = traj.states[k].spectra("E")
+        res[k] = (g.hs_norm(e_hat - up_hat, s)
+                  + g.hs_norm(et_hat - upt_hat, max(s - 1.0, 0.0)))
     return np.asarray(traj.times, dtype=float), res
 
 

@@ -23,16 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import (
-    Field,
-    FieldPair,
-    Grid,
-    Spectrum,
-    dealias,
-    laplacian,
-)
+from .grid import Derivatives, Field, FieldPair, Grid, Spectrum, laplacian
 from .propagator import InstabilityError, LinearOperator
-from .vector_fields import JetField
+from .vector_fields import JetField, _jet_of
 
 __all__ = [
     "KGZState",
@@ -53,12 +46,41 @@ SUPPORT_FLOOR = 1e-14  # sample threshold defining the effective data radius
 
 @dataclass(frozen=True, eq=False)
 class KGZState:
-    """Full simulation state at one time: (E, dE), (n, dn), (nD, dnD)."""
+    """Simulation state at one time as the march holds it: packed maps "E"
+    and "n_delta" (and "n" for the direct-n flow only) to the Spectrum pair
+    of (u, u_t).  Otherwise n = lap(n_delta) is derived, not stored.  The
+    physical pairs E, n and n_delta are built on each access, not kept.
+    """
 
-    E: FieldPair
-    n: FieldPair
-    n_delta: FieldPair
     t: float
+    packed: dict
+
+    @property
+    def grid(self) -> Grid:
+        return self.packed["E"][0].grid
+
+    def spectra(self, which: str) -> tuple[np.ndarray, np.ndarray]:
+        """The whole half spectra of (u, u_t) for "E", "n" or "n_delta"."""
+        if which == "n" and "n" not in self.packed:
+            lap = -self.grid.spectral["k_sq"]
+            return tuple(lap * s.unpack() for s in self.packed["n_delta"])
+        return tuple(s.unpack() for s in self.packed[which])
+
+    def pair(self, which: str) -> FieldPair:
+        g = self.grid
+        return FieldPair(*(Field(g, g.irfft(h)) for h in self.spectra(which)))
+
+    @property
+    def E(self) -> FieldPair:
+        return self.pair("E")
+
+    @property
+    def n(self) -> FieldPair:
+        return self.pair("n")
+
+    @property
+    def n_delta(self) -> FieldPair:
+        return self.pair("n_delta")
 
 
 @dataclass(eq=False)
@@ -111,67 +133,67 @@ class Trajectory:
 
     # -- equation sources at snapshot times (for jets and identities) --
 
-    def snapshot_source(self, k: int, which: str) -> Field:
+    def _source_hat(self, k: int, which: str, rate: bool = False) -> np.ndarray:
+        """Half spectrum of the source that drives `which` at snapshot k, or
+        with rate of its time derivative: -nE for "E", |E|^2 for "n_delta"
+        and lap(|E|^2) for "n"."""
         if self.kind == "free":
-            return self._zero_source(which)
+            return np.zeros_like(self.states[k].spectra(which)[0])
         if self.kind == "picard":
+            if rate:
+                raise ValueError("a Picard iterate records no source "
+                                 "derivative, so its jets stop at depth 2")
             q, s = self.snapshot_sources[k]
-            src = q if which == "E" else s
         else:
-            src = _product(self.states[k], which)
-        return laplacian(src) if which == "n" else src
+            q, s = self.products(k, with_n=which == "E", rate=rate)
+        hat = (q if which == "E" else s).unpack()
+        return -self.grid.spectral["k_sq"] * hat if which == "n" else hat
 
-    def snapshot_source_dt(self, k: int, which: str) -> Field:
-        """Time derivative of the snapshot source (for depth-3 jets)."""
-        if self.kind == "free":
-            return self._zero_source(which)
-        if self.kind == "picard":
-            raise ValueError("a Picard iterate records no source derivative, "
-                             "so its jets stop at depth 2")
-        state = self.states[k]
-        g = self.grid
-        if which == "E":
-            prod = (state.n.ut.values[0] * state.E.u.values
-                    + state.n.u.values[0] * state.E.ut.values)
-            return -1.0 * dealias(Field(g, prod))
-        s = dealias(Field(g, 2.0 * np.sum(state.E.u.values
-                                          * state.E.ut.values, axis=0)))
-        return laplacian(s) if which == "n" else s
+    def snapshot_source(self, k: int, which: str) -> Field:
+        return Field(self.grid, self.grid.irfft(self._source_hat(k, which)))
 
-    def _zero_source(self, which: str) -> Field:
-        g = self.grid
-        return Field(g, np.zeros((2 if which == "E" else 1, g.n, g.n)))
-
-    def products(self, k: int) -> tuple[Field, Field]:
-        """Dealiased (-nE, |E|^2) evaluated on snapshot k's own fields."""
-        return _product(self.states[k], "E"), _product(self.states[k], "n_delta")
+    def products(self, k: int, with_n: bool = True, rate: bool = False):
+        """The packed (Q, S) = (-nE, |E|^2) of snapshot k's own fields, the
+        type the source record holds (Q is None without n), or with rate
+        their time derivatives.  Only the levels read are transformed."""
+        g, state = self.grid, self.states[k]
+        read = 2 if rate else 1
+        E = [g.irfft(h) for h in state.spectra("E")[:read]]
+        n = ([g.irfft(h) for h in state.spectra("n")[:read]] if with_n
+             else [None, None])
+        return _products(g, E[0], n[0], rate=(E[1], n[1]) if rate else None)
 
     def jet(self, k: int, which: str, depth: int = 2) -> JetField:
         """Snapshot jet (u, u_t[, u_tt[, u_ttt]]) up to the depth-th time
         derivative, the second and third supplied by the field's own
-        equation."""
-        state = self.states[k]
-        pair = {"E": state.E, "n": state.n, "n_delta": state.n_delta}[which]
-        if depth < 2:
-            return JetField(self.grid, state.t, pair.u.values, pair.ut.values)
-        m_sq = 1.0 if which == "E" else 0.0
-        source = self.snapshot_source(k, which)
-        utt = laplacian(pair.u).values - m_sq * pair.u.values + source.values
-        uttt = None
+        equation, u_tt = (lap - m^2) u + source, in spectral form.  Each
+        level keeps its half spectrum for its spatial derivatives."""
+        g = self.grid
+        hats = list(self.states[k].spectra(which))
+        if depth >= 2:
+            op = -g.spectral["k_sq"] - (1.0 if which == "E" else 0.0)
+            hats.append(op * hats[0] + self._source_hat(k, which))
         if depth >= 3:
-            uttt = (laplacian(pair.ut).values - m_sq * pair.ut.values
-                    + self.snapshot_source_dt(k, which).values)
-        return JetField(self.grid, state.t, pair.u.values, pair.ut.values,
-                        utt, uttt)
+            hats.append(op * hats[1] + self._source_hat(k, which, rate=True))
+        return _jet_of(g, self.states[k].t,
+                       [Derivatives(g, g.irfft(h), hat=h) for h in hats])
 
 
-def _product(state: KGZState, which: str) -> Field:
-    """The 2/3-dealiased quadratic product that drives one field: -nE for
-    "E", |E|^2 for "n_delta" (and, through its Laplacian, for "n")."""
-    g = state.E.grid
-    if which == "E":
-        return -1.0 * dealias(Field(g, state.n.u.values[0] * state.E.u.values))
-    return dealias(Field(g, np.sum(state.E.u.values**2, axis=0)))
+def _products(g: Grid, E: np.ndarray, n: np.ndarray | None = None, *,
+              rate=None) -> tuple[Spectrum | None, Spectrum]:
+    """The packed, so 2/3-dealiased, quadratic sources (Q, S) = (-nE, |E|^2)
+    of physical E (2 components) and n; Q is None without n.  With rate =
+    (E_t, n_t) they are the time derivatives -(n_t E + n E_t) and 2 E.E_t.
+    """
+    if rate is None:
+        q = None if n is None else n[0] * E
+        s = np.sum(E**2, axis=0)
+    else:
+        Et, nt = rate
+        q = None if n is None else nt[0] * E + n[0] * Et
+        s = 2.0 * np.sum(E * Et, axis=0)
+    Q = None if q is None else Spectrum.pack(g, g.rfft(-q))
+    return Q, Spectrum.pack(g, g.rfft(s[None]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,20 +328,18 @@ def _march(data: InitialData, T: float, dt: float, *, kicks,
     Nu, Nut = (-k_sq * Du, -k_sq * Dut) if direct_n else (None, None)
 
     def snapshot(t: float) -> KGZState:
-        E = FieldPair(Field(g, g.irfft(Eu)), Field(g, g.irfft(Eut)))
-        nD = FieldPair(Field(g, g.irfft(Du)), Field(g, g.irfft(Dut)))
+        spectra = {"E": (Eu, Eut), "n_delta": (Du, Dut)}
         if direct_n:
-            n = FieldPair(Field(g, g.irfft(Nu)), Field(g, g.irfft(Nut)))
-            resid = np.max(np.abs(laplacian(nD.u).values - n.u.values))
-            scale = max(np.max(np.abs(n.u.values)), 1e-300)
+            resid = np.max(np.abs(g.irfft(-k_sq * Du - Nu)))
+            scale = max(np.max(np.abs(g.irfft(Nu))), 1e-300)
             if resid > 1e-8 * scale and scale > 1e-13:
                 raise InstabilityError(
                     f"divergence-form consistency lost at t={t:.6g}: "
                     f"|lap(nD) - n| = {resid:.3e} vs scale {scale:.3e}")
-        else:
-            n = FieldPair(Field(g, g.irfft(-k_sq * Du)),
-                          Field(g, g.irfft(-k_sq * Dut)))
-        return KGZState(E=E, n=n, n_delta=nD, t=t)
+            spectra["n"] = (Nu, Nut)
+        return KGZState(t=t, packed={
+            name: tuple(Spectrum.pack(g, h) for h in hats)
+            for name, hats in spectra.items()})
 
     def scale_now() -> float:
         return float(max(np.max(np.abs(a)) for a in (Eu, Eut, Du, Dut)))
@@ -340,18 +360,16 @@ def _march(data: InitialData, T: float, dt: float, *, kicks,
         # midpoint products from the half-stepped positions
         record = every and k % every == 0
         if own or record:
-            E_mid = g.irfft(Eu)
             n_mid = g.irfft(Nu) if direct_n else g.irfft(-k_sq * Du)
-            Q_hat = mask * g.rfft(-n_mid[0] * E_mid)
-            S_hat = mask * g.rfft(np.sum(E_mid**2, axis=0)[None])
+            sources = _products(g, g.irfft(Eu), n_mid)
             if record:
-                history.append((Spectrum.pack(g, Q_hat),
-                                Spectrum.pack(g, S_hat)))
+                history.append(sources)
                 source_times.append(t + 0.5 * dt)
 
         if kind == "picard":
-            Q_hat, S_hat = (src.unpack() for src in kicks[k])
+            sources = kicks[k]
         if kicks is not None:
+            Q_hat, S_hat = (src.unpack() for src in sources)
             Eut = Eut + dt * Q_hat
             Dut = Dut + dt * S_hat
             if direct_n:

@@ -30,6 +30,13 @@ def windowed_random_jet(grid, seed, t=0.8, components=1):
     )
 
 
+def dealias(f):
+    """Reference 2/3-rule dealiasing of a Field: every mode outside the
+    grid's dealias mask zeroed, one transform each way."""
+    g = f.grid
+    return Field(g, g.irfft(g.spectral["dealias_mask"] * g.rfft(f.values)))
+
+
 def gaussian_pair(grid, amplitude=1e-2, width=1.0, components=1):
     g = np.exp(-(grid.X1**2 + grid.X2**2) / (2.0 * width**2))
     vals = np.stack([amplitude * g] + [np.zeros_like(g)] * (components - 1))

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from kgz2d.energy_diag import jbracket
 from kgz2d.grid import Field, FieldPair, Grid, make_grid, read_field
-from kgz2d import harness, scattering
+from kgz2d import grid as grid_module, harness, scattering
 from kgz2d.harness import (
     ConfigError,
     RunConfig,
@@ -88,7 +88,8 @@ class TestFitEnvelope:
         pair = FieldPair(Field(g, amp), Field(g, np.zeros_like(amp)))
         op = LinearOperator(g, 1)
         times = 0.25 * np.arange(121)
-        sup = np.array([free_step(op, pair, t).u.abs_max() for t in times])
+        sup = np.array([np.max(np.abs(free_step(op, pair, t).u.values))
+                        for t in times])
         fit = fit_envelope(times, sup, (5.0, 30.0))
         assert -1.15 <= fit.exponent <= -0.85
 
@@ -264,18 +265,19 @@ class TestScatterVerb:
 
         monkeypatch.setattr(scattering, "_duhamel_sum",
                             counted("launch", scattering._duhamel_sum))
-        monkeypatch.setattr(scattering, "h_norm",
-                            counted("h_norm", scattering.h_norm))
+        monkeypatch.setattr(grid_module, "h_norm",
+                            counted("h_norm", grid_module.h_norm))
         monkeypatch.setattr(Grid, "hs_norm", counted("hs_norm", Grid.hs_norm))
         cfg = RunConfig(points_per_axis=64, L=12.0, amplitude=1e-2, T=2.0,
                         dt=0.1, scatter_s=(1.0, 2.0), diagnostics=("decay",))
         harness.run_scatter(cfg, tmp_path / "out", quiet=True)
         steps, snapshots = 20, 21
         assert counts["launch"] == 1
-        # per s: one source norm per step, read off the packed spectrum with
-        # no transform, and two residual norms per snapshot through h_norm
+        # per s: one source norm per step, read off the packed spectrum,
+        # and two residual norms per snapshot, read off the snapshot's
+        # spectra; none goes through a transform in h_norm
         assert counts["hs_norm"] == 2 * (steps + 2 * snapshots)
-        assert counts["h_norm"] == 2 * 2 * snapshots
+        assert counts["h_norm"] == 0
         for tag in ("s1", "s2"):
             assert (tmp_path / "out" / f"scatter_{tag}_meta.txt").exists()
 
@@ -333,7 +335,8 @@ class TestCli:
         "amplitude = nan", "store_every = 7", "center = 1 2 3",
         "picard_max_iter = 1", "width = 0", "width = nan", "seed = -1",
         "scatter_s = -1", "scatter_s = 1 inf", "picard_tol = nan",
-        "picard_tol = 0"])
+        "picard_tol = 0", "fit_t1 = nan", "fit_t1 = -5", "fit_t1 = 0",
+        "fit_t1 = inf", "fit_t2 = -3", "fit_t2 = nan"])
     def test_bad_config_exits_before_compute(self, tmp_path, monkeypatch,
                                              capsys, line):
         calls = []

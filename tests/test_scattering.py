@@ -3,8 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from kgz2d.grid import (Field, FieldPair, Spectrum, dealias, make_grid,
-                        read_field)
+from kgz2d.grid import Field, FieldPair, Spectrum, make_grid, read_field
 from kgz2d.propagator import LinearOperator, free_step
 from kgz2d.scattering import (
     MissingHistoryError,
@@ -17,6 +16,8 @@ from kgz2d.scattering import (
     write_profile,
 )
 from kgz2d.system import InitialData, evolve, gaussian_data
+
+from conftest import dealias
 
 
 @pytest.fixture(scope="module")
