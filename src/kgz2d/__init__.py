@@ -52,7 +52,6 @@ from .vector_fields import (
 )
 from .energy_diag import (
     DiagnosticsReport,
-    WeightSpec,
     energy,
     ghost_energy,
     hessian_decay_ratio,

@@ -12,9 +12,10 @@ Conventions used throughout:
   <= 2 (the analysis commutes far more); every weighted quantity reported
   here is the truncated version.
 
-Trajectory arguments are duck-typed: anything with .grid, .times, .states
-(each with .pair(which)), .jet(k, which) and .snapshot_source(k, which)
-works.
+Trajectory arguments are duck-typed.  The energies, ratios and the
+multiplier identity read .grid, .times, .states, .jet(k, which, depth) and
+.snapshot_source(k, which); xnorm_distance reads only .grid, .times and
+.jet_spectra(k, which, depth), the half spectra of a jet's levels.
 """
 
 from __future__ import annotations
@@ -24,10 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Derivatives, FieldPair
+from .grid import Derivatives, FieldPair, Grid
 from .vector_fields import (
     LETTERS,
     JetField,
+    _spectral_jet,
     all_words,
     apply_gamma,
     apply_letters,
@@ -37,11 +39,10 @@ from .vector_fields import (
 __all__ = [
     "jbracket",
     "ghost_weight_q",
+    "spectral_energy",
     "energy",
     "ghost_energy",
     "multiplier_residual",
-    "WeightSpec",
-    "XNORM_TERMS",
     "xnorm_terms",
     "xnorm_distance",
     "ks_ratio",
@@ -98,17 +99,20 @@ def ghost_weight_q(z, delta: float):
 # energies
 # ---------------------------------------------------------------------------
 
-def _grad_sq(d) -> np.ndarray:
-    """|grad u|^2 summed over components, where d(a) returns d_a u."""
-    return np.sum(d(1) ** 2 + d(2) ** 2, axis=0)
+def spectral_energy(grid: Grid, u_hat: np.ndarray, ut_hat: np.ndarray,
+                    m: int) -> float:
+    """Natural energy int |u_t|^2 + |grad u|^2 + m^2 |u|^2 dx of the half
+    spectra of (u, u_t), as one Parseval sum each.  The gradient weight is
+    that of the spectral derivatives, |d1|^2 + |d2|^2, whose Nyquist modes
+    are zero."""
+    return grid.parseval(ut_hat) \
+        + grid.parseval(u_hat, grid.spectral["grad_sq"] + float(m) ** 2)
 
 
 def energy(p: FieldPair, m: int) -> float:
     """Natural energy: int |u_t|^2 + |grad u|^2 + m^2 |u|^2 dx."""
-    dens = np.sum(p.ut.values**2, axis=0) \
-        + _grad_sq(Derivatives(p.grid, p.u.values)) \
-        + float(m) ** 2 * np.sum(p.u.values**2, axis=0)
-    return float(np.sum(dens) * p.grid.cell_area)
+    g = p.grid
+    return spectral_energy(g, g.rfft(p.u.values), g.rfft(p.ut.values), m)
 
 
 def _good_sq(jet: JetField) -> np.ndarray:
@@ -126,31 +130,41 @@ def _ghost_integrand(jet: JetField, m: int, delta: float) -> float:
 _MASS = {"E": 1, "n": 0, "n_delta": 0}
 
 
-def ghost_energy(traj, which: str = "n", delta: float = 0.1,
-                 m: int | None = None) -> np.ndarray:
-    """Ghost-weight energy series: E_m(t) plus the running spacetime integrals
-    of delta |G_a u|^2 / <tau - r>^{1+delta} and delta m^2 |u|^2 / <...>.
-
-    Equals the natural energy exactly at the first snapshot.
-    """
+def _ghost_energies(traj, which: str, words, delta: float) -> np.ndarray:
+    """E_gst(t, Gamma^I u) per snapshot (rows) and word (columns): each
+    word's natural energy plus the running spacetime integral (trapezoid
+    rule) of delta |G_a Gamma^I u|^2 / <tau - r>^{1+delta} and
+    delta m^2 |Gamma^I u|^2 / <tau - r>^{1+delta}."""
     if not delta > 0:
         raise ValueError("delta must be positive")
-    mass = _MASS[which] if m is None else m
-    out = np.empty(len(traj.states))
-    acc = 0.0
+    g, m = traj.grid, _MASS[which]
+    depth = 1 + max(w.time_budget() for w in words)
+    out = np.empty((len(traj.times), len(words)))
+    acc = np.zeros(len(words))
     prev = None
-    for k, state in enumerate(traj.states):
-        jet = traj.jet(k, which)
-        integ = _ghost_integrand(jet, mass, delta)
+    for k in range(len(traj.times)):
+        jet = traj.jet(k, which, depth=depth)
+        integ = np.empty(len(words))
+        for i, w in enumerate(words):
+            wjet = apply_letters(w.letters, jet, depth=2)
+            integ[i] = _ghost_integrand(wjet, m, delta)
+            out[k, i] = spectral_energy(g, wjet.hat(0), wjet.hat(1), m)
         if prev is not None:
             acc += 0.5 * (prev + integ) * (traj.times[k] - traj.times[k - 1])
         prev = integ
-        out[k] = energy(state.pair(which), mass) + acc
+        out[k] += acc
     return out
 
 
+def ghost_energy(traj, which: str = "n", delta: float = 0.1) -> np.ndarray:
+    """Ghost-weight energy series of the field itself (the identity word
+    of the uniform term).  Equals the natural energy at the first snapshot.
+    """
+    return _ghost_energies(traj, which, all_words(0), delta)[:, 0]
+
+
 def multiplier_residual(traj, which: str = "E", delta: float = 0.1,
-                        kappa: float = 0.05, m: int | None = None) -> np.ndarray:
+                        kappa: float = 0.05) -> np.ndarray:
     """Imbalance of the ghost-weight multiplier identity, per snapshot.
 
     The multiplier <t>^{-kappa} e^q d_t u against -box(u) + m^2 u = F gives,
@@ -168,7 +182,7 @@ def multiplier_residual(traj, which: str = "E", delta: float = 0.1,
     is its h -> 0 limit), so for the exact semidiscrete solution the
     returned imbalance is pure time-quadrature error, O(dt^2).
     """
-    mass = _MASS[which] if m is None else m
+    mass = _MASS[which]
     g = traj.grid
     rho = np.sqrt(g.R**2 + g.h**2)
     grad_rho_defect = g.h**2 / (g.R**2 + g.h**2)  # 1 - |grad rho|^2
@@ -182,7 +196,8 @@ def multiplier_residual(traj, which: str = "E", delta: float = 0.1,
         eq = np.exp(ghost_weight_q(rho - t, delta))
         tw = jbracket(t) ** (-kappa)
         ut_sq = np.sum(jet.ut**2, axis=0)
-        e_dens = ut_sq + _grad_sq(jet.d) \
+        # weighted below, so the energy density stays in physical space
+        e_dens = ut_sq + np.sum(jet.d(1) ** 2 + jet.d(2) ** 2, axis=0) \
             + mass**2 * np.sum(jet.u**2, axis=0)
         b_term = 0.5 * float(np.sum(tw * eq * e_dens) * g.cell_area)
         ghost_dens = 0.5 * delta * jbracket(rho - t) ** (-(1.0 + delta)) \
@@ -210,63 +225,11 @@ def multiplier_residual(traj, which: str = "E", delta: float = 0.1,
 # solution-space (X-norm) terms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WeightSpec:
-    """Selects one solution-space norm term by name with its parameters."""
-
-    name: str
-    gamma_cap: int = 1
-    delta: float = 0.1
-
-    def __post_init__(self):
-        if not 0 <= self.gamma_cap <= 2:
-            raise ValueError("gamma_cap must be 0, 1 or 2")
-        if not 0 < self.delta < 1:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-
-
-def _ghost(traj, which: str, cap: int, delta: float) -> np.ndarray:
-    """Series of the sum over words of E_gst(t, Gamma^I u)^{1/2}: each
-    word's natural energy plus its running ghost integral (trapezoid rule)."""
-    words = all_words(cap)
-    m = _MASS[which]
-    depth = 3 if max(w.time_budget() for w in words) >= 2 else 2
-    acc = np.zeros(len(words))
-    prev = None
-    out = np.empty(len(traj.times))
-    for k in range(len(traj.times)):
-        jet = traj.jet(k, which, depth=depth)
-        integ = np.empty(len(words))
-        vals = np.empty(len(words))
-        for i, w in enumerate(words):
-            wjet = apply_letters(w.letters, jet, depth=2)
-            integ[i] = _ghost_integrand(wjet, m, delta)
-            dens = np.sum(wjet.ut**2, axis=0) + _grad_sq(wjet.d) \
-                + float(m) ** 2 * np.sum(wjet.u**2, axis=0)
-            vals[i] = float(np.sum(dens) * traj.grid.cell_area)
-        if prev is not None:
-            acc += 0.5 * (prev + integ) * (traj.times[k] - traj.times[k - 1])
-        prev = integ
-        out[k] = np.sum(np.sqrt(np.maximum(vals + acc, 0.0)))
-    return out
-
-
-# name: the field whose uniform ghost energy the term is
-_XNORM_TABLE = {"wave_energy_uniform": "n"}
-
-XNORM_TERMS = tuple(_XNORM_TABLE)
-
-
-def xnorm_terms(traj, specs: list[WeightSpec]) -> "DiagnosticsReport":
-    """Evaluate the requested solution-space norm terms along a trajectory."""
-    series = {}
-    for spec in specs:
-        if spec.name not in XNORM_TERMS:
-            raise ValueError(f"unknown X-norm term {spec.name!r}")
-        series[spec.name] = _ghost(traj, _XNORM_TABLE[spec.name],
-                                   spec.gamma_cap, spec.delta)
-    return DiagnosticsReport(times=np.asarray(traj.times, dtype=float),
-                             series=series)
+def xnorm_terms(traj, delta: float = 0.1) -> np.ndarray:
+    """The uniform low-order wave-energy term of the X-norm, per snapshot:
+    the sum over words |I| <= 1 of E_gst(t, Gamma^I n)^{1/2}."""
+    gst = _ghost_energies(traj, "n", all_words(1), delta)
+    return np.sum(np.sqrt(np.maximum(gst, 0.0)), axis=1)
 
 
 def xnorm_distance(a, b, delta: float = 0.1, gamma_cap: int = 1,
@@ -301,23 +264,23 @@ def xnorm_distance(a, b, delta: float = 0.1, gamma_cap: int = 1,
 def _xnorm_snapshot(a, b, k: int, words, delta: float,
                     include_spacetime: bool):
     """Snapshot k's sum over words of the distance terms, and the integrands
-    of the spacetime term.  The difference jets, with the derivatives they
-    keep, are freed when this returns, before the next snapshot's jets are
-    built."""
+    of the spacetime term.  A jet is linear in (state, source), so each
+    field's difference jet is built once, on the difference of the two
+    trajectories' level spectra; it is freed when this returns."""
     g = a.grid
     R = g.R
     t = a.times[k]
     tb = jbracket(t)
-    jet_E = _diff_jet(a, b, k, "E")
-    jet_n = _diff_jet(a, b, k, "n", depth=1)
+    jet_E, jet_n = (
+        _spectral_jet(g, t, [ha - hb for ha, hb in zip(
+            a.jet_spectra(k, which, depth), b.jet_spectra(k, which, depth))])
+        for which, depth in (("E", 2), ("n", 1)))
     cone_w = (jbracket(t + R) / jbracket(t - R)) ** 2
     total = 0.0
     st_integ = np.empty(len(words))
     for i, w in enumerate(words):
         vE = apply_letters(w.letters, jet_E, depth=2)
-        dens = np.sum(vE.ut**2, axis=0) + _grad_sq(vE.d) \
-            + np.sum(vE.u**2, axis=0)
-        e1 = float(np.sum(dens) * g.cell_area)
+        e1 = spectral_energy(g, vE.hat(0), vE.hat(1), 1)
         vn = apply_gamma(w, jet_n)
         l2n = float(np.sqrt(np.sum(vn.values**2) * g.cell_area))
         cone = float(np.sqrt(np.sum(cone_w * np.sum(vE.u**2, axis=0))
@@ -329,13 +292,6 @@ def _xnorm_snapshot(a, b, k: int, words, delta: float,
             st_integ[i] = float(np.sum(stw * np.sum(vE.u**2, axis=0))
                                 * g.cell_area)
     return total, st_integ
-
-
-def _diff_jet(a, b, k: int, which: str, depth: int = 2) -> JetField:
-    ja = a.jet(k, which, depth=depth)
-    jb_ = b.jet(k, which, depth=depth)
-    utt = None if depth < 2 else ja.utt - jb_.utt
-    return JetField(a.grid, ja.t, ja.u - jb_.u, ja.ut - jb_.ut, utt)
 
 
 # ---------------------------------------------------------------------------

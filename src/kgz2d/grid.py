@@ -1,6 +1,6 @@
 """
 Periodic spectral grid for the square box [-L, L)^2 and the differential
-calculus built on it: Laplacian, first derivatives, Sobolev norms,
+calculus built on it: Laplacian, first derivatives, weighted Parseval sums,
 band-limited fields packed to the 2/3 dealias box (packing dealiases), and
 the binary field-dump format.
 
@@ -11,6 +11,7 @@ wrap-around inside the observation window.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,6 +73,9 @@ class Grid:
         # first-derivative multipliers: Nyquist zeroed (sign-ambiguous mode)
         d1 = 1j * np.where(np.abs(kx) < kmax - 1e-12, kx, 0.0) + 0.0 * ky
         d2 = 1j * np.where(np.abs(ky) < kmax - 1e-12, ky, 0.0) + 0.0 * kx
+        # |d1|^2 + |d2|^2: the Parseval weight of |grad u|^2, which is k_sq
+        # except on the Nyquist row and column
+        grad_sq = d1.imag**2 + d2.imag**2
         cut = (2.0 / 3.0) * kmax
         mask = (np.abs(kx) <= cut + 1e-12) & (np.abs(ky) <= cut + 1e-12)
         # the mask is a product of a row and a column cut: its box is the
@@ -80,7 +84,8 @@ class Grid:
         cols = int(np.count_nonzero(mask[0]))
         X1, X2 = np.meshgrid(self.xs, self.xs, indexing="ij")
         cache = {
-            "k_sq": k_sq, "d1": d1, "d2": d2, "dealias_mask": mask,
+            "k_sq": k_sq, "d1": d1, "d2": d2, "grad_sq": grad_sq,
+            "dealias_mask": mask,
             "box": (rows, cols), "box_k_sq": k_sq[rows, :cols],
             "X1": X1, "X2": X2, "R": np.sqrt(X1**2 + X2**2),
         }
@@ -109,28 +114,36 @@ class Grid:
     def irfft(self, hat: np.ndarray) -> np.ndarray:
         return np.fft.irfft2(hat, s=(self.n, self.n), axes=(-2, -1))
 
-    def hs_norm(self, hat: np.ndarray, s: float) -> float:
-        """Spectral Sobolev norm: sum over modes of (1+|k|^2)^s |u_hat|^2.
+    def parseval(self, hat: np.ndarray, weight=1.0) -> float:
+        """Weighted Parseval sum: sum over modes of weight |u_hat|^2, summed
+        over components and normalised so that weight 1 gives the grid
+        integral of |u|^2.
 
         hat is a half spectrum: either the whole rfft output, or one packed
-        to the dealias box (Spectrum.values).  Every column stands for
-        itself and its conjugate mirror (multiplicity 2) except the zero
-        and Nyquist columns, which are their own mirrors (multiplicity 1);
-        the box holds no Nyquist column.  Normalised so that s = 0 gives
-        the grid L^2 norm (Parseval).
+        to the dealias box (Spectrum.values); weight broadcasts against it.
+        Every column stands for itself and its conjugate mirror
+        (multiplicity 2) except the zero and Nyquist columns, which are
+        their own mirrors (multiplicity 1); the box holds no Nyquist
+        column.  The weight must be even in k, as every |multiplier|^2 is.
         """
-        if s < 0:
-            raise ValueError(f"Sobolev index must be >= 0, got {s}")
         full = hat.shape[-2:] == self.spectral["k_sq"].shape
         if not full and hat.shape[-2:] != self.spectral["box_k_sq"].shape:
             raise ValueError(f"{hat.shape} is neither a half spectrum nor "
                              f"a dealias box for n={self.n}")
-        k_sq = self.spectral["k_sq" if full else "box_k_sq"]
-        dens = (1.0 + k_sq) ** s * (hat.real**2 + hat.imag**2)
+        dens = weight * (hat.real**2 + hat.imag**2)
         nyquist = np.sum(dens[..., -1]) if full else 0.0
         total = (np.sum(dens[..., 0]) + nyquist
                  + 2.0 * np.sum(dens[..., 1:-1 if full else None]))
-        return float(np.sqrt(total * self.cell_area / self.n**2))
+        return float(total * self.cell_area / self.n**2)
+
+    def hs_norm(self, hat: np.ndarray, s: float) -> float:
+        """Spectral Sobolev norm: the Parseval sum of hat with weight
+        (1+|k|^2)^s, square-rooted; s = 0 gives the grid L^2 norm."""
+        if s < 0:
+            raise ValueError(f"Sobolev index must be >= 0, got {s}")
+        full = hat.shape[-2:] == self.spectral["k_sq"].shape
+        k_sq = self.spectral["k_sq" if full else "box_k_sq"]
+        return math.sqrt(self.parseval(hat, (1.0 + k_sq) ** s))
 
 
 def make_grid(points_per_axis: int, length: float) -> Grid:
@@ -243,14 +256,14 @@ def laplacian(f: Field) -> Field:
 
 
 class Derivatives:
-    """The first spatial derivatives of one array, each taken on demand.
+    """The half spectrum and first spatial derivatives of one array, each
+    taken on demand.
 
     Calling d(axis) returns the spectral derivative d_axis of the array.
-    The forward transform is done once, at the first call, and shared by
-    both axes; a caller that already holds the array's half spectrum passes
-    it as hat and none is done.  Each derivative is kept, so asking for it
-    again costs nothing.  The spectrum is dropped once both derivatives are
-    held.
+    The forward transform (hat) is done once, at the first call for it or
+    for either derivative, and kept; a caller that already holds the
+    array's half spectrum passes it as hat and none is done.  Each
+    derivative is kept too, so asking for it again costs nothing.
     """
 
     __slots__ = ("grid", "values", "_hat", "_d")
@@ -262,18 +275,20 @@ class Derivatives:
         self._hat = hat
         self._d = {}
 
+    @property
+    def hat(self) -> np.ndarray:
+        if self._hat is None:
+            self._hat = self.grid.rfft(self.values)
+        return self._hat
+
     def __call__(self, axis: int) -> np.ndarray:
         out = self._d.get(axis)
         if out is None:
             if axis not in (1, 2):
                 raise ValueError(f"axis must be 1 or 2, got {axis}")
             g = self.grid
-            if self._hat is None:
-                self._hat = g.rfft(self.values)
             mult = g.spectral["d1" if axis == 1 else "d2"]
-            out = self._d[axis] = g.irfft(mult * self._hat)
-            if len(self._d) == 2:
-                self._hat = None
+            out = self._d[axis] = g.irfft(mult * self.hat)
         return out
 
 

@@ -25,7 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .energy_diag import DiagnosticsReport, WeightSpec, energy, jbracket, xnorm_terms
+from .energy_diag import (DiagnosticsReport, energy, jbracket, spectral_energy,
+                          xnorm_terms)
 from .grid import Field, make_grid, read_field, write_field
 from .propagator import InstabilityError
 from .scattering import (
@@ -256,7 +257,8 @@ def shell_sup_series(traj, band: float = 2.0):
     out = np.empty(len(traj.times))
     for k, state in enumerate(traj.states):
         mask = np.abs(R - traj.times[k]) <= band
-        out[k] = float(np.abs(state.n.u.values[0])[mask].max()) if mask.any() else 0.0
+        out[k] = float(np.abs(state.field("n").values[0])[mask].max()) \
+            if mask.any() else 0.0
     return out
 
 
@@ -280,7 +282,7 @@ def interior_shell_ratio(traj, shells=((4.0, 6.0), (16.0, 24.0)), t_min: float =
         t = traj.times[k]
         if t < t_min:
             continue
-        n = np.abs(state.n.u.values[0])
+        n = np.abs(state.field("n").values[0])
         m1 = (t - R >= a1) & (t - R <= b1)
         m2 = (t - R >= a2) & (t - R <= b2)
         if m1.any() and m2.any() and n[m2].max() > 0:
@@ -312,9 +314,9 @@ def _dump_states(traj, out_dir: Path, snap_every: int):
     for k in range(0, len(traj.states), snap_every):
         state = traj.states[k]
         tag = f"{state.t:08.3f}"
-        write_field(out_dir / f"E_t{tag}.kgz", state.E.u, state.t)
-        write_field(out_dir / f"n_t{tag}.kgz", state.n.u, state.t)
-        write_field(out_dir / f"nDelta_t{tag}.kgz", state.n_delta.u, state.t)
+        for which, name in (("E", "E"), ("n", "n"), ("n_delta", "nDelta")):
+            write_field(out_dir / f"{name}_t{tag}.kgz", state.field(which),
+                        state.t)
     for i, (q, s) in enumerate(traj.source_history or ()):
         if (i * traj.source_every) % snap_every:
             continue
@@ -341,19 +343,16 @@ def run(config: RunConfig, out_dir=None, quiet: bool = False) -> RunReport:
     report = RunReport(out_dir=out)
     report.scalars["data_radius"] = data.radius
 
-    energies = "energies" in config.diagnostics
-    sup_E, energy_E = [], []
-    for E in (state.E for state in traj.states):  # built once, for both
-        sup_E.append(E.u.magnitude().max())
-        if energies:
-            energy_E.append(energy(E, 1))
-    series = {"sup_E": np.array(sup_E), "sup_n_shell": shell_sup_series(traj)}
-    if energies:
-        series["energy_E"] = np.array(energy_E)
-        series["energy_n"] = np.array([energy(s.n, 0) for s in traj.states])
-        gst = xnorm_terms(traj, [WeightSpec("wave_energy_uniform", gamma_cap=1,
-                                            delta=config.delta)])
-        series["gst_wave_low"] = gst.series["wave_energy_uniform"]
+    series = {
+        "sup_E": np.array([s.field("E").magnitude().max() for s in traj.states]),
+        "sup_n_shell": shell_sup_series(traj),
+    }
+    if "energies" in config.diagnostics:
+        g = traj.grid
+        for which, m in (("E", 1), ("n", 0)):
+            series[f"energy_{which}"] = np.array(
+                [spectral_energy(g, *s.spectra(which), m) for s in traj.states])
+        series["gst_wave_low"] = xnorm_terms(traj, config.delta)
     diag = DiagnosticsReport(times=np.asarray(traj.times, dtype=float),
                              series=series)
     diag.write_csv(out / "diagnostics.csv")

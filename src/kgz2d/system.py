@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Derivatives, Field, FieldPair, Grid, Spectrum, laplacian
+from .grid import Field, FieldPair, Grid, Spectrum, laplacian
 from .propagator import InstabilityError, LinearOperator
-from .vector_fields import JetField, _jet_of
+from .vector_fields import JetField, _spectral_jet
 
 __all__ = [
     "KGZState",
@@ -69,6 +69,10 @@ class KGZState:
     def pair(self, which: str) -> FieldPair:
         g = self.grid
         return FieldPair(*(Field(g, g.irfft(h)) for h in self.spectra(which)))
+
+    def field(self, which: str) -> Field:
+        """The physical u of the pair alone, for readers of u only."""
+        return Field(self.grid, self.grid.irfft(self.spectra(which)[0]))
 
     @property
     def E(self) -> FieldPair:
@@ -163,20 +167,24 @@ class Trajectory:
              else [None, None])
         return _products(g, E[0], n[0], rate=(E[1], n[1]) if rate else None)
 
-    def jet(self, k: int, which: str, depth: int = 2) -> JetField:
-        """Snapshot jet (u, u_t[, u_tt[, u_ttt]]) up to the depth-th time
-        derivative, the second and third supplied by the field's own
-        equation, u_tt = (lap - m^2) u + source, in spectral form.  Each
-        level keeps its half spectrum for its spatial derivatives."""
-        g = self.grid
+    def jet_spectra(self, k: int, which: str, depth: int = 2) -> list:
+        """Half spectra of snapshot k's jet levels (u, u_t[, u_tt[, u_ttt]])
+        up to the depth-th time derivative, the second and third supplied by
+        the field's own equation, u_tt = (lap - m^2) u + source.  They are
+        linear in (state, source)."""
         hats = list(self.states[k].spectra(which))
         if depth >= 2:
-            op = -g.spectral["k_sq"] - (1.0 if which == "E" else 0.0)
+            op = -self.grid.spectral["k_sq"] - (1.0 if which == "E" else 0.0)
             hats.append(op * hats[0] + self._source_hat(k, which))
         if depth >= 3:
             hats.append(op * hats[1] + self._source_hat(k, which, rate=True))
-        return _jet_of(g, self.states[k].t,
-                       [Derivatives(g, g.irfft(h), hat=h) for h in hats])
+        return hats
+
+    def jet(self, k: int, which: str, depth: int = 2) -> JetField:
+        """Snapshot jet on jet_spectra(k, which, depth); each level keeps
+        its half spectrum for its spatial derivatives."""
+        return _spectral_jet(self.grid, self.states[k].t,
+                             self.jet_spectra(k, which, depth))
 
 
 def _products(g: Grid, E: np.ndarray, n: np.ndarray | None = None, *,

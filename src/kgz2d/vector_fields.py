@@ -81,7 +81,7 @@ class JetField:
     for diagnostics that time-differentiate an order-2 word (e.g. energies
     of Gamma^I u).  Every level keeps its spatial derivatives once taken
     (`d`), so all words evaluated on one jet share one forward transform
-    per level.
+    per level, and keeps that level's half spectrum (`hat`).
     """
 
     grid: Grid
@@ -121,12 +121,23 @@ class JetField:
         """d_axis of time level `level`, computed once per jet."""
         return self._stack[level](axis)
 
+    def hat(self, level: int = 0) -> np.ndarray:
+        """Half spectrum of time level `level`, computed once per jet."""
+        return self._stack[level].hat
+
 
 def _jet_of(grid: Grid, t: float, stack: list[Derivatives]) -> JetField:
     """A jet on the given levels that keeps their spatial derivatives."""
     jet = JetField(grid, t, *(lv.values for lv in stack))
     object.__setattr__(jet, "_stack", tuple(stack))
     return jet
+
+
+def _spectral_jet(grid: Grid, t: float, hats: list[np.ndarray]) -> JetField:
+    """The jet whose levels have the given half spectra; each level keeps
+    its spectrum, so its derivatives and Parseval sums need no transform."""
+    return _jet_of(grid, t, [Derivatives(grid, grid.irfft(h), hat=h)
+                             for h in hats])
 
 
 def _apply_letter(grid: Grid, t: float, levels: list[Derivatives],

@@ -249,6 +249,46 @@ class TestSpectrum:
             grid64.hs_norm(np.zeros((1, 64, 64), dtype=complex), 1.0)
 
 
+class TestParseval:
+    """Grid.parseval against the physical-space sums it replaces."""
+
+    @staticmethod
+    def physical_sums(f):
+        g = f.grid
+        grad = partial(f, 1).values ** 2 + partial(f, 2).values ** 2
+        return (np.sum(f.values**2) * g.cell_area,
+                np.sum(grad) * g.cell_area)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=grid_sizes, components=st.sampled_from([1, 2]), seed=seeds)
+    def test_whole_spectrum(self, n, components, seed):
+        g = make_grid(n, 3.0)
+        rng = np.random.default_rng(seed)
+        f = Field(g, rng.standard_normal((components, n, n)))
+        hat = g.rfft(f.values)
+        # white noise: the zero and Nyquist columns are not zero
+        assert np.all(np.any(hat[..., 0] != 0, axis=-1))
+        assert np.all(np.any(hat[..., -1] != 0, axis=-1))
+        l2, grad = self.physical_sums(f)
+        assert g.parseval(hat) == pytest.approx(l2, rel=1e-12)
+        assert g.parseval(hat, g.spectral["grad_sq"]) == pytest.approx(
+            grad, rel=1e-12)
+        # the Nyquist modes' k^2 is not the derivatives' (zero) weight
+        assert g.parseval(hat, g.spectral["k_sq"]) > grad * (1 + 1e-9)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=grid_sizes, components=st.sampled_from([1, 2]), seed=seeds)
+    def test_packed_box(self, n, components, seed):
+        g = make_grid(n, 3.0)
+        packed = Spectrum.pack(g, masked_random_spectrum(g, seed, components))
+        assert np.all(np.any(packed.values[..., 0] != 0, axis=-1))
+        l2, grad = self.physical_sums(packed.field())
+        assert g.parseval(packed.values) == pytest.approx(l2, rel=1e-12)
+        # the box holds no Nyquist mode, so there k^2 is the gradient weight
+        assert g.parseval(packed.values, g.spectral["box_k_sq"]) \
+            == pytest.approx(grad, rel=1e-12)
+
+
 class TestDumpFormat:
     @settings(max_examples=30, deadline=None)
     @given(n=grid_sizes, components=st.sampled_from([1, 2]), seed=seeds,

@@ -302,7 +302,8 @@ class TestShellProbes:
         states = []
         for t in times:
             n = Field(grid, profile(t, grid.R))
-            states.append(SimpleNamespace(n=FieldPair(n, n)))
+            # the probe reads n alone, through KGZState.field
+            states.append(SimpleNamespace(field={"n": n}.__getitem__))
         return SimpleNamespace(grid=grid, times=times, states=states)
 
     def test_interior_ratio_calibration(self):

@@ -142,16 +142,17 @@ class TestOnePass:
 
 
 class OneSnapshot:
-    """The trajectory interface xnorm_distance reads, with one snapshot."""
+    """The trajectory interface xnorm_distance reads, with one snapshot:
+    the half spectra of each field's jet levels."""
 
     def __init__(self, grid, jets):
         self.grid = grid
         self.times = np.array([jets["E"].t])
-        self.jets = jets
+        self.hats = {which: [grid.rfft(lv) for lv in jet.levels()]
+                     for which, jet in jets.items()}
 
-    def jet(self, k, which, depth=2):
-        jet = self.jets[which]
-        return JetField(self.grid, jet.t, *jet.levels()[:depth + 1])
+    def jet_spectra(self, k, which, depth=2):
+        return self.hats[which][:depth + 1]
 
 
 class TestTransformCounts:
@@ -181,9 +182,12 @@ class TestTransformCounts:
         a, b = OneSnapshot(grid64, jets(42)), OneSnapshot(grid64, jets(44))
         calls = transforms()
         xnorm_distance(a, b)
-        # per order <= 1 word: one rfft and two irffts for grad Gamma dE;
-        # d1 and d2 of dn once for the whole snapshot
-        assert (calls["rfft"], calls["irfft"]) == (8, 16)
+        # one difference jet per field: an irfft per level (3 for dE, 2 for
+        # dn); d1 and d2 of dE, dE_t and dn once for the whole snapshot (6
+        # irffts); the energy of Gamma dE reads its two levels' spectra,
+        # held by the identity and dt words and one rfft each for the other
+        # five words
+        assert (calls["rfft"], calls["irfft"]) == (10, 11)
 
 
 class TestApplyGamma:
