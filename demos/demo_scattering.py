@@ -44,7 +44,7 @@ def main():
           f"({100 * frac:.1f}% of captured, fitted slope "
           f"{profile.tail_slope:+.2f})")
 
-    rt, res = residual_series(traj, profile)
+    rt, (res,) = residual_series(traj, profile.data_plus, [profile.s])
     fit_r = fit_envelope(rt, res, (6.0, 0.85 * t_max))
     print(f"residual ||E - E+||_H1 + ||dt(E - E+)||_L2: {fit_r}")
 

@@ -394,7 +394,8 @@ def _scatter_outputs(config: RunConfig, traj, out: Path, report: RunReport, say)
     t_max = min(t_max, traj.t_end)
     skipped = list(report.skipped)
     launch = scatter_launch(traj, t_max)
-    for s in config.scatter_s:
+    rt, residuals = residual_series(traj, launch, config.scatter_s)
+    for s, res in zip(config.scatter_s, residuals):
         times, norms, running = source_norm_series(traj, s)
         profile = scatter_profile(traj, launch, s, t_max, norms)
         tag = f"s{s:g}"
@@ -402,7 +403,6 @@ def _scatter_outputs(config: RunConfig, traj, out: Path, report: RunReport, say)
         DiagnosticsReport(
             times=times, series={"source_norm": norms, "running_integral": running},
         ).write_csv(out / f"source_norm_{tag}.csv")
-        rt, res = residual_series(traj, profile)
         DiagnosticsReport(times=rt, series={"residual": res}).write_csv(
             out / f"residual_{tag}.csv")
         for name, (xs, ys, hi) in {

@@ -5,9 +5,10 @@ Exact spectral propagators for the free linear wave (m=0) and Klein-Gordon
 Each Fourier mode rotates at frequency omega(k) = sqrt(|k|^2 + m^2), so the
 free step is exact for the semidiscrete system; solver error never masks an
 energy identity.  LinearOperator.rotation(dt) is its one implementation,
-built once per dt.  The forced step is half free step, a full source kick
-applied to u_t at the interval midpoint, then another half free step
-(globally second order, time-symmetric).
+built once per dt, over the whole half spectrum or, for band-limited data,
+over the 2/3 dealias box (box=True).  The forced step is half free step, a
+full source kick applied to u_t at the interval midpoint, then another half
+free step (globally second order, time-symmetric).
 """
 
 from __future__ import annotations
@@ -32,17 +33,20 @@ class InstabilityError(RuntimeError):
 
 @dataclass(frozen=True)
 class LinearOperator:
-    """Mode-wise frequencies omega(k) = sqrt(|k|^2 + m^2) on a grid."""
+    """Mode-wise frequencies omega(k) = sqrt(|k|^2 + m^2) on a grid: over
+    the whole half spectrum, or with box over the dealias box, where its
+    rotations act on packed coefficients (Spectrum.values)."""
 
     grid: Grid
     mass: int
+    box: bool = False
     omega: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mass not in (0, 1):
             raise ValueError(f"mass must be 0 or 1, got {self.mass}")
-        omega = np.sqrt(self.grid.spectral["k_sq"] + float(self.mass) ** 2)
-        object.__setattr__(self, "omega", omega)
+        k_sq = self.grid.spectral["box_k_sq" if self.box else "k_sq"]
+        object.__setattr__(self, "omega", np.sqrt(k_sq + float(self.mass) ** 2))
 
     def rotation(self, dt: float):
         """The exact free flow over dt: coefficients built once, returned as

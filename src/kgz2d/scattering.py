@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, FieldPair, Grid, write_field
+from .grid import Field, FieldPair, Grid, Spectrum, write_field
 from .propagator import LinearOperator
 
 __all__ = [
@@ -115,17 +115,17 @@ def _fit_tail(times, norms, t_max: float):
 
 
 def _duhamel_sum(traj, t: float, t_max: float):
-    """Spectral (u, u_t) of sum over midpoints t < tau < t_max of
-    dt S1(t - tau)(0, Q(tau)), accumulated in midpoint order."""
+    """Packed (u, u_t) of sum over midpoints t < tau < t_max of
+    dt S1(t - tau)(0, Q(tau)), accumulated in midpoint order in the dealias
+    box, where every recorded Q lives."""
     g = traj.grid
-    op = LinearOperator(g, 1)
-    acc_u = np.zeros((2, g.n, g.n // 2 + 1), dtype=complex)
+    op = LinearOperator(g, 1, box=True)
+    acc_u = np.zeros((2,) + g.spectral["box_k_sq"].shape, dtype=complex)
     acc_ut = np.zeros_like(acc_u)
     for k, tau in enumerate(np.asarray(traj.source_times, dtype=float)):
         if tau <= t or tau >= t_max:
             continue
-        Q_hat = traj.source_history[k][0].unpack()
-        du, dut = op.rotation(t - tau)(np.zeros_like(Q_hat), Q_hat)
+        du, dut = op.rotation(t - tau)(0.0, traj.source_history[k][0].values)
         acc_u += traj.dt * du
         acc_ut += traj.dt * dut
     return acc_u, acc_ut
@@ -136,10 +136,10 @@ def scatter_launch(traj, t_max: float) -> FieldPair:
     midpoints tau_k < t_max; one launch serves every Sobolev index."""
     _require_history(traj)
     g = traj.grid
-    acc_u, acc_ut = _duhamel_sum(traj, 0.0, t_max)
+    u, ut = (g.irfft(Spectrum(g, acc).unpack())
+             for acc in _duhamel_sum(traj, 0.0, t_max))
     E0 = traj.states[0].E
-    return FieldPair(Field(g, E0.u.values + g.irfft(acc_u)),
-                     Field(g, E0.ut.values + g.irfft(acc_ut)))
+    return FieldPair(Field(g, E0.u.values + u), Field(g, E0.ut.values + ut))
 
 
 def scatter_profile(traj, data_plus: FieldPair, s: float, t_max: float,
@@ -176,27 +176,28 @@ def build_scatter_data(traj, s: float = 1.0, t_max: float | None = None, *,
     return profile
 
 
-def residual_series(traj, profile: ScatterProfile, s: float | None = None):
-    """||(E - E+)(t)||_{H^s} + ||d_t (E - E+)(t)||_{H^{s-1}} per snapshot.
+def residual_series(traj, data_plus: FieldPair, s_values):
+    """||(E - E+)(t)||_{H^s} + ||d_t (E - E+)(t)||_{H^{s-1}} per snapshot,
+    one row per Sobolev index s in s_values.
 
-    E+ is propagated exactly (one spectral rotation per snapshot time) from
-    the profile's data and subtracted from the snapshot's spectra.  Returns
-    (times, residuals).
+    The launch data+ is packed to the dealias box once; E+ is propagated
+    there exactly (one rotation per snapshot time, shared by every s) and
+    subtracted from the snapshot's packed spectra.  Returns (times,
+    residuals), residuals of shape (len(s_values), len(times)).
     """
-    if profile.grid != traj.grid:
-        raise ValueError("profile and trajectory grids differ")
-    if s is None:
-        s = profile.s
     g = traj.grid
-    op = LinearOperator(g, 1)
-    u0_hat = g.rfft(profile.data_plus.u.values)
-    ut0_hat = g.rfft(profile.data_plus.ut.values)
-    res = np.empty(len(traj.times))
+    if data_plus.grid != g:
+        raise ValueError("launch and trajectory grids differ")
+    op = LinearOperator(g, 1, box=True)
+    u0, ut0 = (Spectrum.pack(g, g.rfft(f.values)).values
+               for f in (data_plus.u, data_plus.ut))
+    res = np.empty((len(s_values), len(traj.times)))
     for k, t in enumerate(traj.times):
-        up_hat, upt_hat = op.rotation(t)(u0_hat, ut0_hat)
-        e_hat, et_hat = traj.states[k].spectra("E")
-        res[k] = (g.hs_norm(e_hat - up_hat, s)
-                  + g.hs_norm(et_hat - upt_hat, max(s - 1.0, 0.0)))
+        up, upt = op.rotation(t)(u0, ut0)
+        e, et = (spec.values for spec in traj.states[k].packed["E"])
+        du, dut = e - up, et - upt
+        for i, s in enumerate(s_values):
+            res[i, k] = g.hs_norm(du, s) + g.hs_norm(dut, max(s - 1.0, 0.0))
     return np.asarray(traj.times, dtype=float), res
 
 

@@ -323,30 +323,33 @@ def _march(data: InitialData, T: float, dt: float, *, kicks,
             raise ValueError(f"kick history has {len(kicks)} steps, need {steps}")
     own = kind in ("coupled", "direct")
 
-    kg_half = LinearOperator(g, 1).rotation(0.5 * dt)
-    w_half = LinearOperator(g, 0).rotation(0.5 * dt)
-    mask = g.spectral["dealias_mask"]
-    k_sq = g.spectral["k_sq"]
+    kg_half = LinearOperator(g, 1, box=True).rotation(0.5 * dt)
+    w_half = LinearOperator(g, 0, box=True).rotation(0.5 * dt)
+    lap = -g.spectral["box_k_sq"]
 
-    # spectral state, dealiased once so quadratic products stay alias-free
-    Eu = mask * g.rfft(data.E0.values)
-    Eut = mask * g.rfft(data.E1.values)
-    Du = mask * g.rfft(data.n0_delta.values)
-    Dut = mask * g.rfft(data.n1_delta.values)
-    Nu, Nut = (-k_sq * Du, -k_sq * Dut) if direct_n else (None, None)
+    # spectral state packed to the dealias box, so dealiased once and
+    # quadratic products stay alias-free
+    Eu, Eut, Du, Dut = (Spectrum.pack(g, g.rfft(f.values)).values for f in (
+        data.E0, data.E1, data.n0_delta, data.n1_delta))
+    Nu, Nut = (lap * Du, lap * Dut) if direct_n else (None, None)
+
+    def physical(box: np.ndarray) -> np.ndarray:
+        return g.irfft(Spectrum(g, box).unpack())
 
     def snapshot(t: float) -> KGZState:
         spectra = {"E": (Eu, Eut), "n_delta": (Du, Dut)}
         if direct_n:
-            resid = np.max(np.abs(g.irfft(-k_sq * Du - Nu)))
-            scale = max(np.max(np.abs(g.irfft(Nu))), 1e-300)
+            # grid L2 norms, by Parseval over the box
+            resid = np.sqrt(g.parseval(lap * Du - Nu))
+            scale = max(np.sqrt(g.parseval(Nu)), 1e-300)
             if resid > 1e-8 * scale and scale > 1e-13:
                 raise InstabilityError(
                     f"divergence-form consistency lost at t={t:.6g}: "
                     f"|lap(nD) - n| = {resid:.3e} vs scale {scale:.3e}")
             spectra["n"] = (Nu, Nut)
+        # copies, so a snapshot owns its arrays
         return KGZState(t=t, packed={
-            name: tuple(Spectrum.pack(g, h) for h in hats)
+            name: tuple(Spectrum(g, h.copy()) for h in hats)
             for name, hats in spectra.items()})
 
     def scale_now() -> float:
@@ -368,8 +371,8 @@ def _march(data: InitialData, T: float, dt: float, *, kicks,
         # midpoint products from the half-stepped positions
         record = every and k % every == 0
         if own or record:
-            n_mid = g.irfft(Nu) if direct_n else g.irfft(-k_sq * Du)
-            sources = _products(g, g.irfft(Eu), n_mid)
+            n_mid = physical(Nu if direct_n else lap * Du)
+            sources = _products(g, physical(Eu), n_mid)
             if record:
                 history.append(sources)
                 source_times.append(t + 0.5 * dt)
@@ -377,11 +380,11 @@ def _march(data: InitialData, T: float, dt: float, *, kicks,
         if kind == "picard":
             sources = kicks[k]
         if kicks is not None:
-            Q_hat, S_hat = (src.unpack() for src in sources)
-            Eut = Eut + dt * Q_hat
-            Dut = Dut + dt * S_hat
+            Q, S = (src.values for src in sources)
+            Eut = Eut + dt * Q
+            Dut = Dut + dt * S
             if direct_n:
-                Nut = Nut + dt * (-k_sq * S_hat)
+                Nut = Nut + dt * (lap * S)
 
         Eu, Eut = kg_half(Eu, Eut)
         Du, Dut = w_half(Du, Dut)

@@ -195,7 +195,8 @@ class TestCriterion7:
                f"||Q||_H1 slope {fit.exponent:+.3f} (need <= -1.1), {fit}")
 
     def test_residual_decay_and_tail(self, default_run, scatter):
-        times, res = residual_series(default_run, scatter)
+        times, (res,) = residual_series(default_run, scatter.data_plus,
+                                        [scatter.s])
         w_hi = min(28.0, 0.85 * scatter.t_max)
         fit = fit_envelope(times, res, (10.0, w_hi))
         frac = scatter.tail / scatter.captured
@@ -210,9 +211,9 @@ class TestCriterion7:
 
     def test_residual_consistency_identity(self, default_run, scatter):
         worst = 0.0
+        _, (res,) = residual_series(default_run, scatter.data_plus, [scatter.s])
         for t in (7.5, 15.0, 21.0):
             k = default_run.index_at(t)
-            _, res = residual_series(default_run, scatter)
             tail = duhamel_tail_norm(default_run, scatter, t)
             worst = max(worst, abs(res[k] - tail))
         report(7, "residual consistency identity", worst <= 1e-8,

@@ -255,7 +255,7 @@ class TestSourceDumps:
 class TestScatterVerb:
     def test_one_launch_per_run_one_norm_series_per_s(self, tmp_path,
                                                       monkeypatch):
-        counts = {"launch": 0, "h_norm": 0, "hs_norm": 0}
+        counts = {"launch": 0, "h_norm": 0, "hs_norm": 0, "rotation": 0}
 
         def counted(name, original):
             def wrapper(*args, **kwargs):
@@ -268,6 +268,8 @@ class TestScatterVerb:
         monkeypatch.setattr(grid_module, "h_norm",
                             counted("h_norm", grid_module.h_norm))
         monkeypatch.setattr(Grid, "hs_norm", counted("hs_norm", Grid.hs_norm))
+        monkeypatch.setattr(LinearOperator, "rotation",
+                            counted("rotation", LinearOperator.rotation))
         cfg = RunConfig(points_per_axis=64, L=12.0, amplitude=1e-2, T=2.0,
                         dt=0.1, scatter_s=(1.0, 2.0), diagnostics=("decay",))
         harness.run_scatter(cfg, tmp_path / "out", quiet=True)
@@ -278,6 +280,9 @@ class TestScatterVerb:
         # spectra; none goes through a transform in h_norm
         assert counts["hs_norm"] == 2 * (steps + 2 * snapshots)
         assert counts["h_norm"] == 0
+        # the march's two half steps, one per recorded step for the launch
+        # and one per snapshot for the residual, shared by both s
+        assert counts["rotation"] == 2 + steps + snapshots
         for tag in ("s1", "s2"):
             assert (tmp_path / "out" / f"scatter_{tag}_meta.txt").exists()
 

@@ -144,6 +144,53 @@ class TestRotation:
             assert new_ut[0, 0, 0] == ut[0, 0, 0]
 
 
+class TestBoxRotation:
+    """The rotation over the dealias box acts on packed coefficients
+    exactly as the whole-plane rotation acts on their box."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(mass=st.sampled_from([0, 1]),
+           dt=st.sampled_from([0.0, -0.0]) | durations,
+           components=st.sampled_from([1, 2]), seed=st.integers(0, 2**16))
+    def test_box_slice_of_whole_plane(self, grid32, mass, dt, components,
+                                      seed):
+        rng = np.random.default_rng(seed)
+        shape = (components,) + grid32.spectral["box_k_sq"].shape
+        u, ut = (Spectrum(grid32, rng.standard_normal(shape)
+                          + 1j * rng.standard_normal(shape))
+                 for _ in range(2))
+        box = LinearOperator(grid32, mass, box=True).rotation(dt)
+        whole = LinearOperator(grid32, mass).rotation(dt)
+        got = box(u.values, ut.values)
+        want = (Spectrum.pack(grid32, w)
+                for w in whole(u.unpack(), ut.unpack()))
+        for level, ref in zip(got, want):
+            assert np.array_equal(level, ref.values)
+
+    def test_pipeline_builds_box_coefficients(self, grid64, monkeypatch):
+        from kgz2d.scattering import residual_series, scatter_launch
+        from kgz2d.system import evolve, evolve_direct_n
+
+        shapes = []
+        original = LinearOperator.rotation
+
+        def recorded(self, dt):
+            shapes.append(self.omega.shape)
+            return original(self, dt)
+
+        monkeypatch.setattr(LinearOperator, "rotation", recorded)
+        data = gaussian_data(grid64, 1e-2)
+        traj = evolve(data, 1.0, 0.1)
+        evolve_direct_n(data, 0.5, 0.1)
+        free_flow(data, 0.5, 0.1)
+        picard_map(traj, data)
+        launch = scatter_launch(traj, 1.0)
+        residual_series(traj, launch, [1.0, 2.0])
+        # 2 per march (4 marches), 10 for the launch, 11 for the residual
+        assert len(shapes) == 2 * 4 + 10 + 11
+        assert set(shapes) == {grid64.spectral["box_k_sq"].shape}
+
+
 class TestForcedStep:
     def test_zero_source_matches_free(self, grid64):
         op = LinearOperator(grid64, 1)

@@ -168,18 +168,39 @@ class TestBuildScatterData:
             build_scatter_data(with_history(nonlinear_run, history), 1.0)
 
 
+class TestBoxLaunchReference:
+    def test_matches_full_plane_duhamel_sum(self, grid64):
+        # the launch accumulated in the dealias box equals the whole-plane
+        # sum of dt * S1(-tau)(0, Q) bit for bit
+        traj = evolve(gaussian_data(grid64, 0.3), 0.5, 0.1)
+        g, op = grid64, LinearOperator(grid64, 1)
+        acc_u = np.zeros((2, g.n, g.n // 2 + 1), dtype=complex)
+        acc_ut = np.zeros_like(acc_u)
+        for tau, (Q, _) in zip(traj.source_times, traj.source_history):
+            Q_hat = Q.unpack()
+            du, dut = op.rotation(-tau)(np.zeros_like(Q_hat), Q_hat)
+            acc_u += traj.dt * du
+            acc_ut += traj.dt * dut
+        E0 = traj.states[0].E
+        launch = scatter_launch(traj, 0.5)
+        assert np.array_equal(launch.u.values, E0.u.values + g.irfft(acc_u))
+        assert np.array_equal(launch.ut.values,
+                              E0.ut.values + g.irfft(acc_ut))
+
+
 class TestResidualSeries:
     def test_zero_source_zero_residual(self, run_grid):
         traj = evolve(wave_only_data(run_grid), 6.0, 0.1)
         profile = build_scatter_data(traj, 1.0, t_max=6.0)
-        _, res = residual_series(traj, profile)
+        _, (res,) = residual_series(traj, profile.data_plus, [profile.s])
         assert np.max(res) <= 1e-12
 
     def test_consistency_identity(self, nonlinear_run):
         # residual(t) equals the norm of the remaining Duhamel sum
         profile = build_scatter_data(nonlinear_run, 1.0, t_max=12.0,
                                      require_convergent_tail=False)
-        times, res = residual_series(nonlinear_run, profile)
+        times, (res,) = residual_series(nonlinear_run, profile.data_plus,
+                                          [profile.s])
         for t in (3.0, 7.0, 10.0):
             k = nonlinear_run.index_at(t)
             tail = duhamel_tail_norm(nonlinear_run, profile, t)
@@ -188,7 +209,8 @@ class TestResidualSeries:
     def test_residual_at_cut_below_tail(self, nonlinear_run):
         profile = build_scatter_data(nonlinear_run, 1.0, t_max=12.0,
                                      require_convergent_tail=False)
-        times, res = residual_series(nonlinear_run, profile)
+        times, (res,) = residual_series(nonlinear_run, profile.data_plus,
+                                          [profile.s])
         k = nonlinear_run.index_at(12.0)
         assert res[k] <= profile.tail + 1e-10
 
@@ -198,7 +220,7 @@ class TestResidualSeries:
         profile = build_scatter_data(nonlinear_run, 1.0, t_max=12.0,
                                      require_convergent_tail=False)
         with pytest.raises(ValueError):
-            residual_series(traj2, profile)
+            residual_series(traj2, profile.data_plus, [profile.s])
 
 
 class TestPersistence:

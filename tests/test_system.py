@@ -18,6 +18,7 @@ from kgz2d.system import (
     picard_solve,
     ring_data,
 )
+from kgz2d.system import _products
 
 from conftest import dealias
 
@@ -321,6 +322,76 @@ class TestState:
             assert all(isinstance(a, Spectrum)
                        and a.values.shape[1:] == (len(rows), cols)
                        for a in held)
+
+
+def full_plane_march(data, steps, dt, kicks="self", direct_n=False):
+    """Reference Strang march on whole half spectra, zero outside the
+    dealias mask: whole-plane rotations and unpacked kicks.  Returns the
+    packed (states, source record), each step's sources recorded."""
+    g = data.grid
+    kg_half = LinearOperator(g, 1).rotation(0.5 * dt)
+    w_half = LinearOperator(g, 0).rotation(0.5 * dt)
+    mask, k_sq = g.spectral["dealias_mask"], g.spectral["k_sq"]
+    Eu, Eut, Du, Dut = (mask * g.rfft(f.values) for f in (
+        data.E0, data.E1, data.n0_delta, data.n1_delta))
+    Nu, Nut = -k_sq * Du, -k_sq * Dut
+
+    def packed():
+        spectra = {"E": (Eu, Eut), "n_delta": (Du, Dut)}
+        if direct_n:
+            spectra["n"] = (Nu, Nut)
+        return {name: [Spectrum.pack(g, h).values for h in hats]
+                for name, hats in spectra.items()}
+
+    states, record = [packed()], []
+    for k in range(steps):
+        Eu, Eut = kg_half(Eu, Eut)
+        Du, Dut = w_half(Du, Dut)
+        Nu, Nut = w_half(Nu, Nut)
+        n_mid = g.irfft(Nu if direct_n else -k_sq * Du)
+        sources = _products(g, g.irfft(Eu), n_mid)
+        record.append([src.values for src in sources])
+        if kicks is not None:
+            Q, S = (src.unpack() for src in (
+                sources if kicks == "self" else kicks[k]))
+            Eut = Eut + dt * Q
+            Dut = Dut + dt * S
+            Nut = Nut + dt * (-k_sq * S)
+        Eu, Eut = kg_half(Eu, Eut)
+        Du, Dut = w_half(Du, Dut)
+        Nu, Nut = w_half(Nu, Nut)
+        states.append(packed())
+    return states, record
+
+
+class TestBoxMarchReference:
+    """The march on the packed box gives the whole-plane march's states
+    and source records bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["coupled", "direct", "free", "picard"])
+    def test_matches_full_plane_march(self, grid64, kind):
+        data = gaussian_data(grid64, 0.3)
+        steps, dt = 5, 0.1
+        coupled = evolve(data, steps * dt, dt, record_sources=1)
+        traj, kicks = {
+            "coupled": (coupled, "self"),
+            "direct": (evolve_direct_n(data, steps * dt, dt,
+                                       record_sources=1), "self"),
+            "free": (free_flow(data, steps * dt, dt, record_sources=1), None),
+            "picard": (picard_map(coupled, data), coupled.source_history),
+        }[kind]
+        states, record = full_plane_march(data, steps, dt, kicks,
+                                          direct_n=kind == "direct")
+        assert len(traj.states) == len(states)
+        for state, ref in zip(traj.states, states):
+            assert state.packed.keys() == ref.keys()
+            for name, levels in ref.items():
+                for spec, want in zip(state.packed[name], levels,
+                                      strict=True):
+                    assert np.array_equal(spec.values, want)
+        for sources, want in zip(traj.source_history, record, strict=True):
+            for src, w in zip(sources, want, strict=True):
+                assert np.array_equal(src.values, w)
 
 
 class TestPicardFixedPoint:
