@@ -120,11 +120,12 @@ def _good_sq(jet: JetField) -> np.ndarray:
     return sum(np.sum(good_derivative(a, jet).values ** 2, axis=0) for a in (1, 2))
 
 
-def _ghost_integrand(jet: JetField, m: int, delta: float) -> float:
-    g = jet.grid
-    w = jbracket(jet.t - g.R) ** (-(1.0 + delta))
+def _ghost_integrand(jet: JetField, m: int, delta: float,
+                     w: np.ndarray) -> float:
+    """int w delta (|G u|^2 + m^2 |u|^2) dx, with w the snapshot's ghost
+    weight <t - r>^{-1-delta}."""
     dens = delta * (_good_sq(jet) + float(m) ** 2 * np.sum(jet.u**2, axis=0))
-    return float(np.sum(w * dens) * g.cell_area)
+    return float(np.sum(w * dens) * jet.grid.cell_area)
 
 
 _MASS = {"E": 1, "n": 0, "n_delta": 0}
@@ -144,10 +145,11 @@ def _ghost_energies(traj, which: str, words, delta: float) -> np.ndarray:
     prev = None
     for k in range(len(traj.times)):
         jet = traj.jet(k, which, depth=depth)
+        weight = jbracket(jet.t - g.R) ** (-(1.0 + delta))
         integ = np.empty(len(words))
         for i, w in enumerate(words):
             wjet = apply_letters(w.letters, jet, depth=2)
-            integ[i] = _ghost_integrand(wjet, m, delta)
+            integ[i] = _ghost_integrand(wjet, m, delta, weight)
             out[k, i] = spectral_energy(g, wjet.hat(0), wjet.hat(1), m)
         if prev is not None:
             acc += 0.5 * (prev + integ) * (traj.times[k] - traj.times[k - 1])

@@ -108,11 +108,42 @@ class Grid:
     def R(self) -> np.ndarray:
         return self.spectral["R"]
 
+    @property
+    def radial_unit(self) -> tuple[np.ndarray, np.ndarray]:
+        """(X1, X2) / sqrt(R^2 + h^2), the radial direction regularised at
+        the origin; built on first use and kept."""
+        cache = self.spectral
+        if "radial_unit" not in cache:
+            r_reg = np.sqrt(self.R**2 + self.h**2)
+            cache["radial_unit"] = (self.X1 / r_reg, self.X2 / r_reg)
+        return cache["radial_unit"]
+
     def rfft(self, values: np.ndarray) -> np.ndarray:
         return np.fft.rfft2(values, axes=(-2, -1))
 
     def irfft(self, hat: np.ndarray) -> np.ndarray:
         return np.fft.irfft2(hat, s=(self.n, self.n), axes=(-2, -1))
+
+    # Pruned transforms of band-limited fields.  rfft2 and irfft2 are two
+    # passes of 1D transforms, one along each axis; the box keeps only the
+    # leading columns, so the pass along axis -2 runs over those columns
+    # alone.  Each lane is the same 1D transform as in the whole-plane path,
+    # so the results are bit-identical to pack(rfft(.)) and irfft(unpack()).
+
+    def box_rfft(self, values: np.ndarray) -> np.ndarray:
+        """The packed dealias-box coefficients (components, rows, cols) of
+        physical values: Spectrum.pack(grid, rfft(values)).values."""
+        rows, cols = self.spectral["box"]
+        half = np.fft.rfft(values, axis=-1)[..., :cols]
+        return np.fft.fft(half, axis=-2)[..., rows, :]
+
+    def box_irfft(self, box: np.ndarray) -> np.ndarray:
+        """The physical field of packed dealias-box coefficients:
+        irfft(Spectrum(grid, box).unpack())."""
+        rows, cols = self.spectral["box"]
+        columns = np.zeros(box.shape[:-2] + (self.n, cols), dtype=complex)
+        columns[..., rows, :] = box
+        return np.fft.irfft(np.fft.ifft(columns, axis=-2), n=self.n, axis=-1)
 
     def parseval(self, hat: np.ndarray, weight=1.0) -> float:
         """Weighted Parseval sum: sum over modes of weight |u_hat|^2, summed
@@ -215,8 +246,8 @@ class Spectrum:
 
     values has shape (components, rows, cols): the box's rows in FFT order
     by its leading columns, about 0.45 of a physical plane in bytes.  pack
-    is the one way in; packing a field's whole rfft drops every mode
-    outside the box, i.e. dealiases it.
+    takes a whole rfft and Grid.box_rfft a physical field; either drops
+    every mode outside the box, i.e. dealiases it.
     """
 
     grid: Grid
@@ -241,7 +272,7 @@ class Spectrum:
         return hat
 
     def field(self) -> Field:
-        return Field(self.grid, self.grid.irfft(self.unpack()))
+        return Field(self.grid, self.grid.box_irfft(self.values))
 
 
 # ---------------------------------------------------------------------------

@@ -30,11 +30,10 @@ from .energy_diag import (DiagnosticsReport, energy, jbracket, spectral_energy,
 from .grid import Field, make_grid, read_field, write_field
 from .propagator import InstabilityError
 from .scattering import (
+    DuhamelSum,
     TailDivergenceError,
     residual_series,
-    scatter_launch,
     scatter_profile,
-    source_norm_series,
     write_profile,
 )
 from .system import (
@@ -115,6 +114,9 @@ class RunConfig:
         if self.store_every < 1 or steps % self.store_every:
             raise ConfigError(f"store_every={self.store_every} does not "
                               f"divide the {steps} steps")
+        if self.snap_every < 0:
+            raise ConfigError(f"snap_every must be >= 0 (0 for no dumps), "
+                              f"got {self.snap_every}")
         if self.picard_max_iter < 2:
             raise ConfigError(
                 f"picard_max_iter must be >= 2, got {self.picard_max_iter}")
@@ -161,31 +163,38 @@ def parse_config(path) -> RunConfig:
     values = {}
     known = {f.name: f.type for f in dc_fields(RunConfig)}
     proto = RunConfig()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key = value")
-            key, _, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            if key not in known:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                if key in _TUPLE_KEYS:
-                    conv = _TUPLE_KEYS[key]
-                    values[key] = tuple(conv(x) for x in val.replace(",", " ").split())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    # text mode reads every line ending as "\n"
+    for lineno, raw in enumerate(text.split("\n"), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key = value")
+        key, _, val = line.partition("=")
+        key, val = key.strip(), val.strip()
+        if key not in known:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            if key in _TUPLE_KEYS:
+                conv = _TUPLE_KEYS[key]
+                values[key] = tuple(conv(x) for x in val.replace(",", " ").split())
+            else:
+                current = getattr(proto, key)
+                if isinstance(current, int):
+                    values[key] = int(val)
+                elif isinstance(current, float):
+                    values[key] = float(val)
                 else:
-                    current = getattr(proto, key)
-                    if isinstance(current, int):
-                        values[key] = int(val)
-                    elif isinstance(current, float):
-                        values[key] = float(val)
-                    else:
-                        values[key] = val
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}")
+                    values[key] = val
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}")
     return RunConfig(**values)
 
 
@@ -326,20 +335,37 @@ def _dump_states(traj, out_dir: Path, snap_every: int):
         write_field(out_dir / f"srcS_t{tag}.kgz", s.field(), tau)
 
 
+def _out_dir(config: RunConfig, out_dir) -> Path:
+    """The run directory, created; one that cannot be is a config error."""
+    out = Path(out_dir if out_dir is not None else config.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: "
+                          f"{exc.strerror}") from None
+    return out
+
+
 def run(config: RunConfig, out_dir=None, quiet: bool = False) -> RunReport:
     """Execute one configured evolution with diagnostics and decay fits."""
-    out = Path(out_dir if out_dir is not None else config.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(config, out_dir)
     data = config.build_data()
     say = (lambda *a: None) if quiet else print
 
     say(f"[kgz2d] evolve: n={config.points_per_axis} L={config.L} "
         f"T={config.T} dt={config.dt} amplitude={config.amplitude}")
-    # the scatter outputs read every step's sources, the dumps every
-    # snap_every-th step's, and nothing else reads them
-    record = 1 if "scatter" in config.diagnostics else max(config.snap_every, 0)
+    duhamel = None
+    if "scatter" in config.diagnostics:
+        # the launch window is known before the march, so the launch and
+        # the source norms are summed from the march's live sources
+        t_end = _steps_for(config.T, config.dt) * config.dt
+        t_max = min(0.8 * (config.L - data.radius), t_end)
+        duhamel = DuhamelSum(data.grid, config.dt, 0.0, t_max,
+                             config.scatter_s)
+    # only the dumps read the source record: every snap_every-th step's
     traj = evolve(data, config.T, config.dt, store_every=config.store_every,
-                  record_sources=record)
+                  record_sources=config.snap_every,
+                  on_source=None if duhamel is None else duhamel.add)
     report = RunReport(out_dir=out)
     report.scalars["data_radius"] = data.radius
 
@@ -377,8 +403,8 @@ def run(config: RunConfig, out_dir=None, quiet: bool = False) -> RunReport:
             skipped.append(f"interior_shell_ratio: {exc}")
     report.skipped = tuple(skipped)
 
-    if "scatter" in config.diagnostics:
-        _scatter_outputs(config, traj, out, report, say)
+    if duhamel is not None:
+        _scatter_outputs(config, traj, duhamel, out, report, say)
 
     _dump_states(traj, out, config.snap_every)
     _write_fits(out / "fits.txt", report)
@@ -389,15 +415,15 @@ def run(config: RunConfig, out_dir=None, quiet: bool = False) -> RunReport:
     return report
 
 
-def _scatter_outputs(config: RunConfig, traj, out: Path, report: RunReport, say):
-    t_max = 0.8 * (config.L - report.scalars["data_radius"])
-    t_max = min(t_max, traj.t_end)
+def _scatter_outputs(config: RunConfig, traj, duhamel: DuhamelSum, out: Path,
+                     report: RunReport, say):
     skipped = list(report.skipped)
-    launch = scatter_launch(traj, t_max)
+    launch = duhamel.launch(traj.states[0].E)
     rt, residuals = residual_series(traj, launch, config.scatter_s)
     for s, res in zip(config.scatter_s, residuals):
-        times, norms, running = source_norm_series(traj, s)
-        profile = scatter_profile(traj, launch, s, t_max, norms)
+        times, norms, running = duhamel.series(s)
+        profile = scatter_profile(launch, s, duhamel.t_max, times, norms,
+                                  duhamel.dt)
         tag = f"s{s:g}"
         write_profile(out / f"scatter_{tag}", profile)
         DiagnosticsReport(
@@ -436,8 +462,7 @@ def _write_fits(path: Path, report: RunReport):
 
 
 def run_picard(config: RunConfig, out_dir=None, quiet: bool = False) -> RunReport:
-    out = Path(out_dir if out_dir is not None else config.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(config, out_dir)
     data = config.build_data()
     say = (lambda *a: None) if quiet else print
     traj, ratios = picard_solve(data, config.T, config.dt,
@@ -572,7 +597,10 @@ def _tool_verb(args) -> int:
     if args.verb == "check":
         results = run_check(quiet=args.quiet)
         return 0 if all(ok for _, ok, _ in results) else 4
-    rep = DiagnosticsReport.read_csv(args.csv)
+    try:
+        rep = DiagnosticsReport.read_csv(args.csv)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {args.csv}: {exc.strerror}") from None
     if args.column not in rep.series:
         raise ConfigError(f"no column {args.column!r} in {args.csv}")
     fit = fit_envelope(rep.times, rep.series[args.column], (args.t1, args.t2))

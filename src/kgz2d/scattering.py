@@ -11,11 +11,13 @@ where S1 is the exact free Klein-Gordon propagator.  The integral is
 accumulated with the midpoint rule on the recorded per-step midpoint
 sources -- the quadrature that is *exactly* aligned with the Strang
 stepping, so that the reconstruction E(t) - E+(t) = -sum of the future
-kicks holds to round-off.  The sources are read as the packed spectra the
-march recorded, and the record must hold every step.  All truncation is
-explicit: the ignored tail of the source-norm integral is extrapolated from
-a power-law fit on the last window and reported next to every residual
-statement.
+kicks holds to round-off.  The launch and the source norms are running
+sums, so one reducer (DuhamelSum) builds both from the sources in midpoint
+order: fed live by the march, nothing per step is kept but the times and
+the norms; fed from a recorded trajectory, the record must hold every step.
+All truncation is explicit: the ignored tail of the source-norm integral is
+extrapolated from a power-law fit on the last window and reported next to
+every residual statement.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .propagator import LinearOperator
 
 __all__ = [
     "ScatterProfile",
+    "DuhamelSum",
     "source_norm_series",
     "scatter_launch",
     "scatter_profile",
@@ -80,17 +83,75 @@ def _require_history(traj):
             "step only; the Duhamel quadrature needs every step")
 
 
+class DuhamelSum:
+    """Running midpoint sums over the sources Q = -nE of one march, fed in
+    midpoint order by add(tau, (Q, S)), the march's on_source call:
+
+    - the packed (acc_u, acc_ut) = sum over midpoints t < tau < t_max of
+      dt S1(t - tau)(0, Q(tau)), accumulated in the dealias box, where
+      every Q lives;
+    - the midpoint times and ||Q(tau)||_{H^s} for each s in s_values.
+
+    t = t_max leaves the sum empty and keeps the norms only.
+    """
+
+    def __init__(self, grid: Grid, dt: float, t: float, t_max: float,
+                 s_values=()):
+        self.grid = grid
+        self.dt = dt
+        self.t = t
+        self.t_max = t_max
+        self.s_values = tuple(s_values)
+        self._op = LinearOperator(grid, 1, box=True)
+        self.acc_u = np.zeros((2,) + grid.spectral["box_k_sq"].shape,
+                              dtype=complex)
+        self.acc_ut = np.zeros_like(self.acc_u)
+        self.times: list[float] = []
+        self.norms: list[list[float]] = [[] for _ in self.s_values]
+
+    def add(self, tau: float, sources: tuple[Spectrum, Spectrum]) -> None:
+        """One step's midpoint time and packed products (Q, S)."""
+        Q = sources[0]
+        self.times.append(tau)
+        for row, s in zip(self.norms, self.s_values):
+            row.append(self.grid.hs_norm(Q.values, s))
+        if self.t < tau < self.t_max:
+            du, dut = self._op.rotation(self.t - tau)(0.0, Q.values)
+            self.acc_u += self.dt * du
+            self.acc_ut += self.dt * dut
+
+    def series(self, s: float):
+        """(times, norms, running_integral) of ||Q||_{H^s}, the integral by
+        the midpoint rule."""
+        norms = np.array(self.norms[self.s_values.index(s)])
+        return (np.asarray(self.times, dtype=float), norms,
+                np.cumsum(norms) * self.dt)
+
+    def launch(self, data: FieldPair) -> FieldPair:
+        """data plus the inverted sum: with t = 0 and data = data(0), the
+        launch data+ of the free field E+."""
+        g = self.grid
+        u, ut = (g.box_irfft(acc) for acc in (self.acc_u, self.acc_ut))
+        return FieldPair(Field(g, data.u.values + u),
+                         Field(g, data.ut.values + ut))
+
+
+def _reduce(traj, t: float, t_max: float, s_values=()) -> DuhamelSum:
+    """A DuhamelSum fed the trajectory's recorded sources, every step."""
+    _require_history(traj)
+    duhamel = DuhamelSum(traj.grid, traj.dt, t, t_max, s_values)
+    for tau, sources in zip(traj.source_times, traj.source_history):
+        duhamel.add(tau, sources)
+    return duhamel
+
+
 def source_norm_series(traj, s: float = 1.0):
     """||Q(tau)||_{H^s} at the recorded midpoint times plus its running
     time integral (midpoint rule).
 
     Returns (times, norms, running_integral).
     """
-    _require_history(traj)
-    times = np.asarray(traj.source_times, dtype=float)
-    g = traj.grid
-    norms = np.array([g.hs_norm(Q.values, s) for Q, _ in traj.source_history])
-    return times, norms, np.cumsum(norms) * traj.dt
+    return _reduce(traj, 0.0, 0.0, (s,)).series(s)
 
 
 def _fit_tail(times, norms, t_max: float):
@@ -116,40 +177,24 @@ def _fit_tail(times, norms, t_max: float):
 
 def _duhamel_sum(traj, t: float, t_max: float):
     """Packed (u, u_t) of sum over midpoints t < tau < t_max of
-    dt S1(t - tau)(0, Q(tau)), accumulated in midpoint order in the dealias
-    box, where every recorded Q lives."""
-    g = traj.grid
-    op = LinearOperator(g, 1, box=True)
-    acc_u = np.zeros((2,) + g.spectral["box_k_sq"].shape, dtype=complex)
-    acc_ut = np.zeros_like(acc_u)
-    for k, tau in enumerate(np.asarray(traj.source_times, dtype=float)):
-        if tau <= t or tau >= t_max:
-            continue
-        du, dut = op.rotation(t - tau)(0.0, traj.source_history[k][0].values)
-        acc_u += traj.dt * du
-        acc_ut += traj.dt * dut
-    return acc_u, acc_ut
+    dt S1(t - tau)(0, Q(tau)) over the recorded sources."""
+    duhamel = _reduce(traj, t, t_max)
+    return duhamel.acc_u, duhamel.acc_ut
 
 
 def scatter_launch(traj, t_max: float) -> FieldPair:
     """data+ = data(0) + sum_k dt * S1(-tau_k)(0, Q_k) over the recorded
     midpoints tau_k < t_max; one launch serves every Sobolev index."""
-    _require_history(traj)
-    g = traj.grid
-    u, ut = (g.irfft(Spectrum(g, acc).unpack())
-             for acc in _duhamel_sum(traj, 0.0, t_max))
-    E0 = traj.states[0].E
-    return FieldPair(Field(g, E0.u.values + u), Field(g, E0.ut.values + ut))
+    return _reduce(traj, 0.0, t_max).launch(traj.states[0].E)
 
 
-def scatter_profile(traj, data_plus: FieldPair, s: float, t_max: float,
-                    norms) -> ScatterProfile:
-    """The H^s profile of a launch: the tail fitted to the source norms
-    (from source_norm_series(traj, s)) over the last window, and the
-    integral captured below t_max.  A divergent tail is carried as inf."""
-    times = np.asarray(traj.source_times, dtype=float)
+def scatter_profile(data_plus: FieldPair, s: float, t_max: float, times,
+                    norms, dt: float) -> ScatterProfile:
+    """The H^s profile of a launch: the tail fitted to the source norms at
+    the midpoint times over the last window, and the integral captured
+    below t_max.  A divergent tail is carried as inf."""
     tail, slope = _fit_tail(times, norms, t_max)
-    captured = float(np.sum(norms[times < t_max]) * traj.dt)
+    captured = float(np.sum(norms[times < t_max]) * dt)
     return ScatterProfile(data_plus=data_plus, t_max=float(t_max), s=float(s),
                           tail=tail, tail_slope=slope, captured=captured)
 
@@ -168,8 +213,8 @@ def build_scatter_data(traj, s: float = 1.0, t_max: float | None = None, *,
     if t_max > traj.t_end + 1e-9:
         raise ValueError(f"t_max={t_max} exceeds the trajectory horizon")
     launch = scatter_launch(traj, t_max)
-    _, norms, _ = source_norm_series(traj, s)
-    profile = scatter_profile(traj, launch, s, t_max, norms)
+    times, norms, _ = source_norm_series(traj, s)
+    profile = scatter_profile(launch, s, t_max, times, norms, traj.dt)
     if require_convergent_tail and not np.isfinite(profile.tail):
         raise TailDivergenceError(f"source norm slope {profile.tail_slope:.3f} "
                                   ">= -1: Duhamel tail diverges")
@@ -189,8 +234,7 @@ def residual_series(traj, data_plus: FieldPair, s_values):
     if data_plus.grid != g:
         raise ValueError("launch and trajectory grids differ")
     op = LinearOperator(g, 1, box=True)
-    u0, ut0 = (Spectrum.pack(g, g.rfft(f.values)).values
-               for f in (data_plus.u, data_plus.ut))
+    u0, ut0 = (g.box_rfft(f.values) for f in (data_plus.u, data_plus.ut))
     res = np.empty((len(s_values), len(traj.times)))
     for k, t in enumerate(traj.times):
         up, upt = op.rotation(t)(u0, ut0)
@@ -208,7 +252,6 @@ def duhamel_tail_norm(traj, profile: ScatterProfile, t: float, s: float | None =
     and the Duhamel accumulation share one quadrature); comparing the two
     validates the whole construction.
     """
-    _require_history(traj)
     if s is None:
         s = profile.s
     acc_u, acc_ut = _duhamel_sum(traj, t, profile.t_max)

@@ -59,20 +59,25 @@ class KGZState:
     def grid(self) -> Grid:
         return self.packed["E"][0].grid
 
+    def box(self, which: str) -> tuple[np.ndarray, np.ndarray]:
+        """The packed box coefficients of (u, u_t) for "E", "n" or
+        "n_delta"."""
+        if which == "n" and "n" not in self.packed:
+            lap = -self.grid.spectral["box_k_sq"]
+            return tuple(lap * s.values for s in self.packed["n_delta"])
+        return tuple(s.values for s in self.packed[which])
+
     def spectra(self, which: str) -> tuple[np.ndarray, np.ndarray]:
         """The whole half spectra of (u, u_t) for "E", "n" or "n_delta"."""
-        if which == "n" and "n" not in self.packed:
-            lap = -self.grid.spectral["k_sq"]
-            return tuple(lap * s.unpack() for s in self.packed["n_delta"])
-        return tuple(s.unpack() for s in self.packed[which])
+        return tuple(Spectrum(self.grid, b).unpack() for b in self.box(which))
 
     def pair(self, which: str) -> FieldPair:
         g = self.grid
-        return FieldPair(*(Field(g, g.irfft(h)) for h in self.spectra(which)))
+        return FieldPair(*(Field(g, g.box_irfft(b)) for b in self.box(which)))
 
     def field(self, which: str) -> Field:
         """The physical u of the pair alone, for readers of u only."""
-        return Field(self.grid, self.grid.irfft(self.spectra(which)[0]))
+        return Field(self.grid, self.grid.box_irfft(self.box(which)[0]))
 
     @property
     def E(self) -> FieldPair:
@@ -162,8 +167,8 @@ class Trajectory:
         their time derivatives.  Only the levels read are transformed."""
         g, state = self.grid, self.states[k]
         read = 2 if rate else 1
-        E = [g.irfft(h) for h in state.spectra("E")[:read]]
-        n = ([g.irfft(h) for h in state.spectra("n")[:read]] if with_n
+        E = [g.box_irfft(b) for b in state.box("E")[:read]]
+        n = ([g.box_irfft(b) for b in state.box("n")[:read]] if with_n
              else [None, None])
         return _products(g, E[0], n[0], rate=(E[1], n[1]) if rate else None)
 
@@ -200,8 +205,8 @@ def _products(g: Grid, E: np.ndarray, n: np.ndarray | None = None, *,
         Et, nt = rate
         q = None if n is None else nt[0] * E + n[0] * Et
         s = 2.0 * np.sum(E * Et, axis=0)
-    Q = None if q is None else Spectrum.pack(g, g.rfft(-q))
-    return Q, Spectrum.pack(g, g.rfft(s[None]))
+    Q = None if q is None else Spectrum(g, g.box_rfft(-q))
+    return Q, Spectrum(g, g.box_rfft(s[None]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,7 +296,7 @@ def _steps_for(T: float, dt: float) -> int:
 
 def _march(data: InitialData, T: float, dt: float, *, kicks,
            store_every: int, record_sources: int,
-           direct_n: bool = False) -> Trajectory:
+           direct_n: bool = False, on_source=None) -> Trajectory:
     """Shared Strang march for every evolution flavour.
 
     kicks          -- the midpoint kick: "self" for this march's own
@@ -302,6 +307,9 @@ def _march(data: InitialData, T: float, dt: float, *, kicks,
                       records none, 1 (or True) every step, m every m-th
     direct_n       -- additionally evolve n directly with source lap(|E|^2)
                       and take the state's n from that integration
+    on_source      -- called as on_source(tau, (Q, S)) with the midpoint
+                      time and products of every step whose products the
+                      march computes: each step of the nonlinear flows
     """
     g = data.grid
     if not T + data.radius < g.length:
@@ -329,12 +337,9 @@ def _march(data: InitialData, T: float, dt: float, *, kicks,
 
     # spectral state packed to the dealias box, so dealiased once and
     # quadratic products stay alias-free
-    Eu, Eut, Du, Dut = (Spectrum.pack(g, g.rfft(f.values)).values for f in (
+    Eu, Eut, Du, Dut = (g.box_rfft(f.values) for f in (
         data.E0, data.E1, data.n0_delta, data.n1_delta))
     Nu, Nut = (lap * Du, lap * Dut) if direct_n else (None, None)
-
-    def physical(box: np.ndarray) -> np.ndarray:
-        return g.irfft(Spectrum(g, box).unpack())
 
     def snapshot(t: float) -> KGZState:
         spectra = {"E": (Eu, Eut), "n_delta": (Du, Dut)}
@@ -371,11 +376,13 @@ def _march(data: InitialData, T: float, dt: float, *, kicks,
         # midpoint products from the half-stepped positions
         record = every and k % every == 0
         if own or record:
-            n_mid = physical(Nu if direct_n else lap * Du)
-            sources = _products(g, physical(Eu), n_mid)
+            n_mid = g.box_irfft(Nu if direct_n else lap * Du)
+            sources = _products(g, g.box_irfft(Eu), n_mid)
             if record:
                 history.append(sources)
                 source_times.append(t + 0.5 * dt)
+            if on_source is not None:
+                on_source(t + 0.5 * dt, sources)
 
         if kind == "picard":
             sources = kicks[k]
@@ -408,15 +415,18 @@ def _march(data: InitialData, T: float, dt: float, *, kicks,
 
 
 def evolve(data: InitialData, T: float, dt: float, *, store_every: int = 1,
-           record_sources: int = True) -> Trajectory:
+           record_sources: int = True, on_source=None) -> Trajectory:
     """Nonlinear KGZ evolution in divergence form (n reconstructed as lap nD).
 
     Snapshots are kept every store_every steps.  record_sources is the step
     stride of the midpoint source record: False/0 none, True/1 every step
     (what picard_map and the scattering construction read), m every m-th.
+    on_source, if given, is called as on_source(tau, (Q, S)) at every
+    step with its midpoint time and packed products, recorded or not; a
+    reducer fed that way (scattering.DuhamelSum) needs no record.
     """
     return _march(data, T, dt, kicks="self", store_every=store_every,
-                  record_sources=record_sources)
+                  record_sources=record_sources, on_source=on_source)
 
 
 def evolve_direct_n(data: InitialData, T: float, dt: float, *,

@@ -220,9 +220,7 @@ def good_derivative(a: int, jet: JetField) -> Field:
     g = jet.grid
     if a not in (1, 2):
         raise ValueError(f"axis must be 1 or 2, got {a}")
-    xa = g.X1 if a == 1 else g.X2
-    r_reg = np.sqrt(g.R**2 + g.h**2)
-    return Field(g, (xa / r_reg) * jet.ut + jet.d(a))
+    return Field(g, g.radial_unit[a - 1] * jet.ut + jet.d(a))
 
 
 @dataclass(frozen=True)

@@ -61,12 +61,15 @@ def grid128():
 
 @pytest.fixture
 def transforms(monkeypatch):
-    """Counts of Grid.rfft and Grid.irfft calls from the moment of reset."""
+    """Counts of forward ("rfft") and inverse ("irfft") transforms from the
+    moment of reset, whole-plane (Grid.rfft, Grid.irfft) or pruned to the
+    dealias box (Grid.box_rfft, Grid.box_irfft)."""
     calls = {"rfft": 0, "irfft": 0}
-    for name in calls:
+    for name in ("rfft", "irfft", "box_rfft", "box_irfft"):
         original = getattr(Grid, name)
 
-        def counted(self, arr, _name=name, _original=original):
+        def counted(self, arr, _name=name.removeprefix("box_"),
+                    _original=original):
             calls[_name] += 1
             return _original(self, arr)
 

@@ -238,6 +238,18 @@ class TestSpectrum:
         assert g.hs_norm(packed.values, s) == pytest.approx(
             h_norm(packed.field(), s), rel=1e-13)
 
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.sampled_from([16, 64]), components=st.sampled_from([1, 2]),
+           seed=seeds)
+    def test_box_transforms_match_the_whole_plane(self, n, components, seed):
+        g = make_grid(n, 3.0)
+        values = np.random.default_rng(seed).standard_normal(
+            (components, n, n))
+        packed = Spectrum.pack(g, g.rfft(values))
+        assert np.array_equal(g.box_rfft(values), packed.values)
+        assert np.array_equal(g.box_irfft(packed.values),
+                              g.irfft(packed.unpack()))
+
     def test_packing_dealiases(self, grid64):
         # white noise fills every mode, the ones outside the box too
         f = Field(grid64, np.random.default_rng(3).standard_normal((2, 64, 64)))

@@ -235,12 +235,14 @@ class TestSourceDumps:
                    dt=0.05, snap_every=4, diagnostics=("decay",))
         run(RunConfig(**cfg), tmp_path / "run", quiet=True)
         harness.run_scatter(RunConfig(**cfg), tmp_path / "scatter", quiet=True)
-        sparse, full = trajectories
         dumped = range(0, 30, 4)
-        assert full.source_every == 1 and len(full.source_history) == 30
-        assert sparse.source_every == 4
-        assert np.array_equal(sparse.source_times, full.source_times[::4])
-        assert len(sparse.source_history) == len(dumped)
+        # the scatter verb sums its launch and source norms during the
+        # march, so it records the dumped steps only, as run does
+        for traj in trajectories:
+            assert traj.source_every == 4
+            assert len(traj.source_history) == len(dumped)
+            assert np.array_equal(traj.source_times,
+                                  [k * 0.05 + 0.5 * 0.05 for k in dumped])
 
         want = sorted(f"src{w}_t{(k + 0.5) * 0.05:08.3f}.kgz"
                       for k in dumped for w in "QS")
@@ -255,7 +257,9 @@ class TestSourceDumps:
 class TestScatterVerb:
     def test_one_launch_per_run_one_norm_series_per_s(self, tmp_path,
                                                       monkeypatch):
-        counts = {"launch": 0, "h_norm": 0, "hs_norm": 0, "rotation": 0}
+        counts = {"reducer": 0, "replay": 0, "h_norm": 0, "hs_norm": 0,
+                  "rotation": 0}
+        marches = []
 
         def counted(name, original):
             def wrapper(*args, **kwargs):
@@ -263,25 +267,39 @@ class TestScatterVerb:
                 return original(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(scattering, "_duhamel_sum",
-                            counted("launch", scattering._duhamel_sum))
+        def march(*args, **kwargs):
+            marches.append(kwargs)
+            return evolve(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "evolve", march)
+        monkeypatch.setattr(scattering.DuhamelSum, "__init__",
+                            counted("reducer", scattering.DuhamelSum.__init__))
+        monkeypatch.setattr(scattering, "_reduce",
+                            counted("replay", scattering._reduce))
         monkeypatch.setattr(grid_module, "h_norm",
                             counted("h_norm", grid_module.h_norm))
         monkeypatch.setattr(Grid, "hs_norm", counted("hs_norm", Grid.hs_norm))
         monkeypatch.setattr(LinearOperator, "rotation",
                             counted("rotation", LinearOperator.rotation))
         cfg = RunConfig(points_per_axis=64, L=12.0, amplitude=1e-2, T=2.0,
-                        dt=0.1, scatter_s=(1.0, 2.0), diagnostics=("decay",))
+                        dt=0.1, scatter_s=(1.0, 2.0), diagnostics=("decay",),
+                        snap_every=0)
         harness.run_scatter(cfg, tmp_path / "out", quiet=True)
         steps, snapshots = 20, 21
-        assert counts["launch"] == 1
+        # one march, recording no source (no dumps), feeds one reducer;
+        # nothing replays a record
+        assert len(marches) == 1
+        assert marches[0]["record_sources"] == 0
+        assert isinstance(marches[0]["on_source"].__self__,
+                          scattering.DuhamelSum)
+        assert counts["reducer"] == 1 and counts["replay"] == 0
         # per s: one source norm per step, read off the packed spectrum,
         # and two residual norms per snapshot, read off the snapshot's
         # spectra; none goes through a transform in h_norm
         assert counts["hs_norm"] == 2 * (steps + 2 * snapshots)
         assert counts["h_norm"] == 0
-        # the march's two half steps, one per recorded step for the launch
-        # and one per snapshot for the residual, shared by both s
+        # the march's two half steps, one per step for the launch and one
+        # per snapshot for the residual, shared by both s
         assert counts["rotation"] == 2 + steps + snapshots
         for tag in ("s1", "s2"):
             assert (tmp_path / "out" / f"scatter_{tag}_meta.txt").exists()
@@ -342,7 +360,7 @@ class TestCli:
         "picard_max_iter = 1", "width = 0", "width = nan", "seed = -1",
         "scatter_s = -1", "scatter_s = 1 inf", "picard_tol = nan",
         "picard_tol = 0", "fit_t1 = nan", "fit_t1 = -5", "fit_t1 = 0",
-        "fit_t1 = inf", "fit_t2 = -3", "fit_t2 = nan"])
+        "fit_t1 = inf", "fit_t2 = -3", "fit_t2 = nan", "snap_every = -3"])
     def test_bad_config_exits_before_compute(self, tmp_path, monkeypatch,
                                              capsys, line):
         calls = []
@@ -355,6 +373,37 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err.startswith("config error: ")
         assert calls == []
+
+    @pytest.mark.parametrize("case", [
+        "missing config", "directory config", "not utf-8", "out is a file"])
+    @pytest.mark.parametrize("verb", ["run", "picard"])
+    def test_unusable_paths_exit_before_compute(self, tmp_path, monkeypatch,
+                                                capsys, case, verb):
+        calls = []
+        for name in ("evolve", "picard_solve"):
+            monkeypatch.setattr(harness, name,
+                                lambda *args, **kwargs: calls.append(args))
+        path = write_config(tmp_path, SMALL_CONFIG)
+        out = tmp_path / "out"
+        if case == "missing config":
+            path = tmp_path / "missing.cfg"
+        elif case == "directory config":
+            path = tmp_path
+        elif case == "not utf-8":
+            path.write_bytes(b"points_per_axis = 64\n# caf\xe9\n")
+        else:
+            out.write_text("taken\n")
+        code = main([verb, str(path), "--out", str(out), "--quiet"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert calls == []
+
+    def test_fit_missing_csv(self, tmp_path, capsys):
+        code = main(["fit", str(tmp_path / "missing.csv"), "sup_E", "1", "2"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: cannot read ")
 
     @pytest.mark.parametrize("verb", ["run", "picard", "scatter"])
     def test_wrap_free_window_exits_before_compute(self, tmp_path, monkeypatch,

@@ -5,7 +5,9 @@ import pytest
 
 from kgz2d.grid import Field, FieldPair, Spectrum, make_grid, read_field
 from kgz2d.propagator import LinearOperator, free_step
+from kgz2d import scattering
 from kgz2d.scattering import (
+    DuhamelSum,
     MissingHistoryError,
     TailDivergenceError,
     build_scatter_data,
@@ -186,6 +188,33 @@ class TestBoxLaunchReference:
         assert np.array_equal(launch.u.values, E0.u.values + g.irfft(acc_u))
         assert np.array_equal(launch.ut.values,
                               E0.ut.values + g.irfft(acc_ut))
+
+
+class TestDuhamelSum:
+    def test_live_reducer_equals_the_recorded_sums(self, grid64):
+        # fed by the march, which then records nothing, the reducer gives
+        # bit for bit the launch, the norm series and a later tail sum
+        # that a full record gives
+        data = gaussian_data(grid64, 0.3)
+        s_values, t_max = (1.0, 2.0), 0.75
+        live = DuhamelSum(grid64, 0.1, 0.0, t_max, s_values)
+        tail = DuhamelSum(grid64, 0.1, 0.35, t_max)
+        traj = evolve(data, 1.0, 0.1, record_sources=0,
+                      on_source=lambda tau, src: (live.add(tau, src),
+                                                  tail.add(tau, src)))
+        full = evolve(data, 1.0, 0.1)
+        assert traj.source_history is None
+        want = scatter_launch(full, t_max)
+        got = live.launch(traj.states[0].E)
+        assert np.array_equal(got.u.values, want.u.values)
+        assert np.array_equal(got.ut.values, want.ut.values)
+        for s in s_values:
+            for a, b in zip(live.series(s), source_norm_series(full, s)):
+                assert np.array_equal(a, b)
+        for a, b in zip((tail.acc_u, tail.acc_ut),
+                        scattering._duhamel_sum(full, 0.35, t_max)):
+            assert np.array_equal(a, b)
+        assert np.any(tail.acc_u != 0)
 
 
 class TestResidualSeries:
