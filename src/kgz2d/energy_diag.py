@@ -461,10 +461,14 @@ class DiagnosticsReport:
 
     @classmethod
     def read_csv(cls, path) -> "DiagnosticsReport":
+        """Read what write_csv wrote; raises ValueError on anything else."""
         with open(path) as fh:
             header = fh.readline().strip().split(",")
             rows = [list(map(float, line.split(","))) for line in fh if line.strip()]
         data = np.asarray(rows)
+        if data.ndim != 2 or data.shape[1] != len(header):
+            raise ValueError(f"{len(rows)} rows that do not match the "
+                             f"{len(header)} header columns")
         times = data[:, 0]
         series = {name: data[:, j + 1] for j, name in enumerate(header[1:])}
         return cls(times=times, series=series)

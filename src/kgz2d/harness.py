@@ -601,6 +601,8 @@ def _tool_verb(args) -> int:
         rep = DiagnosticsReport.read_csv(args.csv)
     except OSError as exc:
         raise ConfigError(f"cannot read {args.csv}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise ConfigError(f"{args.csv} is not a diagnostics CSV: {exc}") from None
     if args.column not in rep.series:
         raise ConfigError(f"no column {args.column!r} in {args.csv}")
     fit = fit_envelope(rep.times, rep.series[args.column], (args.t1, args.t2))

@@ -14,7 +14,10 @@ half free step, source kick at the interval midpoint, half free step.  A
 march can record its midpoint sources (Q, S) = (-nE, |E|^2) as the packed
 dealiased spectra it kicks with, at every step or every m-th one.  Replayed
 as kicks, a full record makes the discrete solution an exact fixed point of
-the Picard map and makes Duhamel reconstructions exact up to round-off.
+the Picard map and makes Duhamel reconstructions exact up to round-off.  A
+reader that only sums over the steps (the scattering launch) is instead
+handed each step's sources as they are made (evolve's on_source), and
+nothing is recorded for it.
 """
 
 from __future__ import annotations

@@ -399,11 +399,17 @@ class TestCli:
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert calls == []
 
-    def test_fit_missing_csv(self, tmp_path, capsys):
-        code = main(["fit", str(tmp_path / "missing.csv"), "sup_E", "1", "2"])
+    @pytest.mark.parametrize("content", [
+        None, b"", b"t,sup_E\n", b"t,sup_E\n1,2\n3\n", b"t,sup_E\n1,x\n",
+        b"\xff\xfe\x00\x01"])
+    def test_fit_unusable_csv(self, tmp_path, capsys, content):
+        path = tmp_path / "diagnostics.csv"
+        if content is not None:
+            path.write_bytes(content)
+        code = main(["fit", str(path), "sup_E", "1", "2"])
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith("config error: cannot read ")
+        assert err.startswith("config error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("verb", ["run", "picard", "scatter"])
     def test_wrap_free_window_exits_before_compute(self, tmp_path, monkeypatch,
