@@ -41,6 +41,7 @@ __all__ = [
     "ghost_weight_q",
     "spectral_energy",
     "energy",
+    "GhostEnergies",
     "ghost_energy",
     "multiplier_residual",
     "xnorm_terms",
@@ -131,38 +132,54 @@ def _ghost_integrand(jet: JetField, m: int, delta: float,
 _MASS = {"E": 1, "n": 0, "n_delta": 0}
 
 
-def _ghost_energies(traj, which: str, words, delta: float) -> np.ndarray:
-    """E_gst(t, Gamma^I u) per snapshot (rows) and word (columns): each
-    word's natural energy plus the running spacetime integral (trapezoid
-    rule) of delta |G_a Gamma^I u|^2 / <tau - r>^{1+delta} and
-    delta m^2 |Gamma^I u|^2 / <tau - r>^{1+delta}."""
-    if not delta > 0:
-        raise ValueError("delta must be positive")
-    g, m = traj.grid, _MASS[which]
-    depth = 1 + max(w.time_budget() for w in words)
-    out = np.empty((len(traj.times), len(words)))
-    acc = np.zeros(len(words))
-    prev = None
-    for k in range(len(traj.times)):
-        jet = traj.jet(k, which, depth=depth)
+class GhostEnergies:
+    """E_gst(t, Gamma^I u) of one field, fed add(t, jet) with each snapshot's
+    jet of depth `depth` in time order: rows gets a row per snapshot, a
+    column per word |I| <= order, each word's natural energy plus the running
+    trapezoid integral of delta (|G_a Gamma^I u|^2 + m^2 |Gamma^I u|^2) /
+    <tau - r>^{1+delta}."""
+
+    def __init__(self, grid: Grid, delta: float = 0.1, which: str = "n",
+                 order: int = 1):
+        if not delta > 0:
+            raise ValueError("delta must be positive")
+        self.grid, self.delta, self.which = grid, delta, which
+        self.words = all_words(order)
+        self.depth = 1 + max(w.time_budget() for w in self.words)
+        self.rows: list[np.ndarray] = []
+        self._acc, self._prev = np.zeros(len(self.words)), None
+
+    def add(self, t: float, jet: JetField) -> None:
+        g, m, delta = self.grid, _MASS[self.which], self.delta
         weight = jbracket(jet.t - g.R) ** (-(1.0 + delta))
-        integ = np.empty(len(words))
-        for i, w in enumerate(words):
+        integ, row = np.empty((2, len(self.words)))
+        for i, w in enumerate(self.words):
             wjet = apply_letters(w.letters, jet, depth=2)
             integ[i] = _ghost_integrand(wjet, m, delta, weight)
-            out[k, i] = spectral_energy(g, wjet.hat(0), wjet.hat(1), m)
-        if prev is not None:
-            acc += 0.5 * (prev + integ) * (traj.times[k] - traj.times[k - 1])
-        prev = integ
-        out[k] += acc
-    return out
+            row[i] = spectral_energy(g, wjet.hat(0), wjet.hat(1), m)
+        if self._prev is not None:
+            self._acc += 0.5 * (self._prev[1] + integ) * (t - self._prev[0])
+        self._prev = (t, integ)
+        self.rows.append(row + self._acc)
+
+    def uniform_term(self) -> np.ndarray:
+        """Per snapshot, the sum over words of E_gst^{1/2}; with the
+        default words (n's, |I| <= 1) it is xnorm_terms."""
+        return np.sum(np.sqrt(np.maximum(np.array(self.rows), 0.0)), axis=1)
+
+
+def _fed(traj, ghost: GhostEnergies) -> GhostEnergies:
+    for k, t in enumerate(traj.times):
+        ghost.add(t, traj.jet(k, ghost.which, depth=ghost.depth))
+    return ghost
 
 
 def ghost_energy(traj, which: str = "n", delta: float = 0.1) -> np.ndarray:
     """Ghost-weight energy series of the field itself (the identity word
     of the uniform term).  Equals the natural energy at the first snapshot.
     """
-    return _ghost_energies(traj, which, all_words(0), delta)[:, 0]
+    ghost = _fed(traj, GhostEnergies(traj.grid, delta, which, order=0))
+    return np.array(ghost.rows)[:, 0]
 
 
 def multiplier_residual(traj, which: str = "E", delta: float = 0.1,
@@ -194,7 +211,8 @@ def multiplier_residual(traj, which: str = "E", delta: float = 0.1,
     b0 = None
     for k, state in enumerate(traj.states):
         t = traj.times[k]
-        jet = traj.jet(k, which)
+        # the identity reads no u_tt, so the jet stops at depth 1
+        jet = traj.jet(k, which, depth=1)
         eq = np.exp(ghost_weight_q(rho - t, delta))
         tw = jbracket(t) ** (-kappa)
         ut_sq = np.sum(jet.ut**2, axis=0)
@@ -230,8 +248,7 @@ def multiplier_residual(traj, which: str = "E", delta: float = 0.1,
 def xnorm_terms(traj, delta: float = 0.1) -> np.ndarray:
     """The uniform low-order wave-energy term of the X-norm, per snapshot:
     the sum over words |I| <= 1 of E_gst(t, Gamma^I n)^{1/2}."""
-    gst = _ghost_energies(traj, "n", all_words(1), delta)
-    return np.sum(np.sqrt(np.maximum(gst, 0.0)), axis=1)
+    return _fed(traj, GhostEnergies(traj.grid, delta)).uniform_term()
 
 
 def xnorm_distance(a, b, delta: float = 0.1, gamma_cap: int = 1,

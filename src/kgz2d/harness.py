@@ -25,8 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .energy_diag import (DiagnosticsReport, energy, jbracket, spectral_energy,
-                          xnorm_terms)
+from .energy_diag import (DiagnosticsReport, GhostEnergies, energy, jbracket,
+                          spectral_energy)
 from .grid import Field, make_grid, read_field, write_field
 from .propagator import InstabilityError
 from .scattering import (
@@ -149,6 +149,12 @@ class RunConfig:
         else:
             data = ring_data(grid, self.amplitude, self.width,
                              self.ring_radius, self.center)
+        # under-resolved data rings across the box: say so before the radius
+        if data.unresolved > 1e-8:
+            raise ConfigError(
+                f"data under-resolved: {data.unresolved:.2g} of the energy "
+                "of n0 lies outside the dealias box (at most 1e-8); raise "
+                "points_per_axis or widen the data")
         if not self.T + data.radius < self.L:
             raise ConfigError(f"wrap-free window violated: T + data radius = "
                               f"{self.T + data.radius:.3g} >= L = {self.L:g}")
@@ -260,15 +266,42 @@ def fit_envelope(times, values, window, *, n_boot: int = 200,
 # decay probes
 # ---------------------------------------------------------------------------
 
+class ShellProbe:
+    """Per-snapshot reducer of |n| near the light cone, fed add(t, n) in
+    time order: sups gets sup |n| over {|r - t| <= band} and ratios, from
+    t_min on, the two-shell ratio of interior_shell_ratio."""
+
+    def __init__(self, grid, band: float = 2.0,
+                 shells=((4.0, 6.0), (16.0, 24.0)), t_min: float = 18.0):
+        self.R, self.band, self.shells, self.t_min = grid.R, band, shells, t_min
+        self.sups, self.ratios = [], []
+
+    def add(self, t: float, n: np.ndarray) -> None:
+        R, n = self.R, np.abs(n)
+        mask = np.abs(R - t) <= self.band
+        self.sups.append(float(n[mask].max()) if mask.any() else 0.0)
+        if t >= self.t_min:
+            m1, m2 = ((t - R >= a) & (t - R <= b) for a, b in self.shells)
+            if m1.any() and m2.any() and n[m2].max() > 0:
+                self.ratios.append(n[m1].max() / n[m2].max())
+
+    def interior_ratio(self) -> tuple[float, float]:
+        if not self.ratios:
+            raise ValueError("no snapshots late enough for the two-shell probe")
+        mid1, mid2 = (0.5 * (a + b) for a, b in self.shells)
+        predicted = float(np.sqrt(jbracket(mid2) / jbracket(mid1)))
+        return float(np.median(self.ratios)), predicted
+
+
+def _probed(traj, probe: ShellProbe) -> ShellProbe:
+    for t, state in zip(traj.times, traj.states):
+        probe.add(t, state.field("n").values[0])
+    return probe
+
+
 def shell_sup_series(traj, band: float = 2.0):
     """sup of |n| over the light-cone shell {| r - t | <= band} per snapshot."""
-    R = traj.grid.R
-    out = np.empty(len(traj.times))
-    for k, state in enumerate(traj.states):
-        mask = np.abs(R - traj.times[k]) <= band
-        out[k] = float(np.abs(state.field("n").values[0])[mask].max()) \
-            if mask.any() else 0.0
-    return out
+    return np.array(_probed(traj, ShellProbe(traj.grid, band)).sups)
 
 
 def interior_shell_ratio(traj, shells=((4.0, 6.0), (16.0, 24.0)), t_min: float = 18.0):
@@ -284,23 +317,43 @@ def interior_shell_ratio(traj, shells=((4.0, 6.0), (16.0, 24.0)), t_min: float =
     means the interior decays more steeply, as it does for data whose wave
     part is a Laplacian.
     """
-    (a1, b1), (a2, b2) = shells
-    R = traj.grid.R
-    ratios = []
-    for k, state in enumerate(traj.states):
-        t = traj.times[k]
-        if t < t_min:
-            continue
-        n = np.abs(state.field("n").values[0])
-        m1 = (t - R >= a1) & (t - R <= b1)
-        m2 = (t - R >= a2) & (t - R <= b2)
-        if m1.any() and m2.any() and n[m2].max() > 0:
-            ratios.append(n[m1].max() / n[m2].max())
-    if not ratios:
-        raise ValueError("no snapshots late enough for the two-shell probe")
-    mid1, mid2 = 0.5 * (a1 + b1), 0.5 * (a2 + b2)
-    predicted = float(np.sqrt(jbracket(mid2) / jbracket(mid1)))
-    return float(np.median(ratios)), predicted
+    probe = ShellProbe(traj.grid, shells=shells, t_min=t_min)
+    return _probed(traj, probe).interior_ratio()
+
+
+class RunDiagnostics:
+    """The run verb's per-snapshot reducer, fed add(state) in time order:
+    the state's physical E and n, built once, give sup_E, the shell probe
+    and every snap_every-th snapshot's dumps (kept until written); with
+    energies, its spectra give the energies and n's jet the ghost ones."""
+
+    def __init__(self, grid, energies: bool, delta: float, snap_every: int):
+        self.grid, self.snap_every, self.dumps = grid, snap_every, []
+        self.shells = ShellProbe(grid)
+        self.sup_E, self.energies = [], {"E": [], "n": []}
+        self.ghost = GhostEnergies(grid, delta) if energies else None
+
+    def add(self, state) -> None:
+        E, n = state.field("E"), state.field("n")
+        if self.snap_every and len(self.sup_E) % self.snap_every == 0:
+            self.dumps.append((state.t, {"E": E, "n": n,
+                                         "nDelta": state.field("n_delta")}))
+        self.sup_E.append(E.magnitude().max())
+        self.shells.add(state.t, n.values[0])
+        if self.ghost is not None:
+            for which, m in (("E", 1), ("n", 0)):
+                self.energies[which].append(
+                    spectral_energy(self.grid, *state.spectra(which), m))
+            self.ghost.add(state.t, state.jet("n", depth=self.ghost.depth))
+
+    def series(self) -> dict:
+        series = {"sup_E": np.array(self.sup_E),
+                  "sup_n_shell": np.array(self.shells.sups)}
+        if self.ghost is not None:
+            for which, values in self.energies.items():
+                series[f"energy_{which}"] = np.array(values)
+            series["gst_wave_low"] = self.ghost.uniform_term()
+        return series
 
 
 # ---------------------------------------------------------------------------
@@ -315,17 +368,12 @@ class RunReport:
     skipped: tuple = ()
 
 
-def _dump_states(traj, out_dir: Path, snap_every: int):
-    """Dump every snap_every-th snapshot and the recorded sources of every
-    snap_every-th step (chosen by step index, whatever the record stride)."""
-    if snap_every <= 0:
-        return
-    for k in range(0, len(traj.states), snap_every):
-        state = traj.states[k]
-        tag = f"{state.t:08.3f}"
-        for which, name in (("E", "E"), ("n", "n"), ("n_delta", "nDelta")):
-            write_field(out_dir / f"{name}_t{tag}.kgz", state.field(which),
-                        state.t)
+def _dump_states(dumps, traj, out_dir: Path, snap_every: int):
+    """Write the dumps, (t, {name: field}) pairs, and the recorded sources
+    of every snap_every-th step (by step index, whatever the stride)."""
+    for t, fields in dumps:
+        for name, f in fields.items():
+            write_field(out_dir / f"{name}_t{t:08.3f}.kgz", f, t)
     for i, (q, s) in enumerate(traj.source_history or ()):
         if (i * traj.source_every) % snap_every:
             continue
@@ -362,23 +410,20 @@ def run(config: RunConfig, out_dir=None, quiet: bool = False) -> RunReport:
         t_max = min(0.8 * (config.L - data.radius), t_end)
         duhamel = DuhamelSum(data.grid, config.dt, 0.0, t_max,
                              config.scatter_s)
-    # only the dumps read the source record: every snap_every-th step's
+    snaps = RunDiagnostics(data.grid, "energies" in config.diagnostics,
+                           config.delta, config.snap_every)
+    # only the dumps read the source record: every snap_every-th step's.
+    # No state is kept but for the scatter residual, which reads every E
     traj = evolve(data, config.T, config.dt, store_every=config.store_every,
                   record_sources=config.snap_every,
-                  on_source=None if duhamel is None else duhamel.add)
+                  on_source=None if duhamel is None else duhamel.add,
+                  on_snapshot=snaps.add if duhamel is None else None)
+    for state in traj.states:
+        snaps.add(state)
     report = RunReport(out_dir=out)
     report.scalars["data_radius"] = data.radius
 
-    series = {
-        "sup_E": np.array([s.field("E").magnitude().max() for s in traj.states]),
-        "sup_n_shell": shell_sup_series(traj),
-    }
-    if "energies" in config.diagnostics:
-        g = traj.grid
-        for which, m in (("E", 1), ("n", 0)):
-            series[f"energy_{which}"] = np.array(
-                [spectral_energy(g, *s.spectra(which), m) for s in traj.states])
-        series["gst_wave_low"] = xnorm_terms(traj, config.delta)
+    series = snaps.series()
     diag = DiagnosticsReport(times=np.asarray(traj.times, dtype=float),
                              series=series)
     diag.write_csv(out / "diagnostics.csv")
@@ -396,7 +441,7 @@ def run(config: RunConfig, out_dir=None, quiet: bool = False) -> RunReport:
             except ValueError as exc:
                 skipped.append(f"{name}: {exc}")
         try:
-            measured, predicted = interior_shell_ratio(traj)
+            measured, predicted = snaps.shells.interior_ratio()
             report.scalars["interior_shell_ratio"] = measured
             report.scalars["interior_shell_predicted"] = predicted
         except ValueError as exc:
@@ -406,7 +451,7 @@ def run(config: RunConfig, out_dir=None, quiet: bool = False) -> RunReport:
     if duhamel is not None:
         _scatter_outputs(config, traj, duhamel, out, report, say)
 
-    _dump_states(traj, out, config.snap_every)
+    _dump_states(snaps.dumps, traj, out, config.snap_every)
     _write_fits(out / "fits.txt", report)
     for name, fit in report.fits.items():
         say(f"[kgz2d] fit {name}: {fit}")

@@ -175,13 +175,6 @@ def _fit_tail(times, norms, t_max: float):
     return value_at_cut * t_max / (-1.0 - slope), slope
 
 
-def _duhamel_sum(traj, t: float, t_max: float):
-    """Packed (u, u_t) of sum over midpoints t < tau < t_max of
-    dt S1(t - tau)(0, Q(tau)) over the recorded sources."""
-    duhamel = _reduce(traj, t, t_max)
-    return duhamel.acc_u, duhamel.acc_ut
-
-
 def scatter_launch(traj, t_max: float) -> FieldPair:
     """data+ = data(0) + sum_k dt * S1(-tau_k)(0, Q_k) over the recorded
     midpoints tau_k < t_max; one launch serves every Sobolev index."""
@@ -254,9 +247,10 @@ def duhamel_tail_norm(traj, profile: ScatterProfile, t: float, s: float | None =
     """
     if s is None:
         s = profile.s
-    acc_u, acc_ut = _duhamel_sum(traj, t, profile.t_max)
+    duhamel = _reduce(traj, t, profile.t_max)
     g = traj.grid
-    return g.hs_norm(acc_u, s) + g.hs_norm(acc_ut, max(s - 1.0, 0.0))
+    return g.hs_norm(duhamel.acc_u, s) \
+        + g.hs_norm(duhamel.acc_ut, max(s - 1.0, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ as kicks, a full record makes the discrete solution an exact fixed point of
 the Picard map and makes Duhamel reconstructions exact up to round-off.  A
 reader that only sums over the steps (the scattering launch) is instead
 handed each step's sources as they are made (evolve's on_source), and
-nothing is recorded for it.
+nothing is recorded for it; a reader of one snapshot at a time (the run
+verb's diagnostics) is handed each state (on_snapshot), and none is kept.
 """
 
 from __future__ import annotations
@@ -81,6 +82,12 @@ class KGZState:
     def field(self, which: str) -> Field:
         """The physical u of the pair alone, for readers of u only."""
         return Field(self.grid, self.grid.box_irfft(self.box(which)[0]))
+
+    def jet(self, which: str, depth: int = 2) -> JetField:
+        """The jet of a lone state of the nonlinear flows, whose sources are
+        its own products: the jet of a one-snapshot coupled trajectory."""
+        return Trajectory(self.grid, 0.0, 1, np.array([self.t]), [self], None,
+                          None, "coupled", 0).jet(0, which, depth)
 
     @property
     def E(self) -> FieldPair:
@@ -214,35 +221,43 @@ def _products(g: Grid, E: np.ndarray, n: np.ndarray | None = None, *,
 
 @dataclass(frozen=True, eq=False)
 class InitialData:
-    """Cauchy data (E0, E1, n0_delta, n1_delta); n0, n1 are their Laplacians."""
+    """Cauchy data (E0, E1, n0_delta, n1_delta); n0, n1 are their Laplacians.
+    unresolved: the share of n0's grid energy outside the 2/3 dealias box,
+    which the march drops (resolved data: about 1e-12; nan on overflow)."""
 
     E0: Field
     E1: Field
     n0_delta: Field
     n1_delta: Field
     radius: float = field(init=False)
+    unresolved: float = field(init=False)
 
     def __post_init__(self):
         if self.E0.components != 2 or self.E1.components != 2:
             raise ValueError("E data must have 2 components")
         if self.n0_delta.components != 1 or self.n1_delta.components != 1:
             raise ValueError("n_delta data must be scalar")
-        r = self.grid.R
-        radius = 0.0
+        g, radius = self.grid, 0.0
+        n0_hat = -g.spectral["k_sq"] * g.rfft(self.n0_delta.values)
+        with np.errstate(over="ignore", invalid="ignore"):
+            lost = g.parseval(n0_hat, ~g.spectral["dealias_mask"])
+            unresolved = lost and lost / g.parseval(n0_hat)
+        object.__setattr__(self, "unresolved", unresolved)
         # the derived n data spreads further than n_delta (Laplacian adds a
         # polynomial factor), so include it in the effective support; the
         # floor is relative to each field's peak, with extra headroom for
         # the spectral-differentiation round-off of the derived fields
         fields = [(f, SUPPORT_FLOOR) for f in
                   (self.E0, self.E1, self.n0_delta, self.n1_delta)]
-        fields += [(f, 10.0 * SUPPORT_FLOOR) for f in (self.n0, self.n1)]
+        fields += [(f, 10.0 * SUPPORT_FLOOR)
+                   for f in (Field(g, g.irfft(n0_hat)), self.n1)]
         for f, floor in fields:
             peak = float(np.max(np.abs(f.values)))
             if peak == 0.0:
                 continue
             hit = np.any(np.abs(f.values) > floor * peak, axis=0)
             if np.any(hit):
-                radius = max(radius, float(np.max(r[hit])))
+                radius = max(radius, float(np.max(g.R[hit])))
         object.__setattr__(self, "radius", radius)
 
     @property
@@ -299,7 +314,8 @@ def _steps_for(T: float, dt: float) -> int:
 
 def _march(data: InitialData, T: float, dt: float, *, kicks,
            store_every: int, record_sources: int,
-           direct_n: bool = False, on_source=None) -> Trajectory:
+           direct_n: bool = False, on_source=None,
+           on_snapshot=None) -> Trajectory:
     """Shared Strang march for every evolution flavour.
 
     kicks          -- the midpoint kick: "self" for this march's own
@@ -313,6 +329,8 @@ def _march(data: InitialData, T: float, dt: float, *, kicks,
     on_source      -- called as on_source(tau, (Q, S)) with the midpoint
                       time and products of every step whose products the
                       march computes: each step of the nonlinear flows
+    on_snapshot    -- called as on_snapshot(state) with each state to be
+                      stored, as it is made; the march then keeps none
     """
     g = data.grid
     if not T + data.radius < g.length:
@@ -364,7 +382,9 @@ def _march(data: InitialData, T: float, dt: float, *, kicks,
         return float(max(np.max(np.abs(a)) for a in (Eu, Eut, Du, Dut)))
 
     limit = 1e6 * (scale_now() + 1e-300)
-    states = [snapshot(0.0)]
+    states = []
+    store = states.append if on_snapshot is None else on_snapshot
+    store(snapshot(0.0))
     times = [0.0]
     history = [] if every else None
     source_times = []
@@ -406,7 +426,7 @@ def _march(data: InitialData, T: float, dt: float, *, kicks,
                 f"evolution unstable at t={t + dt:.6g}: "
                 "amplitude exceeded 1e6 x initial")
         if (k + 1) % store_every == 0 or k + 1 == steps:
-            states.append(snapshot((k + 1) * dt))
+            store(snapshot((k + 1) * dt))
             times.append((k + 1) * dt)
 
     return Trajectory(
@@ -418,7 +438,8 @@ def _march(data: InitialData, T: float, dt: float, *, kicks,
 
 
 def evolve(data: InitialData, T: float, dt: float, *, store_every: int = 1,
-           record_sources: int = True, on_source=None) -> Trajectory:
+           record_sources: int = True, on_source=None,
+           on_snapshot=None) -> Trajectory:
     """Nonlinear KGZ evolution in divergence form (n reconstructed as lap nD).
 
     Snapshots are kept every store_every steps.  record_sources is the step
@@ -427,9 +448,12 @@ def evolve(data: InitialData, T: float, dt: float, *, store_every: int = 1,
     on_source, if given, is called as on_source(tau, (Q, S)) at every
     step with its midpoint time and packed products, recorded or not; a
     reducer fed that way (scattering.DuhamelSum) needs no record.
+    on_snapshot, its twin for the states, if given is called with every
+    state to be stored as it is made, and the trajectory keeps none.
     """
     return _march(data, T, dt, kicks="self", store_every=store_every,
-                  record_sources=record_sources, on_source=on_source)
+                  record_sources=record_sources, on_source=on_source,
+                  on_snapshot=on_snapshot)
 
 
 def evolve_direct_n(data: InitialData, T: float, dt: float, *,

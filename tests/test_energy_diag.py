@@ -152,6 +152,27 @@ class TestMultiplierIdentity:
         e0 = energy(free_kg_run.states[0].E, 1)
         assert series[-1] <= 1e-10 * e0
 
+    def test_depth_one_jets_give_the_depth_two_series(self, grid64):
+        # the identity reads u, u_t and their gradients but no u_tt, so the
+        # depth-1 jets it builds give the series of depth-2 ones bit for bit
+        traj = evolve(gaussian_data(grid64, 0.3), 2.0, 0.1)
+        depths = []
+
+        class DepthTwo:
+            def __getattr__(self, name):
+                return getattr(traj, name)
+
+            def jet(self, k, which, depth=2):
+                depths.append(depth)
+                return traj.jet(k, which, depth=2)
+
+        for which in ("E", "n"):
+            want = multiplier_residual(DepthTwo(), which, 0.1, 0.05)
+            assert set(depths) == {1}
+            assert np.array_equal(multiplier_residual(traj, which, 0.1, 0.05),
+                                  want)
+            assert np.any(want > 0)
+
     def test_second_order_in_dt(self, grid64):
         data = gaussian_data(grid64, 1e-2)
         resid = {}

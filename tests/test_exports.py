@@ -4,7 +4,8 @@ A name in a module's `__all__` counts as reached when it is used (as a
 name, an attribute or an imported name) in a package module other than
 `__init__.py`, in a demo, in the acceptance tests, in the benchmark's
 microbenchmarks, or in the span targets of the benchmark's tracer.  Unit
-tests do not count: code that only they reach is deleted with them.
+tests do not count: code that only they reach is deleted with them.  Every
+span target of the tracer must also still resolve on its module or class.
 """
 
 import ast
@@ -35,16 +36,19 @@ def used_names(tree: ast.Module) -> set[str]:
     return names
 
 
-def tracer_targets(tree: ast.Module) -> set[str]:
-    """The attribute strings of TARGETS, split at the dots."""
-    names = set()
+def targets(tree: ast.Module) -> tuple:
+    """The (module, attribute, span name) entries of TARGETS."""
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "TARGETS"
                 for t in node.targets):
-            for entry in ast.literal_eval(node.value):
-                names.update(entry[1].split("."))
-    return names
+            return ast.literal_eval(node.value)
+    return ()
+
+
+def tracer_targets(tree: ast.Module) -> set[str]:
+    """The attribute strings of TARGETS, split at the dots."""
+    return {part for entry in targets(tree) for part in entry[1].split(".")}
 
 
 def parse(path: Path) -> ast.Module:
@@ -64,3 +68,19 @@ def unreached() -> list[str]:
 
 def test_every_export_is_reached():
     assert unreached() == []
+
+
+def test_every_tracer_target_resolves():
+    # a refactor that drops or renames a name the benchmark's tracer wraps
+    # fails here, not in the traced benchmark run
+    import importlib
+
+    entries = targets(parse(ROOT / "bench" / "tracing.py"))
+    missing = []
+    for module_name, attr, _ in entries:
+        owner = importlib.import_module(module_name)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{module_name}.{attr}")
+    assert entries and missing == []

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kgz2d.energy_diag import jbracket
+from kgz2d.energy_diag import jbracket, spectral_energy, xnorm_terms
 from kgz2d.grid import Field, FieldPair, Grid, make_grid, read_field
 from kgz2d import grid as grid_module, harness, scattering
 from kgz2d.harness import (
     ConfigError,
     RunConfig,
+    RunDiagnostics,
     fit_envelope,
     interior_shell_ratio,
     main,
@@ -20,7 +21,7 @@ from kgz2d.harness import (
     run_picard,
     shell_sup_series,
 )
-from kgz2d.propagator import LinearOperator, free_step
+from kgz2d.propagator import InstabilityError, LinearOperator, free_step
 from kgz2d.system import evolve, gaussian_data
 
 
@@ -219,6 +220,85 @@ class TestRun:
         ratios = [v for k, v in report.scalars.items()
                   if k.startswith("contraction_ratio")]
         assert all(r <= 0.5 for r in ratios)
+
+
+class TestStreamedRun:
+    def test_live_reducer_equals_the_trajectory_readers(self, grid64):
+        # fed by the march, which then keeps no state, the run's reducer
+        # gives bit for bit what the readers of a stored trajectory give
+        data = gaussian_data(grid64, 0.3)
+        live = RunDiagnostics(grid64, energies=True, delta=0.1, snap_every=3)
+        # shells and t_min that this short run reaches
+        shells, t_min = ((0.2, 0.8), (1.0, 1.6)), 1.0
+        live.shells = harness.ShellProbe(grid64, shells=shells, t_min=t_min)
+        streamed = evolve(data, 2.0, 0.1, store_every=2, record_sources=0,
+                          on_snapshot=live.add)
+        full = evolve(data, 2.0, 0.1, store_every=2, record_sources=0)
+        assert streamed.states == []
+        series = live.series()
+        want = {
+            "sup_E": [s.field("E").magnitude().max() for s in full.states],
+            "sup_n_shell": shell_sup_series(full),
+            "gst_wave_low": xnorm_terms(full, 0.1),
+        }
+        for which, m in (("E", 1), ("n", 0)):
+            want[f"energy_{which}"] = [
+                spectral_energy(grid64, *s.spectra(which), m)
+                for s in full.states]
+        assert list(series) == ["sup_E", "sup_n_shell", "energy_E",
+                                "energy_n", "gst_wave_low"]
+        for name, values in want.items():
+            assert np.array_equal(series[name], values), name
+        assert len(live.shells.ratios) > 1
+        assert live.shells.interior_ratio() == interior_shell_ratio(
+            full, shells, t_min)
+        assert [t for t, _ in live.dumps] == list(full.times[::3])
+        for (_, fields), state in zip(live.dumps, full.states[::3],
+                                      strict=True):
+            for name, which in (("E", "E"), ("n", "n"),
+                                ("nDelta", "n_delta")):
+                assert np.array_equal(fields[name].values,
+                                      state.field(which).values)
+
+    def test_run_keeps_no_states_unless_scatter(self, tmp_path, monkeypatch):
+        trajectories = []
+
+        def march(*args, **kwargs):
+            trajectories.append(evolve(*args, **kwargs))
+            return trajectories[-1]
+
+        monkeypatch.setattr(harness, "evolve", march)
+        cfg = dict(points_per_axis=64, L=12.0, amplitude=1e-2, T=2.0, dt=0.1,
+                   store_every=2, snap_every=5,
+                   diagnostics=("decay", "energies"))
+        run(RunConfig(**cfg), tmp_path / "run", quiet=True)
+        harness.run_scatter(RunConfig(**cfg), tmp_path / "scatter",
+                            quiet=True)
+        streamed, kept = trajectories
+        assert streamed.states == [] and len(kept.states) == 11
+        assert np.array_equal(streamed.times, kept.times)
+        # the same columns and dumps either way
+        for name in ["diagnostics.csv"] + sorted(
+                p.name for p in (tmp_path / "run").glob("*.kgz")):
+            assert (tmp_path / "run" / name).read_bytes() \
+                == (tmp_path / "scatter" / name).read_bytes()
+
+    def test_failed_march_writes_nothing(self, tmp_path, monkeypatch,
+                                         capsys):
+        def failing(*args, on_snapshot, **kwargs):
+            def add(state):
+                if state.t > 0.5:
+                    raise InstabilityError(f"injected at t={state.t:g}")
+                on_snapshot(state)
+            return evolve(*args, on_snapshot=add, **kwargs)
+
+        monkeypatch.setattr(harness, "evolve", failing)
+        path = write_config(tmp_path, SMALL_CONFIG)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out), "--quiet"]) == 3
+        assert capsys.readouterr().err.startswith(
+            "numerical failure: injected at t=0.6")
+        assert list(out.iterdir()) == []
 
 
 class TestSourceDumps:
@@ -426,6 +506,28 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err.startswith(
             "config error: wrap-free window violated")
+        assert calls == []
+
+    @pytest.mark.parametrize("data", [
+        "points_per_axis = 64\nL = 40\n",
+        "points_per_axis = 64\nL = 12\nwidth = 0.2\n"])
+    @pytest.mark.parametrize("verb", ["run", "picard", "scatter"])
+    def test_under_resolved_data_exits_before_compute(self, tmp_path,
+                                                      monkeypatch, capsys,
+                                                      data, verb):
+        # either grid leaves most of n0's energy outside the dealias box;
+        # that used to be reported as a wrap-free violation
+        calls = []
+        for name in ("evolve", "picard_solve"):
+            monkeypatch.setattr(harness, name,
+                                lambda *args, **kwargs: calls.append(args))
+        path = write_config(tmp_path, data + "dt = 0.05\nT = 1.5\n")
+        code = main([verb, str(path), "--out", str(tmp_path / "out"),
+                     "--quiet"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: data under-resolved: ")
+        assert err.count("\n") == 1
         assert calls == []
 
     def test_sweep_runs_each_config_on_its_own(self, tmp_path, capsys):

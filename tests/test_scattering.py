@@ -1,7 +1,11 @@
 import dataclasses
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kgz2d.grid import Field, FieldPair, Spectrum, make_grid, read_field
 from kgz2d.propagator import LinearOperator, free_step
@@ -9,6 +13,7 @@ from kgz2d import scattering
 from kgz2d.scattering import (
     DuhamelSum,
     MissingHistoryError,
+    ScatterProfile,
     TailDivergenceError,
     build_scatter_data,
     duhamel_tail_norm,
@@ -211,8 +216,9 @@ class TestDuhamelSum:
         for s in s_values:
             for a, b in zip(live.series(s), source_norm_series(full, s)):
                 assert np.array_equal(a, b)
+        replayed = scattering._reduce(full, 0.35, t_max)
         for a, b in zip((tail.acc_u, tail.acc_ut),
-                        scattering._duhamel_sum(full, 0.35, t_max)):
+                        (replayed.acc_u, replayed.acc_ut)):
             assert np.array_equal(a, b)
         assert np.any(tail.acc_u != 0)
 
@@ -270,3 +276,36 @@ class TestPersistence:
         assert float(meta["s"]) == profile.s
         assert float(meta["tail_slope"]) == profile.tail_slope
         assert float(meta["captured"]) == profile.captured
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.sampled_from([8, 16]),
+           length=st.floats(1e-3, 1e3),
+           seed=st.integers(0, 2**32 - 1),
+           scale=st.floats(1e-300, 1e300),
+           meta=st.tuples(st.floats(0.0, 1e3),
+                          st.floats(0.0, 1e300) | st.just(float("inf")),
+                          st.floats(0.0, 10.0),
+                          st.floats(-1e3, 1e3),
+                          st.floats(0.0, 1e300)))
+    def test_profile_round_trip_property(self, n, length, seed, scale, meta):
+        # the dumps give back the launch fields and their grid bit for bit,
+        # and the metadata line gives back every scalar, inf included
+        g = make_grid(n, length)
+        rng = np.random.default_rng(seed)
+        u, ut = (Field(g, scale * rng.standard_normal((2, n, n)))
+                 for _ in range(2))
+        t_max, tail, s, slope, captured = meta
+        profile = ScatterProfile(data_plus=FieldPair(u, ut), t_max=t_max,
+                                 s=s, tail=tail, tail_slope=slope,
+                                 captured=captured)
+        with tempfile.TemporaryDirectory() as td:
+            prefix = Path(td) / "prof"
+            write_profile(prefix, profile)
+            for part, want in (("u", u), ("ut", ut)):
+                back, t = read_field(f"{prefix}_{part}.kgz")
+                assert t == 0.0 and back.grid == g
+                assert np.array_equal(back.values, want.values)
+            meta_text = Path(f"{prefix}_meta.txt").read_text()
+        got = dict(item.split("=") for item in meta_text.split())
+        assert [float(got[k]) for k in ("T_max", "tail", "s", "tail_slope",
+                                        "captured")] == list(meta)

@@ -41,6 +41,14 @@ class TestInitialData:
         # relative floor 1e-14; the widest tail is the derived n0 = lap(g)
         assert 8.0 < data.radius < 9.0
 
+    def test_unresolved_share_of_n0(self, grid64):
+        # resolved data loses round-off to the dealias box; width 0.2 on
+        # this grid, or the unit width on a 5 times coarser one, loses most
+        assert gaussian_data(grid64, 1e-2).unresolved < 1e-11
+        assert gaussian_data(grid64, 1e-2, 0.2).unresolved > 0.1
+        assert gaussian_data(make_grid(64, 40.0), 1e-2).unresolved > 0.1
+        assert zero_data(grid64).unresolved == 0.0
+
     def test_derived_n_is_laplacian(self, grid64):
         data = gaussian_data(grid64, 1e-2)
         ref = laplacian(data.n0_delta)
@@ -392,6 +400,66 @@ class TestBoxMarchReference:
         for sources, want in zip(traj.source_history, record, strict=True):
             for src, w in zip(sources, want, strict=True):
                 assert np.array_equal(src.values, w)
+
+
+class TestReversibility:
+    @settings(max_examples=8, deadline=None)
+    @given(amplitude=st.just(0.0) | st.floats(1e-6, 0.5),
+           steps=st.integers(1, 20),
+           dt=st.sampled_from([0.05, 0.1]))
+    def test_flipped_march_recovers_the_data(self, grid64, amplitude, steps,
+                                              dt):
+        # the Strang step is symmetric and its kick reads positions only,
+        # so marching T from the final state with E_t and n_delta_t flipped
+        # returns to the (dealiased) data with flipped velocities
+        g, T = grid64, steps * dt
+        data = gaussian_data(g, amplitude, 1.0, (0.3, -0.2))
+        end = evolve(data, T, dt, record_sources=0,
+                     store_every=steps).states[-1]
+        E, nD = end.pair("E"), end.pair("n_delta")
+        flipped = InitialData(E0=E.u, E1=Field(g, -E.ut.values),
+                              n0_delta=nD.u, n1_delta=Field(g, -nD.ut.values))
+        # an evolved field's round-off tail fills the box, so its measured
+        # radius is the box's; the reversed march covers the forward
+        # window, so it keeps the data's radius
+        object.__setattr__(flipped, "radius", data.radius)
+        back = evolve(flipped, T, dt, record_sources=0,
+                      store_every=steps).states[-1]
+        for which, (u, ut) in (("E", (data.E0, data.E1)),
+                               ("n_delta", (data.n0_delta, data.n1_delta))):
+            scale = max(np.max(np.abs(u.values)), 1e-300)
+            got = back.box(which)
+            want = (g.box_rfft(u.values), -g.box_rfft(ut.values))
+            for x, y in zip(got, want):
+                assert np.max(np.abs(g.box_irfft(x - y))) <= 1e-12 * scale
+
+
+class TestStreamedSnapshots:
+    def test_on_snapshot_gets_the_states_a_march_keeps(self, grid64):
+        data = gaussian_data(grid64, 0.3)
+        seen = []
+        streamed = evolve(data, 1.0, 0.1, store_every=2, record_sources=4,
+                          on_snapshot=seen.append)
+        kept = evolve(data, 1.0, 0.1, store_every=2, record_sources=4)
+        assert streamed.states == [] and len(streamed) == 0
+        assert np.array_equal(streamed.times, kept.times)
+        assert (streamed.dt, streamed.t_end) == (kept.dt, kept.t_end)
+        assert np.array_equal(streamed.source_times, kept.source_times)
+        assert [s.t for s in seen] == list(kept.times)
+        for a, b in zip(seen, kept.states, strict=True):
+            for which in ("E", "n_delta"):
+                assert all(np.array_equal(x, y) for x, y in
+                           zip(a.box(which), b.box(which), strict=True))
+
+    def test_lone_state_jet_is_the_trajectory_jet(self, grid64):
+        traj = evolve(gaussian_data(grid64, 0.3), 1.0, 0.1)
+        for which in ("E", "n", "n_delta"):
+            for depth in (1, 2, 3):
+                a = traj.states[4].jet(which, depth)
+                b = traj.jet(4, which, depth)
+                assert len(a.levels()) == len(b.levels()) == depth + 1
+                for x, y in zip(a.levels(), b.levels()):
+                    assert np.array_equal(x, y)
 
 
 class TestPicardFixedPoint:
