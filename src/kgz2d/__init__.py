@@ -40,7 +40,6 @@ from .system import (
     gaussian_data,
     picard_map,
     picard_solve,
-    ring_data,
 )
 from .vector_fields import (
     GammaWord,

@@ -20,7 +20,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field as dc_field, fields as dc_fields
+from dataclasses import (dataclass, field as dc_field, fields as dc_fields,
+                         replace)
 from pathlib import Path
 
 import numpy as np
@@ -37,12 +38,12 @@ from .scattering import (
     write_profile,
 )
 from .system import (
+    KGZState,
     PicardNonConvergence,
     _steps_for,
     evolve,
     gaussian_data,
     picard_solve,
-    ring_data,
 )
 
 __all__ = [
@@ -71,11 +72,12 @@ class RunConfig:
 
     points_per_axis: int = 256
     L: float = 40.0
+    # gaussian is the only profile; the key stays because demos/desk.cfg
+    # and the benchmark's configs set it and unknown keys are rejected
     profile: str = "gaussian"
     amplitude: float = 1e-2
     width: float = 1.0
     center: tuple = (0.0, 0.0)
-    ring_radius: float = 3.0
     dt: float = 0.15
     T: float = 30.0
     snap_every: int = 0
@@ -96,16 +98,19 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.profile not in ("gaussian", "ring"):
+        if self.profile != "gaussian":
             raise ConfigError(f"unknown profile {self.profile!r}")
         if not (math.isfinite(self.amplitude) and self.amplitude >= 0):
             raise ConfigError(
                 f"amplitude must be finite and nonnegative, got {self.amplitude}")
-        if len(self.center) != 2:
-            raise ConfigError(f"center needs 2 coordinates, got {self.center}")
-        for name in ("T", "dt", "width", "fit_t1"):
+        for name in ("L", "T", "dt", "width", "fit_t1"):
             if not (math.isfinite(v := getattr(self, name)) and v > 0):
                 raise ConfigError(f"{name} must be finite and positive, got {v}")
+        if len(self.center) != 2:
+            raise ConfigError(f"center needs 2 coordinates, got {self.center}")
+        if not all(abs(c) < self.L for c in self.center):
+            raise ConfigError(f"center must lie inside the box (-L, L)^2, "
+                              f"got {self.center}")
         try:
             make_grid(self.points_per_axis, self.L)
             steps = _steps_for(self.T, self.dt)
@@ -144,12 +149,12 @@ class RunConfig:
 
     def build_data(self):
         grid = make_grid(self.points_per_axis, self.L)
-        if self.profile == "gaussian":
-            data = gaussian_data(grid, self.amplitude, self.width, self.center)
-        else:
-            data = ring_data(grid, self.amplitude, self.width,
-                             self.ring_radius, self.center)
+        data = gaussian_data(grid, self.amplitude, self.width, self.center)
         # under-resolved data rings across the box: say so before the radius
+        if self.amplitude > 0 and not np.any(data.E0.values):
+            raise ConfigError(
+                "data under-resolved: every sample of the data is zero; "
+                "raise points_per_axis or widen the data")
         if data.unresolved > 1e-8:
             raise ConfigError(
                 f"data under-resolved: {data.unresolved:.2g} of the energy "
@@ -322,22 +327,41 @@ def interior_shell_ratio(traj, shells=((4.0, 6.0), (16.0, 24.0)), t_min: float =
 
 
 class RunDiagnostics:
-    """The run verb's per-snapshot reducer, fed add(state) in time order:
-    the state's physical E and n, built once, give sup_E, the shell probe
-    and every snap_every-th snapshot's dumps (kept until written); with
-    energies, its spectra give the energies and n's jet the ghost ones."""
+    """The run and scatter verbs' reducer of one march, fed add(state) with
+    each state to be stored and add_source(tau, (Q, S)) with each step's
+    midpoint products, both in time order.
 
-    def __init__(self, grid, energies: bool, delta: float, snap_every: int):
+    The state's physical E and n, built once, give sup_E, the shell probe
+    and every snap_every-th snapshot's dumps (kept until written); with
+    energies, its spectra give the energies and n's jet the ghost ones.
+    The packed (Q, S) of every snap_every-th step are kept for the source
+    dumps.  With a DuhamelSum (the scatter diagnostics), every step's
+    products feed it, and each state's packed E is kept for the residual.
+    """
+
+    def __init__(self, grid, energies: bool, delta: float, snap_every: int,
+                 duhamel: DuhamelSum | None = None):
         self.grid, self.snap_every, self.dumps = grid, snap_every, []
+        self.steps, self.sources = 0, []
+        self.duhamel, self.states = duhamel, []
         self.shells = ShellProbe(grid)
         self.sup_E, self.energies = [], {"E": [], "n": []}
         self.ghost = GhostEnergies(grid, delta) if energies else None
+
+    def add_source(self, tau: float, sources) -> None:
+        if self.snap_every and self.steps % self.snap_every == 0:
+            self.sources.append((tau, sources))
+        self.steps += 1
+        if self.duhamel is not None:
+            self.duhamel.add(tau, sources)
 
     def add(self, state) -> None:
         E, n = state.field("E"), state.field("n")
         if self.snap_every and len(self.sup_E) % self.snap_every == 0:
             self.dumps.append((state.t, {"E": E, "n": n,
                                          "nDelta": state.field("n_delta")}))
+        if self.duhamel is not None:
+            self.states.append(KGZState(state.t, {"E": state.packed["E"]}))
         self.sup_E.append(E.magnitude().max())
         self.shells.add(state.t, n.values[0])
         if self.ghost is not None:
@@ -368,16 +392,13 @@ class RunReport:
     skipped: tuple = ()
 
 
-def _dump_states(dumps, traj, out_dir: Path, snap_every: int):
-    """Write the dumps, (t, {name: field}) pairs, and the recorded sources
-    of every snap_every-th step (by step index, whatever the stride)."""
-    for t, fields in dumps:
+def _dump_states(snaps: RunDiagnostics, out_dir: Path):
+    """Write the reducer's dumps, (t, {name: field}) pairs, and its kept
+    sources, (tau, (Q, S)) pairs."""
+    for t, fields in snaps.dumps:
         for name, f in fields.items():
             write_field(out_dir / f"{name}_t{t:08.3f}.kgz", f, t)
-    for i, (q, s) in enumerate(traj.source_history or ()):
-        if (i * traj.source_every) % snap_every:
-            continue
-        tau = traj.source_times[i]
+    for tau, (q, s) in snaps.sources:
         tag = f"{tau:08.3f}"
         write_field(out_dir / f"srcQ_t{tag}.kgz", q.field(), tau)
         write_field(out_dir / f"srcS_t{tag}.kgz", s.field(), tau)
@@ -411,15 +432,11 @@ def run(config: RunConfig, out_dir=None, quiet: bool = False) -> RunReport:
         duhamel = DuhamelSum(data.grid, config.dt, 0.0, t_max,
                              config.scatter_s)
     snaps = RunDiagnostics(data.grid, "energies" in config.diagnostics,
-                           config.delta, config.snap_every)
-    # only the dumps read the source record: every snap_every-th step's.
-    # No state is kept but for the scatter residual, which reads every E
+                           config.delta, config.snap_every, duhamel)
+    # the reducer keeps what the outputs read; the march records nothing
     traj = evolve(data, config.T, config.dt, store_every=config.store_every,
-                  record_sources=config.snap_every,
-                  on_source=None if duhamel is None else duhamel.add,
-                  on_snapshot=snaps.add if duhamel is None else None)
-    for state in traj.states:
-        snaps.add(state)
+                  record_sources=False, on_source=snaps.add_source,
+                  on_snapshot=snaps.add)
     report = RunReport(out_dir=out)
     report.scalars["data_radius"] = data.radius
 
@@ -449,9 +466,9 @@ def run(config: RunConfig, out_dir=None, quiet: bool = False) -> RunReport:
     report.skipped = tuple(skipped)
 
     if duhamel is not None:
-        _scatter_outputs(config, traj, duhamel, out, report, say)
+        _scatter_outputs(config, snaps, out, report, say)
 
-    _dump_states(snaps.dumps, traj, out, config.snap_every)
+    _dump_states(snaps, out)
     _write_fits(out / "fits.txt", report)
     for name, fit in report.fits.items():
         say(f"[kgz2d] fit {name}: {fit}")
@@ -460,11 +477,11 @@ def run(config: RunConfig, out_dir=None, quiet: bool = False) -> RunReport:
     return report
 
 
-def _scatter_outputs(config: RunConfig, traj, duhamel: DuhamelSum, out: Path,
+def _scatter_outputs(config: RunConfig, snaps: RunDiagnostics, out: Path,
                      report: RunReport, say):
-    skipped = list(report.skipped)
-    launch = duhamel.launch(traj.states[0].E)
-    rt, residuals = residual_series(traj, launch, config.scatter_s)
+    skipped, duhamel = list(report.skipped), snaps.duhamel
+    launch = duhamel.launch(snaps.states[0].E)
+    rt, residuals = residual_series(snaps.states, launch, config.scatter_s)
     for s, res in zip(config.scatter_s, residuals):
         times, norms, running = duhamel.series(s)
         profile = scatter_profile(launch, s, duhamel.t_max, times, norms,
@@ -527,9 +544,9 @@ def run_picard(config: RunConfig, out_dir=None, quiet: bool = False) -> RunRepor
 
 
 def run_scatter(config: RunConfig, out_dir=None, quiet: bool = False) -> RunReport:
-    cfg_diags = set(config.diagnostics) | {"scatter"}
-    config.diagnostics = tuple(sorted(cfg_diags))
-    return run(config, out_dir, quiet)
+    """run with the scatter diagnostics on; the caller's config is kept."""
+    diagnostics = tuple(sorted(set(config.diagnostics) | {"scatter"}))
+    return run(replace(config, diagnostics=diagnostics), out_dir, quiet)
 
 
 # ---------------------------------------------------------------------------

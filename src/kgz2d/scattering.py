@@ -14,7 +14,7 @@ stepping, so that the reconstruction E(t) - E+(t) = -sum of the future
 kicks holds to round-off.  The launch and the source norms are running
 sums, so one reducer (DuhamelSum) builds both from the sources in midpoint
 order: fed live by the march, nothing per step is kept but the times and
-the norms; fed from a recorded trajectory, the record must hold every step.
+the norms; fed from a recorded trajectory, it reads the record.
 All truncation is explicit: the ignored tail of the source-norm integral is
 extrapolated from a power-law fit on the last window and reported next to
 every residual statement.
@@ -45,7 +45,7 @@ __all__ = [
 
 
 class MissingHistoryError(RuntimeError):
-    """The trajectory has no source record, or one without every step."""
+    """The trajectory has no source record."""
 
 
 class TailDivergenceError(RuntimeError):
@@ -71,16 +71,6 @@ class ScatterProfile:
     @property
     def grid(self) -> Grid:
         return self.data_plus.grid
-
-
-def _require_history(traj):
-    if traj.source_history is None or traj.source_times is None:
-        raise MissingHistoryError(
-            "trajectory was run without source recording")
-    if traj.source_every != 1:
-        raise MissingHistoryError(
-            f"trajectory recorded the sources of every {traj.source_every}-th "
-            "step only; the Duhamel quadrature needs every step")
 
 
 class DuhamelSum:
@@ -138,7 +128,9 @@ class DuhamelSum:
 
 def _reduce(traj, t: float, t_max: float, s_values=()) -> DuhamelSum:
     """A DuhamelSum fed the trajectory's recorded sources, every step."""
-    _require_history(traj)
+    if traj.source_history is None:
+        raise MissingHistoryError(
+            "trajectory was run without source recording")
     duhamel = DuhamelSum(traj.grid, traj.dt, t, t_max, s_values)
     for tau, sources in zip(traj.source_times, traj.source_history):
         duhamel.add(tau, sources)
@@ -214,28 +206,29 @@ def build_scatter_data(traj, s: float = 1.0, t_max: float | None = None, *,
     return profile
 
 
-def residual_series(traj, data_plus: FieldPair, s_values):
-    """||(E - E+)(t)||_{H^s} + ||d_t (E - E+)(t)||_{H^{s-1}} per snapshot,
-    one row per Sobolev index s in s_values.
+def residual_series(states, data_plus: FieldPair, s_values):
+    """||(E - E+)(t)||_{H^s} + ||d_t (E - E+)(t)||_{H^{s-1}} per state, at
+    its time state.t, one row per Sobolev index s in s_values.  A state
+    needs its packed "E" only.
 
     The launch data+ is packed to the dealias box once; E+ is propagated
-    there exactly (one rotation per snapshot time, shared by every s) and
-    subtracted from the snapshot's packed spectra.  Returns (times,
-    residuals), residuals of shape (len(s_values), len(times)).
+    there exactly (one rotation per state, shared by every s) and
+    subtracted from the state's packed spectra.  Returns (times,
+    residuals), residuals of shape (len(s_values), len(states)).
     """
-    g = traj.grid
-    if data_plus.grid != g:
-        raise ValueError("launch and trajectory grids differ")
+    g = data_plus.grid
+    if any(state.grid != g for state in states):
+        raise ValueError("launch and state grids differ")
     op = LinearOperator(g, 1, box=True)
     u0, ut0 = (g.box_rfft(f.values) for f in (data_plus.u, data_plus.ut))
-    res = np.empty((len(s_values), len(traj.times)))
-    for k, t in enumerate(traj.times):
-        up, upt = op.rotation(t)(u0, ut0)
-        e, et = (spec.values for spec in traj.states[k].packed["E"])
+    res = np.empty((len(s_values), len(states)))
+    for k, state in enumerate(states):
+        up, upt = op.rotation(state.t)(u0, ut0)
+        e, et = (spec.values for spec in state.packed["E"])
         du, dut = e - up, et - upt
         for i, s in enumerate(s_values):
             res[i, k] = g.hs_norm(du, s) + g.hs_norm(dut, max(s - 1.0, 0.0))
-    return np.asarray(traj.times, dtype=float), res
+    return np.array([state.t for state in states], dtype=float), res
 
 
 def duhamel_tail_norm(traj, profile: ScatterProfile, t: float, s: float | None = None) -> float:

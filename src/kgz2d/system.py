@@ -12,13 +12,13 @@ guess.
 Stepping is a Strang composition built on the exact mode-wise propagator:
 half free step, source kick at the interval midpoint, half free step.  A
 march can record its midpoint sources (Q, S) = (-nE, |E|^2) as the packed
-dealiased spectra it kicks with, at every step or every m-th one.  Replayed
-as kicks, a full record makes the discrete solution an exact fixed point of
-the Picard map and makes Duhamel reconstructions exact up to round-off.  A
-reader that only sums over the steps (the scattering launch) is instead
-handed each step's sources as they are made (evolve's on_source), and
-nothing is recorded for it; a reader of one snapshot at a time (the run
-verb's diagnostics) is handed each state (on_snapshot), and none is kept.
+dealiased spectra it kicks with, at every step.  Replayed as kicks, the
+record makes the discrete solution an exact fixed point of the Picard map
+and makes Duhamel reconstructions exact up to round-off.  A reader that
+only sums over the steps or keeps a few of them (the run and scatter verbs)
+is instead handed each step's sources as they are made (evolve's
+on_source), and nothing is recorded for it; a reader of one snapshot at a
+time is handed each state (on_snapshot), and none is kept.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ __all__ = [
     "Trajectory",
     "InitialData",
     "gaussian_data",
-    "ring_data",
     "evolve",
     "evolve_direct_n",
     "free_flow",
@@ -87,7 +86,7 @@ class KGZState:
         """The jet of a lone state of the nonlinear flows, whose sources are
         its own products: the jet of a one-snapshot coupled trajectory."""
         return Trajectory(self.grid, 0.0, 1, np.array([self.t]), [self], None,
-                          None, "coupled", 0).jet(0, which, depth)
+                          None, "coupled").jet(0, which, depth)
 
     @property
     def E(self) -> FieldPair:
@@ -107,16 +106,15 @@ class Trajectory:
     """Time-ordered KGZ snapshots plus recorded midpoint sources.
 
     source_history holds (Q, S) = (-nE, |E|^2) sampled along this
-    trajectory at the midpoint of every source_every-th step, from step 0,
-    with source_times the midpoint times (None when nothing was recorded,
-    source_every 0).  Each is a Spectrum: the 2/3-dealiased coefficients
-    the march kicks with, exactly what a solution map feeds to the linear
-    equations.  Readers that need the whole step sequence (the Picard map,
-    the Duhamel sums) require source_every == 1.  The equation sources at
-    snapshot times follow from kind: the snapshot's own products for the
-    nonlinear flows ("coupled", "direct"), zero for "free", and the
-    recorded snapshot_sources for a Picard iterate ("picard"), which solves
-    the linear system whose sources are its guess's products.
+    trajectory at the midpoint of every step, with source_times the
+    midpoint times (both None when nothing was recorded).  Each is a
+    Spectrum: the 2/3-dealiased coefficients the march kicks with,
+    exactly what a solution map feeds to the linear equations.  The
+    equation sources at snapshot times follow from kind: the snapshot's
+    own products for the nonlinear flows ("coupled", "direct"), zero for
+    "free", and the recorded snapshot_sources for a Picard iterate
+    ("picard"), which solves the linear system whose sources are its
+    guess's products.
     """
 
     grid: Grid
@@ -127,7 +125,6 @@ class Trajectory:
     source_times: np.ndarray | None
     source_history: list | None
     kind: str  # "coupled" | "direct" | "free" | "picard"
-    source_every: int
     snapshot_sources: list | None = None
 
     def __post_init__(self):
@@ -286,18 +283,13 @@ def _bump_data(grid: Grid, amplitude: float, g: np.ndarray) -> InitialData:
 
 def gaussian_data(grid: Grid, amplitude: float, width: float = 1.0,
                   center: tuple[float, float] = (0.0, 0.0)) -> InitialData:
-    """Gaussian bump of the given width centered on `center`."""
-    g = np.exp(-(((grid.X1 - center[0]) ** 2 + (grid.X2 - center[1]) ** 2)
-                 / (2.0 * width**2)))
-    return _bump_data(grid, amplitude, g)
-
-
-def ring_data(grid: Grid, amplitude: float, width: float = 1.0,
-              ring_radius: float = 3.0,
-              center: tuple[float, float] = (0.0, 0.0)) -> InitialData:
-    """Annular bump centered on r = ring_radius."""
-    r = np.sqrt((grid.X1 - center[0]) ** 2 + (grid.X2 - center[1]) ** 2)
-    g = np.exp(-((r - ring_radius) ** 2) / (2.0 * width**2))
+    """Gaussian bump of the given width centered on `center`.  The offsets
+    are scaled before squaring, so any positive width gives finite samples:
+    a width far below the spacing leaves a lone sample or none, one far
+    above the box a constant."""
+    with np.errstate(over="ignore", under="ignore"):
+        g = np.exp(-((((grid.X1 - center[0]) / width) ** 2
+                      + ((grid.X2 - center[1]) / width) ** 2) / 2.0))
     return _bump_data(grid, amplitude, g)
 
 
@@ -313,7 +305,7 @@ def _steps_for(T: float, dt: float) -> int:
 
 
 def _march(data: InitialData, T: float, dt: float, *, kicks,
-           store_every: int, record_sources: int,
+           store_every: int, record_sources: bool,
            direct_n: bool = False, on_source=None,
            on_snapshot=None) -> Trajectory:
     """Shared Strang march for every evolution flavour.
@@ -322,8 +314,8 @@ def _march(data: InitialData, T: float, dt: float, *, kicks,
                       midpoint products (the nonlinear flow), None for none
                       (the free flow), or a recorded per-step list of
                       (Q, S) Spectrum pairs (the linear solution map)
-    record_sources -- step stride of the source record: 0 (or False)
-                      records none, 1 (or True) every step, m every m-th
+    record_sources -- True (or 1) records every step's sources, False (or
+                      0) none
     direct_n       -- additionally evolve n directly with source lap(|E|^2)
                       and take the state's n from that integration
     on_source      -- called as on_source(tau, (Q, S)) with the midpoint
@@ -338,9 +330,8 @@ def _march(data: InitialData, T: float, dt: float, *, kicks,
             f"wrap-free window violated: T + R = {T + data.radius:.3g} "
             f">= L = {g.length:.3g}")
     steps = _steps_for(T, dt)
-    every = int(record_sources)
-    if every < 0 or every != record_sources:
-        raise ValueError(f"record_sources must be a step stride >= 0, "
+    if record_sources not in (True, False):
+        raise ValueError(f"record_sources must be True or False, "
                          f"got {record_sources!r}")
     if kicks is None:
         kind = "free"
@@ -386,7 +377,7 @@ def _march(data: InitialData, T: float, dt: float, *, kicks,
     store = states.append if on_snapshot is None else on_snapshot
     store(snapshot(0.0))
     times = [0.0]
-    history = [] if every else None
+    history = [] if record_sources else None
     source_times = []
 
     for k in range(steps):
@@ -397,11 +388,10 @@ def _march(data: InitialData, T: float, dt: float, *, kicks,
             Nu, Nut = w_half(Nu, Nut)
 
         # midpoint products from the half-stepped positions
-        record = every and k % every == 0
-        if own or record:
+        if own or record_sources:
             n_mid = g.box_irfft(Nu if direct_n else lap * Du)
             sources = _products(g, g.box_irfft(Eu), n_mid)
-            if record:
+            if record_sources:
                 history.append(sources)
                 source_times.append(t + 0.5 * dt)
             if on_source is not None:
@@ -432,22 +422,22 @@ def _march(data: InitialData, T: float, dt: float, *, kicks,
     return Trajectory(
         grid=g, dt=dt, store_every=store_every,
         times=np.asarray(times), states=states,
-        source_times=np.asarray(source_times) if every else None,
-        source_history=history, kind=kind, source_every=every,
+        source_times=np.asarray(source_times) if record_sources else None,
+        source_history=history, kind=kind,
     )
 
 
 def evolve(data: InitialData, T: float, dt: float, *, store_every: int = 1,
-           record_sources: int = True, on_source=None,
+           record_sources: bool = True, on_source=None,
            on_snapshot=None) -> Trajectory:
     """Nonlinear KGZ evolution in divergence form (n reconstructed as lap nD).
 
-    Snapshots are kept every store_every steps.  record_sources is the step
-    stride of the midpoint source record: False/0 none, True/1 every step
-    (what picard_map and the scattering construction read), m every m-th.
-    on_source, if given, is called as on_source(tau, (Q, S)) at every
-    step with its midpoint time and packed products, recorded or not; a
-    reducer fed that way (scattering.DuhamelSum) needs no record.
+    Snapshots are kept every store_every steps.  record_sources keeps every
+    step's midpoint sources (what picard_map and the scattering
+    construction read) or, False, none.  on_source, if given, is called as
+    on_source(tau, (Q, S)) at every step with its midpoint time and packed
+    products, recorded or not; a reducer fed that way (scattering.DuhamelSum,
+    harness.RunDiagnostics) needs no record.
     on_snapshot, its twin for the states, if given is called with every
     state to be stored as it is made, and the trajectory keeps none.
     """
@@ -457,17 +447,17 @@ def evolve(data: InitialData, T: float, dt: float, *, store_every: int = 1,
 
 
 def evolve_direct_n(data: InitialData, T: float, dt: float, *,
-                    store_every: int = 1, record_sources: int = True) -> Trajectory:
+                    store_every: int = 1, record_sources: bool = True) -> Trajectory:
     """Same system with n evolved directly from -box(n) = lap(|E|^2)."""
     return _march(data, T, dt, kicks="self", store_every=store_every,
                   record_sources=record_sources, direct_n=True)
 
 
 def free_flow(data: InitialData, T: float, dt: float, *, store_every: int = 1,
-              record_sources: int = True) -> Trajectory:
+              record_sources: bool = True) -> Trajectory:
     """Source-free flow of the same data.  It still records -nE and |E|^2
-    along itself, with the same record_sources stride as evolve, which makes
-    it the Picard iteration's starting guess."""
+    along itself, unless record_sources is False, which makes it the Picard
+    iteration's starting guess."""
     return _march(data, T, dt, kicks=None, store_every=store_every,
                   record_sources=record_sources)
 
@@ -497,11 +487,9 @@ def picard_map(guess: Trajectory, data: InitialData) -> Trajectory:
         raise ValueError("guess and data live on different grids")
     if guess.store_every != 1:
         raise ValueError("picard_map needs a guess with a snapshot every step")
-    if guess.source_history is None or guess.source_every != 1:
-        raise ValueError(
-            "picard_map needs the guess's sources at every step; it recorded "
-            + ("none" if guess.source_history is None
-               else f"every {guess.source_every}-th step only"))
+    if guess.source_history is None:
+        raise ValueError("picard_map needs the guess's sources at every "
+                         "step; it recorded none")
     out = _march(data, guess.t_end, guess.dt, kicks=guess.source_history,
                  store_every=1, record_sources=True)
     # the iterate solves the linear system whose sources are the guess's

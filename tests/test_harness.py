@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 from types import SimpleNamespace
 
 import numpy as np
@@ -117,14 +119,14 @@ def run_configs(draw):
     steps = draw(st.integers(1, 400))
     dt = draw(st.floats(0.001, 1.0))
     divisors = [d for d in range(1, steps + 1) if steps % d == 0]
+    L = draw(st.floats(1.0, 100.0))
+    inside = st.floats(-0.99 * L, 0.99 * L)
     return RunConfig(
         points_per_axis=draw(st.sampled_from([8, 64, 256])),
-        L=draw(st.floats(1.0, 100.0)),
-        profile=draw(st.sampled_from(["gaussian", "ring"])),
+        L=L,
         amplitude=draw(st.floats(0.0, 10.0)),
         width=draw(st.floats(0.1, 5.0)),
-        center=draw(st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))),
-        ring_radius=draw(st.floats(0.0, 10.0)),
+        center=draw(st.tuples(inside, inside)),
         dt=dt, T=steps * dt,
         snap_every=draw(st.integers(0, 100)),
         store_every=draw(st.sampled_from(divisors)),
@@ -172,8 +174,10 @@ class TestConfig:
             parse_config(path)
 
     def test_bad_profile_rejected(self):
-        with pytest.raises(ConfigError):
-            RunConfig(profile="torus")
+        # gaussian is the only profile
+        for profile in ("torus", "ring"):
+            with pytest.raises(ConfigError):
+                RunConfig(profile=profile)
 
     def test_scatter_s_list(self, tmp_path):
         path = write_config(tmp_path, "scatter_s = 1 2\n")
@@ -224,17 +228,20 @@ class TestRun:
 
 class TestStreamedRun:
     def test_live_reducer_equals_the_trajectory_readers(self, grid64):
-        # fed by the march, which then keeps no state, the run's reducer
-        # gives bit for bit what the readers of a stored trajectory give
+        # fed by the march, which then keeps no state and records no
+        # source, the run's reducer gives bit for bit what the readers of a
+        # stored trajectory give
         data = gaussian_data(grid64, 0.3)
-        live = RunDiagnostics(grid64, energies=True, delta=0.1, snap_every=3)
+        duhamel = scattering.DuhamelSum(grid64, 0.1, 0.0, 2.0, (1.0,))
+        live = RunDiagnostics(grid64, energies=True, delta=0.1, snap_every=3,
+                              duhamel=duhamel)
         # shells and t_min that this short run reaches
         shells, t_min = ((0.2, 0.8), (1.0, 1.6)), 1.0
         live.shells = harness.ShellProbe(grid64, shells=shells, t_min=t_min)
-        streamed = evolve(data, 2.0, 0.1, store_every=2, record_sources=0,
-                          on_snapshot=live.add)
-        full = evolve(data, 2.0, 0.1, store_every=2, record_sources=0)
-        assert streamed.states == []
+        streamed = evolve(data, 2.0, 0.1, store_every=2, record_sources=False,
+                          on_snapshot=live.add, on_source=live.add_source)
+        full = evolve(data, 2.0, 0.1, store_every=2)
+        assert streamed.states == [] and streamed.source_history is None
         series = live.series()
         want = {
             "sup_E": [s.field("E").magnitude().max() for s in full.states],
@@ -259,13 +266,26 @@ class TestStreamedRun:
                                 ("nDelta", "n_delta")):
                 assert np.array_equal(fields[name].values,
                                       state.field(which).values)
+        # every 3rd step's sources from step 0, as the full record has them
+        assert live.steps == 20 and len(duhamel.times) == 20
+        assert [tau for tau, _ in live.sources] == list(full.source_times[::3])
+        for (_, got), want_src in zip(live.sources, full.source_history[::3],
+                                      strict=True):
+            assert all(np.array_equal(a.values, b.values)
+                       for a, b in zip(got, want_src, strict=True))
+        # with a DuhamelSum, each state's packed E and nothing else
+        assert [state.t for state in live.states] == list(full.times)
+        for slim, state in zip(live.states, full.states, strict=True):
+            assert list(slim.packed) == ["E"]
+            assert all(np.array_equal(a.values, b.values) for a, b in
+                       zip(slim.packed["E"], state.packed["E"], strict=True))
 
-    def test_run_keeps_no_states_unless_scatter(self, tmp_path, monkeypatch):
-        trajectories = []
+    def test_run_and_scatter_keep_no_states(self, tmp_path, monkeypatch):
+        marches = []
 
         def march(*args, **kwargs):
-            trajectories.append(evolve(*args, **kwargs))
-            return trajectories[-1]
+            marches.append((kwargs, evolve(*args, **kwargs)))
+            return marches[-1][1]
 
         monkeypatch.setattr(harness, "evolve", march)
         cfg = dict(points_per_axis=64, L=12.0, amplitude=1e-2, T=2.0, dt=0.1,
@@ -274,9 +294,15 @@ class TestStreamedRun:
         run(RunConfig(**cfg), tmp_path / "run", quiet=True)
         harness.run_scatter(RunConfig(**cfg), tmp_path / "scatter",
                             quiet=True)
-        streamed, kept = trajectories
-        assert streamed.states == [] and len(kept.states) == 11
-        assert np.array_equal(streamed.times, kept.times)
+        # one march per verb, recording nothing, feeds one reducer both ways
+        assert len(marches) == 2
+        for kwargs, traj in marches:
+            assert kwargs["record_sources"] is False
+            reducer = kwargs["on_snapshot"].__self__
+            assert isinstance(reducer, RunDiagnostics)
+            assert kwargs["on_source"].__self__ is reducer
+            assert traj.states == [] and traj.source_history is None
+        assert np.array_equal(marches[0][1].times, marches[1][1].times)
         # the same columns and dumps either way
         for name in ["diagnostics.csv"] + sorted(
                 p.name for p in (tmp_path / "run").glob("*.kgz")):
@@ -303,11 +329,11 @@ class TestStreamedRun:
 
 class TestSourceDumps:
     def test_run_records_only_the_dumped_steps(self, tmp_path, monkeypatch):
-        trajectories = []
+        reducers = []
 
         def recorded(*args, **kwargs):
-            trajectories.append(evolve(*args, **kwargs))
-            return trajectories[-1]
+            reducers.append(kwargs["on_source"].__self__)
+            return evolve(*args, **kwargs)
 
         monkeypatch.setattr(harness, "evolve", recorded)
         # 30 steps; the sources of steps 0, 4, ..., 28 are dumped
@@ -316,22 +342,25 @@ class TestSourceDumps:
         run(RunConfig(**cfg), tmp_path / "run", quiet=True)
         harness.run_scatter(RunConfig(**cfg), tmp_path / "scatter", quiet=True)
         dumped = range(0, 30, 4)
-        # the scatter verb sums its launch and source norms during the
-        # march, so it records the dumped steps only, as run does
-        for traj in trajectories:
-            assert traj.source_every == 4
-            assert len(traj.source_history) == len(dumped)
-            assert np.array_equal(traj.source_times,
-                                  [k * 0.05 + 0.5 * 0.05 for k in dumped])
+        # the march records nothing; each verb's reducer keeps the dumped
+        # steps' sources only
+        for reducer in reducers:
+            assert reducer.steps == 30
+            assert [tau for tau, _ in reducer.sources] == \
+                [k * 0.05 + 0.5 * 0.05 for k in dumped]
 
-        want = sorted(f"src{w}_t{(k + 0.5) * 0.05:08.3f}.kgz"
-                      for k in dumped for w in "QS")
+        full = evolve(RunConfig(**cfg).build_data(), 1.5, 0.05)
         for out in ("run", "scatter"):
             got = sorted(p.name for p in (tmp_path / out).glob("src*.kgz"))
-            assert got == want
-        for name in want:
-            assert (tmp_path / "run" / name).read_bytes() \
-                == (tmp_path / "scatter" / name).read_bytes()
+            assert got == sorted(f"src{w}_t{(k + 0.5) * 0.05:08.3f}.kgz"
+                                 for k in dumped for w in "QS")
+            for k in dumped:
+                tau = full.source_times[k]
+                for w, src in zip("QS", full.source_history[k]):
+                    f, t = read_field(
+                        tmp_path / out / f"src{w}_t{tau:08.3f}.kgz")
+                    assert t == tau
+                    assert np.array_equal(f.values, src.field().values)
 
 
 class TestScatterVerb:
@@ -366,12 +395,13 @@ class TestScatterVerb:
                         snap_every=0)
         harness.run_scatter(cfg, tmp_path / "out", quiet=True)
         steps, snapshots = 20, 21
-        # one march, recording no source (no dumps), feeds one reducer;
-        # nothing replays a record
+        # one march, recording no source, feeds the run's reducer, which
+        # feeds one DuhamelSum; nothing replays a record
         assert len(marches) == 1
-        assert marches[0]["record_sources"] == 0
-        assert isinstance(marches[0]["on_source"].__self__,
-                          scattering.DuhamelSum)
+        assert marches[0]["record_sources"] is False
+        reducer = marches[0]["on_source"].__self__
+        assert isinstance(reducer, RunDiagnostics)
+        assert isinstance(reducer.duhamel, scattering.DuhamelSum)
         assert counts["reducer"] == 1 and counts["replay"] == 0
         # per s: one source norm per step, read off the packed spectrum,
         # and two residual norms per snapshot, read off the snapshot's
@@ -383,6 +413,16 @@ class TestScatterVerb:
         assert counts["rotation"] == 2 + steps + snapshots
         for tag in ("s1", "s2"):
             assert (tmp_path / "out" / f"scatter_{tag}_meta.txt").exists()
+
+    def test_keeps_the_callers_config(self, tmp_path):
+        cfg = RunConfig(points_per_axis=64, L=12.0, amplitude=1e-2, T=2.0,
+                        dt=0.1, diagnostics=("decay",))
+        harness.run_scatter(cfg, tmp_path / "scatter", quiet=True)
+        assert cfg.diagnostics == ("decay",)
+        assert list((tmp_path / "scatter").glob("scatter_*"))
+        # so a later run of the same config does not scatter
+        run(cfg, tmp_path / "run", quiet=True)
+        assert not list((tmp_path / "run").glob("scatter_*"))
 
 
 class TestShellProbes:
@@ -440,7 +480,13 @@ class TestCli:
         "picard_max_iter = 1", "width = 0", "width = nan", "seed = -1",
         "scatter_s = -1", "scatter_s = 1 inf", "picard_tol = nan",
         "picard_tol = 0", "fit_t1 = nan", "fit_t1 = -5", "fit_t1 = 0",
-        "fit_t1 = inf", "fit_t2 = -3", "fit_t2 = nan", "snap_every = -3"])
+        "fit_t1 = inf", "fit_t2 = -3", "fit_t2 = nan", "snap_every = -3",
+        "profile = ring", "L = inf", "L = nan", "center = nan 0",
+        "center = inf 0", "center = 1e300 0", "center = 0 -12",
+        # a Gaussian wider than the box fills it (wrap-free check), one far
+        # narrower than the spacing leaves one sample (under-resolved) or,
+        # off the grid points, none
+        "width = 1e200", "width = 1e-200", "width = 1e-5\ncenter = 0.1 0.1"])
     def test_bad_config_exits_before_compute(self, tmp_path, monkeypatch,
                                              capsys, line):
         calls = []
@@ -575,3 +621,65 @@ class TestCli:
     def test_check_verb(self):
         results = run_check(quiet=True)
         assert all(ok for _, ok, _ in results)
+
+
+# keys the fuzz pins, last in the text so that they win over drawn lines:
+# a 64-point grid and at most 30 steps, whatever else the text holds
+PINNED = ("points_per_axis", "L", "T", "dt", "picard_max_iter")
+FREE_KEYS = sorted({f.name for f in dataclasses.fields(RunConfig)}
+                   - set(PINNED))
+
+numbers = st.one_of(
+    st.integers(-10**20, 10**20).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["", "1e400", "0x10", "gaussian", "ring",
+                     "decay, energies, scatter"]))
+assignments = st.tuples(
+    st.sampled_from(FREE_KEYS),
+    numbers | st.lists(numbers, min_size=2, max_size=3).map(" ".join)
+    | st.text(max_size=10)).map(lambda kv: f"{kv[0]} = {kv[1]}")
+
+
+@st.composite
+def steps_in_window(draw):
+    """(T, dt) with dt >= 0.05 and T <= 1.5: a whole number of steps, or
+    at times a T that dt may not divide."""
+    dt = draw(st.sampled_from([0.05, 0.1, 0.25, 0.5, 1.5]))
+    steps = draw(st.integers(1, int(round(1.5 / dt))))
+    return draw(st.just(steps * dt) | st.floats(0.05, 1.5)), dt
+
+
+class TestCliFuzz:
+    @settings(max_examples=25, deadline=None)
+    @given(verb=st.sampled_from(["run", "scatter", "picard"]),
+           body=st.lists(assignments, max_size=5),
+           junk=st.none() | st.text(max_size=12), noise=st.binary(max_size=6),
+           window=steps_in_window(), maps=st.integers(2, 3),
+           kind=st.sampled_from(["file"] * 4 + ["not utf-8", "missing",
+                                                "directory"]))
+    def test_any_config_text_exits_with_a_documented_code(
+            self, tmp_path_factory, verb, body, junk, noise, window, maps,
+            kind):
+        # known keys with any values, a junk line, bytes that are not
+        # UTF-8 and unusable paths: main returns 0, 2, 3 or 4 and raises
+        # nothing
+        T, dt = window
+        pinned = (f"points_per_axis = 64\nL = 12\nT = {T!r}\ndt = {dt!r}\n"
+                  f"picard_max_iter = {maps}\n")
+        lines = [line.encode() for line in body + [junk or "", pinned]]
+        if kind == "not utf-8":
+            lines.insert(0, b"\xff" + noise)
+        root = tmp_path_factory.mktemp("fuzz")
+        path = root / "run.cfg"
+        if kind == "directory":
+            path.mkdir()
+        elif kind != "missing":
+            path.write_bytes(b"\n".join(lines))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([verb, str(path), "--out", str(root / "out"),
+                         "--quiet"])
+        assert code in (0, 2, 3, 4)
+        # a failure says so in one line, and a quiet success says nothing
+        assert err.getvalue().count("\n") == (code != 0)
+        assert "Traceback" not in err.getvalue()

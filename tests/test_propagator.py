@@ -185,7 +185,7 @@ class TestBoxRotation:
         free_flow(data, 0.5, 0.1)
         picard_map(traj, data)
         launch = scatter_launch(traj, 1.0)
-        residual_series(traj, launch, [1.0, 2.0])
+        residual_series(traj.states, launch, [1.0, 2.0])
         # 2 per march (4 marches), 10 for the launch, 11 for the residual
         assert len(shapes) == 2 * 4 + 10 + 11
         assert set(shapes) == {grid64.spectral["box_k_sq"].shape}

@@ -22,7 +22,7 @@ from kgz2d.scattering import (
     source_norm_series,
     write_profile,
 )
-from kgz2d.system import InitialData, evolve, gaussian_data
+from kgz2d.system import InitialData, KGZState, evolve, gaussian_data
 
 from conftest import dealias
 
@@ -72,28 +72,6 @@ class TestSourceNorms:
                       record_sources=False)
         with pytest.raises(MissingHistoryError):
             source_norm_series(traj, 1.0)
-
-
-class TestSparseRecord:
-    """A record without every step cannot give the Duhamel quadrature."""
-
-    @pytest.fixture(scope="class")
-    def sparse_run(self, run_grid):
-        return evolve(gaussian_data(run_grid, 1e-2), 2.0, 0.1,
-                      record_sources=4)
-
-    def test_norms_and_launch_rejected(self, sparse_run):
-        for read in (lambda: source_norm_series(sparse_run, 1.0),
-                     lambda: scatter_launch(sparse_run, 2.0)):
-            with pytest.raises(MissingHistoryError,
-                               match="every 4-th step only"):
-                read()
-
-    def test_tail_norm_rejected(self, sparse_run, run_grid):
-        full = evolve(gaussian_data(run_grid, 1e-2), 2.0, 0.1)
-        profile = build_scatter_data(full, 1.0, require_convergent_tail=False)
-        with pytest.raises(MissingHistoryError, match="every 4-th step only"):
-            duhamel_tail_norm(sparse_run, profile, 1.0)
 
 
 class TestBuildScatterData:
@@ -227,15 +205,15 @@ class TestResidualSeries:
     def test_zero_source_zero_residual(self, run_grid):
         traj = evolve(wave_only_data(run_grid), 6.0, 0.1)
         profile = build_scatter_data(traj, 1.0, t_max=6.0)
-        _, (res,) = residual_series(traj, profile.data_plus, [profile.s])
+        _, (res,) = residual_series(traj.states, profile.data_plus, [profile.s])
         assert np.max(res) <= 1e-12
 
     def test_consistency_identity(self, nonlinear_run):
         # residual(t) equals the norm of the remaining Duhamel sum
         profile = build_scatter_data(nonlinear_run, 1.0, t_max=12.0,
                                      require_convergent_tail=False)
-        times, (res,) = residual_series(nonlinear_run, profile.data_plus,
-                                          [profile.s])
+        times, (res,) = residual_series(nonlinear_run.states,
+                                        profile.data_plus, [profile.s])
         for t in (3.0, 7.0, 10.0):
             k = nonlinear_run.index_at(t)
             tail = duhamel_tail_norm(nonlinear_run, profile, t)
@@ -244,10 +222,24 @@ class TestResidualSeries:
     def test_residual_at_cut_below_tail(self, nonlinear_run):
         profile = build_scatter_data(nonlinear_run, 1.0, t_max=12.0,
                                      require_convergent_tail=False)
-        times, (res,) = residual_series(nonlinear_run, profile.data_plus,
-                                          [profile.s])
+        times, (res,) = residual_series(nonlinear_run.states,
+                                        profile.data_plus, [profile.s])
         k = nonlinear_run.index_at(12.0)
         assert res[k] <= profile.tail + 1e-10
+
+    def test_reads_each_states_time_and_packed_E(self, nonlinear_run):
+        # any sequence of states, each holding its packed E alone
+        profile = build_scatter_data(nonlinear_run, 1.0, t_max=12.0,
+                                     require_convergent_tail=False)
+        s_values = [profile.s, 2.0]
+        times, res = residual_series(nonlinear_run.states, profile.data_plus,
+                                     s_values)
+        picked = nonlinear_run.states[5::7]
+        slim = [KGZState(state.t, {"E": state.packed["E"]})
+                for state in picked]
+        got_times, got = residual_series(slim, profile.data_plus, s_values)
+        assert np.array_equal(got_times, times[5::7])
+        assert np.array_equal(got, res[:, 5::7])
 
     def test_grid_mismatch(self, nonlinear_run):
         g2 = make_grid(64, 12.0)
@@ -255,7 +247,7 @@ class TestResidualSeries:
         profile = build_scatter_data(nonlinear_run, 1.0, t_max=12.0,
                                      require_convergent_tail=False)
         with pytest.raises(ValueError):
-            residual_series(traj2, profile.data_plus, [profile.s])
+            residual_series(traj2.states, profile.data_plus, [profile.s])
 
 
 class TestPersistence:

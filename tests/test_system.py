@@ -16,7 +16,6 @@ from kgz2d.system import (
     gaussian_data,
     picard_map,
     picard_solve,
-    ring_data,
 )
 from kgz2d.system import _products
 
@@ -57,11 +56,19 @@ class TestInitialData:
     def test_zero_data_radius(self, grid64):
         assert zero_data(grid64).radius == 0.0
 
-    def test_ring_profile(self, grid64):
-        data = ring_data(grid64, 1e-2, ring_radius=3.0)
-        mag = data.E0.values[0]
-        peak_r = grid64.R.flat[np.argmax(mag)]
-        assert abs(peak_r - 3.0) < 0.5
+    @pytest.mark.parametrize("width", [1e-200, 1e-160, 1e200])
+    def test_extreme_widths_give_finite_data(self, grid64, width):
+        # a width far below the spacing leaves the sample at the center, one
+        # far above the box a constant that fills it
+        with np.errstate(all="raise"):
+            data = gaussian_data(grid64, 1e-2, width)
+        g = data.E0.values[0] / 1e-2
+        if width < 1:
+            assert np.count_nonzero(g) == 1 and g[grid64.R == 0] == 1.0
+            assert data.unresolved > 1e-8
+        else:
+            assert np.all(g == 1.0)
+            assert data.radius == grid64.R.max()
 
 
 class TestEvolve:
@@ -189,8 +196,7 @@ class TestPicard:
         with pytest.raises(ValueError):
             picard_map(sparse, data)
 
-    @pytest.mark.parametrize("record, says", [
-        (False, "it recorded none"), (4, "every 4-th step only")])
+    @pytest.mark.parametrize("record, says", [(False, "it recorded none")])
     def test_requires_every_step_recorded(self, grid64, record, says):
         data = gaussian_data(grid64, 1e-2)
         guess = free_flow(data, 2.0, 0.1, record_sources=record)
@@ -230,29 +236,16 @@ class TestTrajectory:
         assert traj.times[1] - traj.times[0] == pytest.approx(0.4)
         assert len(traj.source_history) == 20
 
-    @pytest.mark.parametrize("flow", [evolve, free_flow])
-    def test_record_stride_keeps_those_steps_exactly(self, small_run, flow):
-        data, _ = small_run
-        full = flow(data, 3.0, 0.1)
-        sparse = flow(data, 3.0, 0.1, record_sources=7)
-        assert sparse.source_every == 7
-        assert np.array_equal(sparse.source_times, full.source_times[::7])
-        for got, want in zip(sparse.source_history, full.source_history[::7],
-                             strict=True):
-            assert all(np.array_equal(a.values, b.values)
-                       for a, b in zip(got, want))
-        assert all(np.array_equal(a.E.u.values, b.E.u.values)
-                   for a, b in zip(sparse.states, full.states))
-
     def test_no_record(self, small_run):
         data, _ = small_run
         traj = evolve(data, 1.0, 0.1, record_sources=0)
         assert traj.source_history is None and traj.source_times is None
 
-    @pytest.mark.parametrize("bad", [-1, 2.5])
+    @pytest.mark.parametrize("bad", [-1, 2.5, 4, "yes"])
     def test_rejects_bad_stride(self, small_run, bad):
+        # the record is all steps or none: no stride but 0 and 1
         data, _ = small_run
-        with pytest.raises(ValueError, match="step stride"):
+        with pytest.raises(ValueError, match="must be True or False"):
             evolve(data, 1.0, 0.1, record_sources=bad)
 
 
@@ -438,13 +431,13 @@ class TestStreamedSnapshots:
     def test_on_snapshot_gets_the_states_a_march_keeps(self, grid64):
         data = gaussian_data(grid64, 0.3)
         seen = []
-        streamed = evolve(data, 1.0, 0.1, store_every=2, record_sources=4,
+        streamed = evolve(data, 1.0, 0.1, store_every=2, record_sources=False,
                           on_snapshot=seen.append)
-        kept = evolve(data, 1.0, 0.1, store_every=2, record_sources=4)
+        kept = evolve(data, 1.0, 0.1, store_every=2)
         assert streamed.states == [] and len(streamed) == 0
+        assert streamed.source_history is None
         assert np.array_equal(streamed.times, kept.times)
         assert (streamed.dt, streamed.t_end) == (kept.dt, kept.t_end)
-        assert np.array_equal(streamed.source_times, kept.source_times)
         assert [s.t for s in seen] == list(kept.times)
         for a, b in zip(seen, kept.states, strict=True):
             for which in ("E", "n_delta"):
