@@ -12,9 +12,9 @@ Conventions used throughout:
   <= 2 (the analysis commutes far more); every weighted quantity reported
   here is the truncated version.
 
-Trajectory arguments are duck-typed.  The energies, ratios and the
-multiplier identity read .grid, .times, .states, .jet(k, which, depth) and
-.snapshot_source(k, which); xnorm_distance reads only .grid, .times and
+Trajectory arguments are duck-typed.  The ratios and the multiplier identity
+read .grid, .times, .states, .jet(k, which, depth) and .snapshot_source(k,
+which); the ghost energies and xnorm_distance read only .grid, .times and
 .jet_spectra(k, which, depth), the half spectra of a jet's levels.
 """
 
@@ -25,10 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Derivatives, FieldPair, Grid
+from .grid import Derivatives, FieldPair, Grid, Spectrum
 from .vector_fields import (
     LETTERS,
+    WORD_WEIGHTS,
     JetField,
+    WordPlanes,
     _spectral_jet,
     all_words,
     apply_gamma,
@@ -121,42 +123,45 @@ def _good_sq(jet: JetField) -> np.ndarray:
     return sum(np.sum(good_derivative(a, jet).values ** 2, axis=0) for a in (1, 2))
 
 
-def _ghost_integrand(jet: JetField, m: int, delta: float,
-                     w: np.ndarray) -> float:
-    """int w delta (|G u|^2 + m^2 |u|^2) dx, with w the snapshot's ghost
-    weight <t - r>^{-1-delta}."""
-    dens = delta * (_good_sq(jet) + float(m) ** 2 * np.sum(jet.u**2, axis=0))
-    return float(np.sum(w * dens) * jet.grid.cell_area)
-
-
 _MASS = {"E": 1, "n": 0, "n_delta": 0}
 
 
 class GhostEnergies:
-    """E_gst(t, Gamma^I u) of one field, fed add(t, jet) with each snapshot's
-    jet of depth `depth` in time order: rows gets a row per snapshot, a
-    column per word |I| <= order, each word's natural energy plus the running
-    trapezoid integral of delta (|G_a Gamma^I u|^2 + m^2 |Gamma^I u|^2) /
-    <tau - r>^{1+delta}."""
+    """E_gst(t, Gamma^I u) of one field, fed add(t, levels) with the packed
+    level spectra (u, u_t[, u_tt]) of each snapshot's jet in time order: rows
+    gets a row per snapshot, a column per word |I| <= order, each word's
+    natural energy plus the running trapezoid integral of delta (|G_a Gamma^I
+    u|^2 + m^2 |Gamma^I u|^2) / <tau - r>^{1+delta}, as physical sums."""
 
     def __init__(self, grid: Grid, delta: float = 0.1, which: str = "n",
                  order: int = 1):
         if not delta > 0:
             raise ValueError("delta must be positive")
+        if order > 1:
+            raise ValueError("the word table holds the words |I| <= 1")
         self.grid, self.delta, self.which = grid, delta, which
         self.words = all_words(order)
-        self.depth = 1 + max(w.time_budget() for w in self.words)
+        self.depth = 1 + order  # dt and the boosts read one level more
         self.rows: list[np.ndarray] = []
         self._acc, self._prev = np.zeros(len(self.words)), None
 
-    def add(self, t: float, jet: JetField) -> None:
+    def add(self, t: float, levels) -> None:
         g, m, delta = self.grid, _MASS[self.which], self.delta
-        weight = jbracket(jet.t - g.R) ** (-(1.0 + delta))
+        weight = jbracket(t - g.R) ** (-(1.0 + delta))
+        planes = WordPlanes(g, t, levels)
         integ, row = np.empty((2, len(self.words)))
         for i, w in enumerate(self.words):
-            wjet = apply_letters(w.letters, jet, depth=2)
-            integ[i] = _ghost_integrand(wjet, m, delta, weight)
-            row[i] = spectral_energy(g, wjet.hat(0), wjet.hat(1), m)
+            value, *grad = WORD_WEIGHTS[w.letters]
+            wt, w1, w2 = (planes.combine(terms) for terms in grad)
+            gx, gy = (r * wt + wa for r, wa in zip(g.radial_unit, (w1, w2)))
+            good = np.vdot(weight * gx, gx) + np.vdot(weight * gy, gy)
+            dens = np.vdot(wt, wt) + np.vdot(w1, w1) + np.vdot(w2, w2)
+            if m:
+                u = planes.combine(value)
+                good += m**2 * np.vdot(weight * u, u)
+                dens += m**2 * np.vdot(u, u)
+            integ[i], row[i] = delta * good * g.cell_area, dens * g.cell_area
+            del wt, w1, w2, gx, gy  # only the planes outlive a word
         if self._prev is not None:
             self._acc += 0.5 * (self._prev[1] + integ) * (t - self._prev[0])
         self._prev = (t, integ)
@@ -169,8 +174,10 @@ class GhostEnergies:
 
 
 def _fed(traj, ghost: GhostEnergies) -> GhostEnergies:
+    g = traj.grid
     for k, t in enumerate(traj.times):
-        ghost.add(t, traj.jet(k, ghost.which, depth=ghost.depth))
+        ghost.add(t, [Spectrum.pack(g, h).values for h in
+                      traj.jet_spectra(k, ghost.which, ghost.depth)])
     return ghost
 
 

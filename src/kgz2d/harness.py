@@ -40,6 +40,7 @@ from .scattering import (
 from .system import (
     KGZState,
     PicardNonConvergence,
+    _products,
     _steps_for,
     evolve,
     gaussian_data,
@@ -112,7 +113,7 @@ class RunConfig:
             raise ConfigError(f"center must lie inside the box (-L, L)^2, "
                               f"got {self.center}")
         try:
-            make_grid(self.points_per_axis, self.L)
+            grid = make_grid(self.points_per_axis, self.L)
             steps = _steps_for(self.T, self.dt)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
@@ -128,8 +129,11 @@ class RunConfig:
         if not (math.isfinite(self.picard_tol) and self.picard_tol > 0):
             raise ConfigError(
                 f"picard_tol must be finite and positive, got {self.picard_tol}")
-        if not all(math.isfinite(s) and s >= 0 for s in self.scatter_s):
-            raise ConfigError(f"scatter_s must be finite and nonnegative, "
+        k_sq = 2.0 * float(np.max(grid.k1**2))  # at the grid's corner
+        if not all(0 <= s * math.log1p(k_sq) < math.log(sys.float_info.max)
+                   for s in self.scatter_s):
+            raise ConfigError(f"scatter_s must be nonnegative with a finite "
+                              f"weight (1+|k|^2)^s up to |k|^2 = {k_sq:.4g}, "
                               f"got {self.scatter_s}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
@@ -333,7 +337,8 @@ class RunDiagnostics:
 
     The state's physical E and n, built once, give sup_E, the shell probe
     and every snap_every-th snapshot's dumps (kept until written); with
-    energies, its spectra give the energies and n's jet the ghost ones.
+    energies, its spectra give the energies and n's packed jet levels,
+    with a source made from that E, the ghost ones.
     The packed (Q, S) of every snap_every-th step are kept for the source
     dumps.  With a DuhamelSum (the scatter diagnostics), every step's
     products feed it, and each state's packed E is kept for the residual.
@@ -368,7 +373,11 @@ class RunDiagnostics:
             for which, m in (("E", 1), ("n", 0)):
                 self.energies[which].append(
                     spectral_energy(self.grid, *state.spectra(which), m))
-            self.ghost.add(state.t, state.jet("n", depth=self.ghost.depth))
+            # u_tt = lap (u + S), S = |E|^2 made as Trajectory.products does
+            u, ut = state.box("n")
+            lap = -self.grid.spectral["box_k_sq"]
+            S = _products(self.grid, E.values)[1].values
+            self.ghost.add(state.t, (u, ut, lap * u + lap * S))
 
     def series(self) -> dict:
         series = {"sup_E": np.array(self.sup_E),
@@ -420,17 +429,22 @@ def run(config: RunConfig, out_dir=None, quiet: bool = False) -> RunReport:
     out = _out_dir(config, out_dir)
     data = config.build_data()
     say = (lambda *a: None) if quiet else print
-
-    say(f"[kgz2d] evolve: n={config.points_per_axis} L={config.L} "
-        f"T={config.T} dt={config.dt} amplitude={config.amplitude}")
     duhamel = None
     if "scatter" in config.diagnostics:
         # the launch window is known before the march, so the launch and
         # the source norms are summed from the march's live sources
-        t_end = _steps_for(config.T, config.dt) * config.dt
-        t_max = min(0.8 * (config.L - data.radius), t_end)
+        steps = _steps_for(config.T, config.dt)
+        t_max = min(0.8 * (config.L - data.radius), steps * config.dt)
+        fit = 0  # the tail fit's window holds the midpoints k dt + dt/2
+        for k in range(steps):
+            fit += 0.5 * t_max <= k * config.dt + 0.5 * config.dt <= t_max
+        if fit < 8:
+            raise ConfigError("the scatter tail fit needs 8 step midpoints "
+                              f"in [t_max/2, t_max], t_max = {t_max:g}")
         duhamel = DuhamelSum(data.grid, config.dt, 0.0, t_max,
                              config.scatter_s)
+    say(f"[kgz2d] evolve: n={config.points_per_axis} L={config.L} "
+        f"T={config.T} dt={config.dt} amplitude={config.amplitude}")
     snaps = RunDiagnostics(data.grid, "energies" in config.diagnostics,
                            config.delta, config.snap_every, duhamel)
     # the reducer keeps what the outputs read; the march records nothing

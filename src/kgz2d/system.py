@@ -82,12 +82,6 @@ class KGZState:
         """The physical u of the pair alone, for readers of u only."""
         return Field(self.grid, self.grid.box_irfft(self.box(which)[0]))
 
-    def jet(self, which: str, depth: int = 2) -> JetField:
-        """The jet of a lone state of the nonlinear flows, whose sources are
-        its own products: the jet of a one-snapshot coupled trajectory."""
-        return Trajectory(self.grid, 0.0, 1, np.array([self.t]), [self], None,
-                          None, "coupled").jet(0, which, depth)
-
     @property
     def E(self) -> FieldPair:
         return self.pair("E")

@@ -25,7 +25,9 @@ from .grid import Derivatives, Field, Grid
 
 __all__ = [
     "LETTERS",
+    "WORD_WEIGHTS",
     "GammaWord",
+    "WordPlanes",
     "JetField",
     "all_words",
     "apply_gamma",
@@ -53,14 +55,6 @@ class GammaWord:
         if len(self.letters) > MAX_ORDER:
             raise ValueError(
                 f"word order {len(self.letters)} exceeds the cap {MAX_ORDER}")
-
-    @property
-    def order(self) -> int:
-        return len(self.letters)
-
-    def time_budget(self) -> int:
-        """Jet depth consumed: one unit per dt or boost letter."""
-        return sum(1 for ell in self.letters if ell in TIME_LETTERS)
 
 
 def all_words(max_order: int, letters: tuple[str, ...] = LETTERS) -> list[GammaWord]:
@@ -124,6 +118,51 @@ class JetField:
     def hat(self, level: int = 0) -> np.ndarray:
         """Half spectrum of time level `level`, computed once per jet."""
         return self._stack[level].hat
+
+
+# Each word |I| <= 1 and its d_t, d_1 and d_2 by the product rule, as sums of
+# "coefficient*plane" terms: a coefficient is +-1 (its sign alone), x_a or t,
+# and a plane is u with a "t" per time derivative, then its spatial axes.
+WORD_WEIGHTS = {
+    (): (("u",), ("ut",), ("u1",), ("u2",)),
+    ("dt",): (("ut",), ("utt",), ("ut1",), ("ut2",)),
+    ("d1",): (("u1",), ("ut1",), ("u11",), ("u12",)),
+    ("d2",): (("u2",), ("ut2",), ("u12",), ("u22",)),
+    ("rot",): (("x1*u2", "-x2*u1"), ("x1*ut2", "-x2*ut1"),
+               ("u2", "x1*u12", "-x2*u11"), ("x1*u22", "-u1", "-x2*u12")),
+    ("L1",): (("x1*ut", "t*u1"), ("x1*utt", "u1", "t*ut1"),
+              ("ut", "x1*ut1", "t*u11"), ("x1*ut2", "t*u12")),
+    ("L2",): (("x2*ut", "t*u2"), ("x2*utt", "u2", "t*ut2"),
+              ("x2*ut1", "t*u12"), ("ut", "x2*ut2", "t*u22")),
+}
+
+
+class WordPlanes(dict):
+    """The planes of WORD_WEIGHTS at time t of packed jet levels (u, u_t[,
+    u_tt]), each one pruned inverse transform, made on first use and kept."""
+
+    def __init__(self, grid: Grid, t: float, levels):
+        self.grid, self.t, self.levels = grid, t, levels
+
+    def __missing__(self, name: str) -> np.ndarray:
+        g = self.grid
+        rows, cols = g.spectral["box"]
+        hat = self.levels[name.count("t")]
+        for axis in name.lstrip("ut"):
+            hat = g.spectral["d" + axis][rows, :cols] * hat
+        self[name] = out = g.box_irfft(hat)
+        return out
+
+    def combine(self, terms) -> np.ndarray:
+        """The physical sum of the terms of one row of WORD_WEIGHTS."""
+        factor = {"t": self.t, "x1": self.grid.X1, "x2": self.grid.X2}
+        total = None
+        for term in terms:
+            coef, _, name = term.lstrip("-").rpartition("*")
+            value = factor[coef] * self[name] if coef else self[name]
+            value = -value if term[0] == "-" else value
+            total = value if total is None else total + value
+        return total
 
 
 def _jet_of(grid: Grid, t: float, stack: list[Derivatives]) -> JetField:

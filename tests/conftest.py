@@ -61,22 +61,23 @@ def grid128():
 
 @pytest.fixture
 def transforms(monkeypatch):
-    """Counts of forward ("rfft") and inverse ("irfft") transforms from the
-    moment of reset, whole-plane (Grid.rfft, Grid.irfft) or pruned to the
-    dealias box (Grid.box_rfft, Grid.box_irfft)."""
-    calls = {"rfft": 0, "irfft": 0}
-    for name in ("rfft", "irfft", "box_rfft", "box_irfft"):
+    """Counts of transforms from the moment of reset, whole-plane forward
+    ("rfft", Grid.rfft) and inverse ("irfft", Grid.irfft) apart from those
+    pruned to the dealias box ("box_rfft", Grid.box_rfft, and "box_irfft",
+    Grid.box_irfft)."""
+    names = ("rfft", "irfft", "box_rfft", "box_irfft")
+    calls = dict.fromkeys(names, 0)
+    for name in names:
         original = getattr(Grid, name)
 
-        def counted(self, arr, _name=name.removeprefix("box_"),
-                    _original=original):
+        def counted(self, arr, _name=name, _original=original):
             calls[_name] += 1
             return _original(self, arr)
 
         monkeypatch.setattr(Grid, name, counted)
 
     def reset():
-        calls.update(rfft=0, irfft=0)
+        calls.update(dict.fromkeys(names, 0))
         return calls
 
     return reset

@@ -280,6 +280,20 @@ class TestStreamedRun:
             assert all(np.array_equal(a.values, b.values) for a, b in
                        zip(slim.packed["E"], state.packed["E"], strict=True))
 
+    def test_ghost_snapshot_transforms(self, grid64, transforms):
+        # what the ghost energies add to one snapshot of the reducer: |E|^2
+        # forward from the E it already holds, and the 9 planes of n's words
+        # |I| <= 1, each one pruned inverse transform; no whole plane
+        state = evolve(gaussian_data(grid64, 0.3), 0.2, 0.1).states[-1]
+        counts = []
+        for energies in (False, True):
+            calls = transforms()
+            RunDiagnostics(grid64, energies, 0.1, 0).add(state)
+            counts.append(dict(calls))
+        ghost = {name: counts[1][name] - counts[0][name] for name in calls}
+        assert ghost == {"rfft": 0, "irfft": 0, "box_rfft": 1, "box_irfft": 9}
+        assert counts[1]["rfft"] == counts[1]["irfft"] == 0
+
     def test_run_and_scatter_keep_no_states(self, tmp_path, monkeypatch):
         marches = []
 
@@ -486,7 +500,10 @@ class TestCli:
         # a Gaussian wider than the box fills it (wrap-free check), one far
         # narrower than the spacing leaves one sample (under-resolved) or,
         # off the grid points, none
-        "width = 1e200", "width = 1e-200", "width = 1e-5\ncenter = 0.1 0.1"])
+        "width = 1e200", "width = 1e-200", "width = 1e-5\ncenter = 0.1 0.1",
+        # (1 + |k|^2)^1000 overflows at n=64, L=12, where |k|^2 reaches 140;
+        # it used to print two numpy RuntimeWarnings and exit 3
+        "scatter_s = 1 1e3"])
     def test_bad_config_exits_before_compute(self, tmp_path, monkeypatch,
                                              capsys, line):
         calls = []
@@ -575,6 +592,25 @@ class TestCli:
         assert err.startswith("config error: data under-resolved: ")
         assert err.count("\n") == 1
         assert calls == []
+
+    def test_short_scatter_tail_window_exits_before_compute(
+            self, tmp_path, monkeypatch, capsys):
+        # [t_max/2, t_max] = [0.25, 0.5] holds 5 step midpoints, too few
+        # for the tail fit; this used to exit 3 after the whole march, with
+        # diagnostics.csv written
+        calls = []
+        monkeypatch.setattr(harness, "evolve",
+                            lambda *args, **kwargs: calls.append(args))
+        path = write_config(tmp_path, "points_per_axis = 64\nL = 12\n"
+                            "dt = 0.05\nT = 0.5\n")
+        out = tmp_path / "out"
+        code = main(["scatter", str(path), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith(
+            "config error: the scatter tail fit needs 8 step midpoints")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert calls == [] and list(out.glob("*")) == []
 
     def test_sweep_runs_each_config_on_its_own(self, tmp_path, capsys):
         bad = write_config(tmp_path, "nonsense_key = 1\n", "bad.cfg")

@@ -262,7 +262,9 @@ class TestJet:
         _, traj = small_run
         calls = transforms()
         traj.jet(5, which)
-        assert calls == {"rfft": rffts, "irfft": irffts}
+        # the levels are whole-plane inverses, the products pruned ones
+        assert (calls["rfft"], calls["irfft"]) == (0, 3)
+        assert (calls["box_rfft"], calls["box_irfft"]) == (rffts, irffts - 3)
 
     @pytest.mark.parametrize("which", ["E", "n", "n_delta"])
     def test_utt_is_the_field_equation(self, small_run, which):
@@ -444,15 +446,6 @@ class TestStreamedSnapshots:
                 assert all(np.array_equal(x, y) for x, y in
                            zip(a.box(which), b.box(which), strict=True))
 
-    def test_lone_state_jet_is_the_trajectory_jet(self, grid64):
-        traj = evolve(gaussian_data(grid64, 0.3), 1.0, 0.1)
-        for which in ("E", "n", "n_delta"):
-            for depth in (1, 2, 3):
-                a = traj.states[4].jet(which, depth)
-                b = traj.jet(4, which, depth)
-                assert len(a.levels()) == len(b.levels()) == depth + 1
-                for x, y in zip(a.levels(), b.levels()):
-                    assert np.array_equal(x, y)
 
 
 class TestPicardFixedPoint:
