@@ -1,11 +1,12 @@
 """Linear scattering of the Klein-Gordon component.
 
-Builds the free comparison data by pulling every recorded source kick back
-to t = 0 with the exact backward propagator, then measures how fast the
-nonlinear field approaches the free field launched from that data.  All
-truncation is explicit: the script prints the extrapolated tail of the
+Builds the free comparison data by rotating the state at the cut back to
+t = 0 with the exact backward propagator (for the Strang march, exactly the
+initial data plus every earlier source kick pulled back), then measures how
+fast the nonlinear field approaches the free field launched from that data.
+All truncation is explicit: the script prints the extrapolated tail of the
 source-norm integral next to the captured part, and verifies the residual
-equals the remaining Duhamel sum to round-off.
+equals the remaining Duhamel sum of the recorded kicks to round-off.
 
 Run from the repository root:  python3 demos/demo_scattering.py
 """

@@ -30,13 +30,9 @@ from .energy_diag import (DiagnosticsReport, GhostEnergies, energy, jbracket,
                           spectral_energy)
 from .grid import Field, make_grid, read_field, write_field
 from .propagator import InstabilityError
-from .scattering import (
-    DuhamelSum,
-    TailDivergenceError,
-    residual_series,
-    scatter_profile,
-    write_profile,
-)
+from .scattering import (DuhamelSum, TailDivergenceError, in_tail_window,
+                         launch_from, midpoints, residual_series,
+                         scatter_profile, write_profile)
 from .system import (
     KGZState,
     PicardNonConvergence,
@@ -332,16 +328,16 @@ def interior_shell_ratio(traj, shells=((4.0, 6.0), (16.0, 24.0)), t_min: float =
 
 class RunDiagnostics:
     """The run and scatter verbs' reducer of one march, fed add(state) with
-    each state to be stored and add_source(tau, (Q, S)) with each step's
-    midpoint products, both in time order.
+    each state to be stored and add_source(tau, (Q, S), state) with each
+    step's midpoint products and the E after it, both in time order.
 
     The state's physical E and n, built once, give sup_E, the shell probe
     and every snap_every-th snapshot's dumps (kept until written); with
     energies, its spectra give the energies and n's packed jet levels,
     with a source made from that E, the ghost ones.
     The packed (Q, S) of every snap_every-th step are kept for the source
-    dumps.  With a DuhamelSum (the scatter diagnostics), every step's
-    products feed it, and each state's packed E is kept for the residual.
+    dumps.  With a DuhamelSum (the scatter diagnostics), every step feeds
+    it, and each state's packed E is kept for the residual.
     """
 
     def __init__(self, grid, energies: bool, delta: float, snap_every: int,
@@ -353,12 +349,12 @@ class RunDiagnostics:
         self.sup_E, self.energies = [], {"E": [], "n": []}
         self.ghost = GhostEnergies(grid, delta) if energies else None
 
-    def add_source(self, tau: float, sources) -> None:
+    def add_source(self, tau: float, sources, state) -> None:
         if self.snap_every and self.steps % self.snap_every == 0:
             self.sources.append((tau, sources))
         self.steps += 1
         if self.duhamel is not None:
-            self.duhamel.add(tau, sources)
+            self.duhamel.add(tau, sources, state)
 
     def add(self, state) -> None:
         E, n = state.field("E"), state.field("n")
@@ -431,18 +427,14 @@ def run(config: RunConfig, out_dir=None, quiet: bool = False) -> RunReport:
     say = (lambda *a: None) if quiet else print
     duhamel = None
     if "scatter" in config.diagnostics:
-        # the launch window is known before the march, so the launch and
-        # the source norms are summed from the march's live sources
+        # t_max is known before the march, which feeds the reducer live
         steps = _steps_for(config.T, config.dt)
         t_max = min(0.8 * (config.L - data.radius), steps * config.dt)
-        fit = 0  # the tail fit's window holds the midpoints k dt + dt/2
-        for k in range(steps):
-            fit += 0.5 * t_max <= k * config.dt + 0.5 * config.dt <= t_max
-        if fit < 8:
+        if np.count_nonzero(in_tail_window(midpoints(steps, config.dt),
+                                           t_max)) < 8:
             raise ConfigError("the scatter tail fit needs 8 step midpoints "
                               f"in [t_max/2, t_max], t_max = {t_max:g}")
-        duhamel = DuhamelSum(data.grid, config.dt, 0.0, t_max,
-                             config.scatter_s)
+        duhamel = DuhamelSum(data.grid, config.dt, t_max, config.scatter_s)
     say(f"[kgz2d] evolve: n={config.points_per_axis} L={config.L} "
         f"T={config.T} dt={config.dt} amplitude={config.amplitude}")
     snaps = RunDiagnostics(data.grid, "energies" in config.diagnostics,
@@ -494,7 +486,7 @@ def run(config: RunConfig, out_dir=None, quiet: bool = False) -> RunReport:
 def _scatter_outputs(config: RunConfig, snaps: RunDiagnostics, out: Path,
                      report: RunReport, say):
     skipped, duhamel = list(report.skipped), snaps.duhamel
-    launch = duhamel.launch(snaps.states[0].E)
+    launch = launch_from(duhamel.state)
     rt, residuals = residual_series(snaps.states, launch, config.scatter_s)
     for s, res in zip(config.scatter_s, residuals):
         times, norms, running = duhamel.series(s)
@@ -673,6 +665,10 @@ def _tool_verb(args) -> int:
     if args.verb == "check":
         results = run_check(quiet=args.quiet)
         return 0 if all(ok for _, ok, _ in results) else 4
+    t1, t2 = args.t1, args.t2
+    if not (t1 > 0 and math.isfinite(t2) and t2 >= 2.0 * t1):
+        raise ConfigError(f"fit window [{t1:g}, {t2:g}] needs t1 finite and "
+                          "positive and t2 finite with t2 >= 2 t1")
     try:
         rep = DiagnosticsReport.read_csv(args.csv)
     except OSError as exc:
@@ -681,7 +677,7 @@ def _tool_verb(args) -> int:
         raise ConfigError(f"{args.csv} is not a diagnostics CSV: {exc}") from None
     if args.column not in rep.series:
         raise ConfigError(f"no column {args.column!r} in {args.csv}")
-    fit = fit_envelope(rep.times, rep.series[args.column], (args.t1, args.t2))
+    fit = fit_envelope(rep.times, rep.series[args.column], (t1, t2))
     print(f"{args.column}: {fit}")
     return 0
 

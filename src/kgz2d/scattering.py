@@ -7,14 +7,13 @@ The free field E+ is launched from
     data+ = data(0) + int_0^{T_max} S1(-tau) (0, Q(tau)) dtau,
     Q = -nE,
 
-where S1 is the exact free Klein-Gordon propagator.  The integral is
-accumulated with the midpoint rule on the recorded per-step midpoint
-sources -- the quadrature that is *exactly* aligned with the Strang
-stepping, so that the reconstruction E(t) - E+(t) = -sum of the future
-kicks holds to round-off.  The launch and the source norms are running
-sums, so one reducer (DuhamelSum) builds both from the sources in midpoint
-order: fed live by the march, nothing per step is kept but the times and
-the norms; fed from a recorded trajectory, it reads the record.
+where S1 is the exact free Klein-Gordon propagator.  By the midpoint rule
+on the per-step midpoint sources, the quadrature of the Strang step E_{k+1}
+= S1(dt) E_k + dt S1(dt/2)(0, Q_k), the launch is exactly S1(-t_K) E(t_K),
+t_K the end of the last step whose midpoint lies below T_max.  The residual
+(E - E+)(t) is then minus the sum of the later kicks to round-off, which
+duhamel_tail_norm sums from the recorded sources.  One reducer (DuhamelSum)
+keeps the source norms and that state, fed by the march or a record.
 All truncation is explicit: the ignored tail of the source-norm integral is
 extrapolated from a power-law fit on the last window and reported next to
 every residual statement.
@@ -26,13 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, FieldPair, Grid, Spectrum, write_field
+from .grid import Field, FieldPair, Grid, write_field
 from .propagator import LinearOperator
 
 __all__ = [
     "ScatterProfile",
     "DuhamelSum",
     "source_norm_series",
+    "launch_from",
     "scatter_launch",
     "scatter_profile",
     "build_scatter_data",
@@ -68,47 +68,28 @@ class ScatterProfile:
     tail_slope: float
     captured: float
 
-    @property
-    def grid(self) -> Grid:
-        return self.data_plus.grid
-
 
 class DuhamelSum:
-    """Running midpoint sums over the sources Q = -nE of one march, fed in
-    midpoint order by add(tau, (Q, S)), the march's on_source call:
-
-    - the packed (acc_u, acc_ut) = sum over midpoints t < tau < t_max of
-      dt S1(t - tau)(0, Q(tau)), accumulated in the dealias box, where
-      every Q lives;
-    - the midpoint times and ||Q(tau)||_{H^s} for each s in s_values.
-
-    t = t_max leaves the sum empty and keeps the norms only.
+    """The scatter verb's reducer of one march, fed in midpoint order by
+    add(tau, (Q, S), state), the march's on_source call: the midpoint
+    times, ||Q(tau)||_{H^s} for each s in s_values, and state, the packed E
+    after the last step whose midpoint lies below t_max, to launch from.
     """
 
-    def __init__(self, grid: Grid, dt: float, t: float, t_max: float,
-                 s_values=()):
-        self.grid = grid
-        self.dt = dt
-        self.t = t
-        self.t_max = t_max
-        self.s_values = tuple(s_values)
-        self._op = LinearOperator(grid, 1, box=True)
-        self.acc_u = np.zeros((2,) + grid.spectral["box_k_sq"].shape,
-                              dtype=complex)
-        self.acc_ut = np.zeros_like(self.acc_u)
+    def __init__(self, grid: Grid, dt: float, t_max: float, s_values=()):
+        self.grid, self.dt, self.t_max = grid, dt, t_max
+        self.s_values, self.state = tuple(s_values), None
         self.times: list[float] = []
         self.norms: list[list[float]] = [[] for _ in self.s_values]
 
-    def add(self, tau: float, sources: tuple[Spectrum, Spectrum]) -> None:
-        """One step's midpoint time and packed products (Q, S)."""
+    def add(self, tau: float, sources, state) -> None:
+        """One step's midpoint time, products (Q, S) and state after it."""
         Q = sources[0]
         self.times.append(tau)
         for row, s in zip(self.norms, self.s_values):
             row.append(self.grid.hs_norm(Q.values, s))
-        if self.t < tau < self.t_max:
-            du, dut = self._op.rotation(self.t - tau)(0.0, Q.values)
-            self.acc_u += self.dt * du
-            self.acc_ut += self.dt * dut
+        if tau < self.t_max:
+            self.state = state
 
     def series(self, s: float):
         """(times, norms, running_integral) of ||Q||_{H^s}, the integral by
@@ -117,23 +98,20 @@ class DuhamelSum:
         return (np.asarray(self.times, dtype=float), norms,
                 np.cumsum(norms) * self.dt)
 
-    def launch(self, data: FieldPair) -> FieldPair:
-        """data plus the inverted sum: with t = 0 and data = data(0), the
-        launch data+ of the free field E+."""
-        g = self.grid
-        u, ut = (g.box_irfft(acc) for acc in (self.acc_u, self.acc_ut))
-        return FieldPair(Field(g, data.u.values + u),
-                         Field(g, data.ut.values + ut))
 
-
-def _reduce(traj, t: float, t_max: float, s_values=()) -> DuhamelSum:
-    """A DuhamelSum fed the trajectory's recorded sources, every step."""
+def _history(traj):
+    """The trajectory's recorded (midpoint time, (Q, S)) pairs."""
     if traj.source_history is None:
         raise MissingHistoryError(
             "trajectory was run without source recording")
-    duhamel = DuhamelSum(traj.grid, traj.dt, t, t_max, s_values)
-    for tau, sources in zip(traj.source_times, traj.source_history):
-        duhamel.add(tau, sources)
+    return zip(traj.source_times, traj.source_history)
+
+
+def _reduce(traj, s_values=()) -> DuhamelSum:
+    """A DuhamelSum of the source norms, fed the trajectory's record."""
+    duhamel = DuhamelSum(traj.grid, traj.dt, 0.0, s_values)
+    for tau, sources in _history(traj):
+        duhamel.add(tau, sources, None)
     return duhamel
 
 
@@ -143,7 +121,17 @@ def source_norm_series(traj, s: float = 1.0):
 
     Returns (times, norms, running_integral).
     """
-    return _reduce(traj, 0.0, 0.0, (s,)).series(s)
+    return _reduce(traj, (s,)).series(s)
+
+
+def midpoints(steps: int, dt: float) -> np.ndarray:
+    """The steps' midpoint times k dt + dt/2, formed as the march does."""
+    return np.arange(steps) * dt + 0.5 * dt
+
+
+def in_tail_window(times, t_max: float) -> np.ndarray:
+    """Which midpoint times lie in the tail fit's window [t_max/2, t_max]."""
+    return (times >= 0.5 * t_max) & (times <= t_max)
 
 
 def _fit_tail(times, norms, t_max: float):
@@ -153,7 +141,7 @@ def _fit_tail(times, norms, t_max: float):
     fitted slope is >= -1 (non-integrable tail).  A window of identically
     zero norms (source-free trajectory) has tail 0 by construction.
     """
-    in_window = (times >= 0.5 * t_max) & (times <= t_max)
+    in_window = in_tail_window(times, t_max)
     if np.any(in_window) and np.max(norms[in_window]) == 0.0:
         return 0.0, 0.0
     window = in_window & (norms > 0)
@@ -167,10 +155,22 @@ def _fit_tail(times, norms, t_max: float):
     return value_at_cut * t_max / (-1.0 - slope), slope
 
 
+def launch_from(state) -> FieldPair:
+    """data+ = S1(-t) E(t) of a state at t, rotated in the dealias box."""
+    g = state.grid
+    rotate = LinearOperator(g, 1, box=True).rotation(-state.t)
+    return FieldPair(*(Field(g, g.box_irfft(b))
+                       for b in rotate(*state.box("E"))))
+
+
 def scatter_launch(traj, t_max: float) -> FieldPair:
-    """data+ = data(0) + sum_k dt * S1(-tau_k)(0, Q_k) over the recorded
-    midpoints tau_k < t_max; one launch serves every Sobolev index."""
-    return _reduce(traj, 0.0, t_max).launch(traj.states[0].E)
+    """data+ launched from the trajectory's state at t_K, K the midpoints
+    below t_max; one launch serves every Sobolev index.  It is data(0) +
+    sum_k dt S1(-tau_k)(0, Q_k) for the kicks Q_k the states saw, which a
+    Picard iterate's record does not hold: it holds the iterate's own."""
+    taus = midpoints(round(traj.t_end / traj.dt), traj.dt)
+    t_K = np.count_nonzero(taus < t_max) * traj.dt
+    return launch_from(traj.states[traj.index_at(t_K)])
 
 
 def scatter_profile(data_plus: FieldPair, s: float, t_max: float, times,
@@ -234,16 +234,19 @@ def residual_series(states, data_plus: FieldPair, s_values):
 def duhamel_tail_norm(traj, profile: ScatterProfile, t: float, s: float | None = None) -> float:
     """|| sum over midpoints tau in (t, t_max) of dt S1(t - tau)(0, Q) ||.
 
-    The residual series equals this quantity up to round-off (the stepping
-    and the Duhamel accumulation share one quadrature); comparing the two
-    validates the whole construction.
+    The residual series, launched from the states, equals this sum of the
+    recorded sources up to round-off; comparing the two validates the
+    whole construction.
     """
     if s is None:
         s = profile.s
-    duhamel = _reduce(traj, t, profile.t_max)
-    g = traj.grid
-    return g.hs_norm(duhamel.acc_u, s) \
-        + g.hs_norm(duhamel.acc_ut, max(s - 1.0, 0.0))
+    g, op = traj.grid, LinearOperator(traj.grid, 1, box=True)
+    acc = np.zeros((2, 2) + g.spectral["box_k_sq"].shape, dtype=complex)
+    for tau, (Q, _) in _history(traj):
+        if t < tau < profile.t_max:
+            for level, kick in zip(acc, op.rotation(t - tau)(0.0, Q.values)):
+                level += traj.dt * kick
+    return g.hs_norm(acc[0], s) + g.hs_norm(acc[1], max(s - 1.0, 0.0))
 
 
 # ---------------------------------------------------------------------------

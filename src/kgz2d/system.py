@@ -16,9 +16,9 @@ dealiased spectra it kicks with, at every step.  Replayed as kicks, the
 record makes the discrete solution an exact fixed point of the Picard map
 and makes Duhamel reconstructions exact up to round-off.  A reader that
 only sums over the steps or keeps a few of them (the run and scatter verbs)
-is instead handed each step's sources as they are made (evolve's
-on_source), and nothing is recorded for it; a reader of one snapshot at a
-time is handed each state (on_snapshot), and none is kept.
+is instead handed each step's sources and the E after it as they are made
+(evolve's on_source), and nothing is recorded for it; a reader of one
+snapshot at a time is handed each state (on_snapshot), and none is kept.
 """
 
 from __future__ import annotations
@@ -312,9 +312,9 @@ def _march(data: InitialData, T: float, dt: float, *, kicks,
                       0) none
     direct_n       -- additionally evolve n directly with source lap(|E|^2)
                       and take the state's n from that integration
-    on_source      -- called as on_source(tau, (Q, S)) with the midpoint
-                      time and products of every step whose products the
-                      march computes: each step of the nonlinear flows
+    on_source      -- called as on_source(tau, (Q, S), state) after every
+                      step whose products the march computes (each step of
+                      the nonlinear flows), state holding the packed E alone
     on_snapshot    -- called as on_snapshot(state) with each state to be
                       stored, as it is made; the march then keeps none
     """
@@ -384,17 +384,13 @@ def _march(data: InitialData, T: float, dt: float, *, kicks,
         # midpoint products from the half-stepped positions
         if own or record_sources:
             n_mid = g.box_irfft(Nu if direct_n else lap * Du)
-            sources = _products(g, g.box_irfft(Eu), n_mid)
+            products = _products(g, g.box_irfft(Eu), n_mid)
             if record_sources:
-                history.append(sources)
+                history.append(products)
                 source_times.append(t + 0.5 * dt)
-            if on_source is not None:
-                on_source(t + 0.5 * dt, sources)
 
-        if kind == "picard":
-            sources = kicks[k]
         if kicks is not None:
-            Q, S = (src.values for src in sources)
+            Q, S = (src.values for src in (products if own else kicks[k]))
             Eut = Eut + dt * Q
             Dut = Dut + dt * S
             if direct_n:
@@ -409,6 +405,10 @@ def _march(data: InitialData, T: float, dt: float, *, kicks,
             raise InstabilityError(
                 f"evolution unstable at t={t + dt:.6g}: "
                 "amplitude exceeded 1e6 x initial")
+        if on_source is not None and (own or record_sources):
+            # the march rebinds, never writes into, Eu and Eut
+            on_source(t + 0.5 * dt, products, KGZState(
+                (k + 1) * dt, {"E": (Spectrum(g, Eu), Spectrum(g, Eut))}))
         if (k + 1) % store_every == 0 or k + 1 == steps:
             store(snapshot((k + 1) * dt))
             times.append((k + 1) * dt)
@@ -429,9 +429,10 @@ def evolve(data: InitialData, T: float, dt: float, *, store_every: int = 1,
     Snapshots are kept every store_every steps.  record_sources keeps every
     step's midpoint sources (what picard_map and the scattering
     construction read) or, False, none.  on_source, if given, is called as
-    on_source(tau, (Q, S)) at every step with its midpoint time and packed
-    products, recorded or not; a reducer fed that way (scattering.DuhamelSum,
-    harness.RunDiagnostics) needs no record.
+    on_source(tau, (Q, S), state) after every step with its midpoint time,
+    packed products and the state after it (its packed E alone); a reducer
+    fed that way (scattering.DuhamelSum, harness.RunDiagnostics) needs no
+    record and no stored snapshot.
     on_snapshot, its twin for the states, if given is called with every
     state to be stored as it is made, and the trajectory keeps none.
     """

@@ -39,6 +39,7 @@ from kgz2d.propagator import LinearOperator, free_step
 from kgz2d.scattering import (
     build_scatter_data,
     duhamel_tail_norm,
+    launch_from,
     residual_series,
     source_norm_series,
 )
@@ -232,6 +233,53 @@ class TestCriterion7:
         report(7, "source integral Cauchy windows", factor >= 1.5,
                f"dyadic increments {inc[0]:.2e} -> {inc[1]:.2e}, "
                f"decrease factor {factor:.2f} (need >= 1.5)")
+
+
+class TestLaunchFromState:
+    """The launch R(-t_K) E(t_K) of the desk run, t_K = 25.5 the state after
+    the last midpoint below t_max = 25.48."""
+
+    def test_equals_the_summed_duhamel_launch(self, default_run, scatter):
+        # E(0) + sum over midpoints tau < t_max of dt S1(-tau)(0, Q), summed
+        # in the dealias box from the record: equal up to the round-off of
+        # 170 rotations, measured at 1.24e-15 (u) and 7.2e-11 (u_t) of each
+        # one's peak; u_t's peak is the sources' alone, since E_t(0) = 0
+        g = default_run.grid
+        rotations = LinearOperator(g, 1, box=True)
+        acc = [np.zeros((2,) + g.spectral["box_k_sq"].shape, dtype=complex)
+               for _ in range(2)]
+        for tau, (Q, _) in zip(default_run.source_times,
+                               default_run.source_history):
+            if tau < scatter.t_max:
+                kicks = rotations.rotation(-tau)(0.0, Q.values)
+                for a, kick in zip(acc, kicks):
+                    a += DESK_DT * kick
+        E0, launch = default_run.states[0].E, scatter.data_plus
+        for got, start, a, tol in ((launch.u, E0.u, acc[0], 5e-15),
+                                   (launch.ut, E0.ut, acc[1], 3e-10)):
+            want = start.values + g.box_irfft(a)
+            err = np.max(np.abs(got.values - want)) / np.max(np.abs(want))
+            assert err <= tol
+
+    def test_neighbouring_state_fails_the_identity(self, default_run, scatter):
+        # launched from the state one step early or late, the residual no
+        # longer equals the Duhamel remainder: measured 9.5e-8 and 9.4e-8
+        # against 2.7e-17 for the right state, so criterion 7's 1e-8
+        # tolerance tells them apart, by a margin of 10 only
+        probes = (7.5, 15.0, 21.0)
+        states = [default_run.states[default_run.index_at(t)] for t in probes]
+        tails = [duhamel_tail_norm(default_run, scatter, t) for t in probes]
+        k = default_run.index_at(25.5)
+        worst = {}
+        for shift in (-1, 0, 1):
+            launch = launch_from(default_run.states[k + shift])
+            if shift == 0:
+                assert np.array_equal(launch.u.values,
+                                      scatter.data_plus.u.values)
+            _, (res,) = residual_series(states, launch, [scatter.s])
+            worst[shift] = max(abs(r - tail) for r, tail in zip(res, tails))
+        assert worst[0] <= 1e-8
+        assert worst[-1] > 1e-8 and worst[1] > 1e-8
 
 
 class TestCriterion8:

@@ -5,7 +5,8 @@ name, an attribute or an imported name) in a package module other than
 `__init__.py`, in a demo, in the acceptance tests, in the benchmark's
 microbenchmarks, or in the span targets of the benchmark's tracer.  Unit
 tests do not count: code that only they reach is deleted with them.  Every
-span target of the tracer must also still resolve on its module or class.
+span target of the tracer must also still resolve on its module or class,
+and every name the microbenchmarks import must still resolve on the package.
 """
 
 import ast
@@ -84,3 +85,16 @@ def test_every_tracer_target_resolves():
         if not callable(owner):
             missing.append(f"{module_name}.{attr}")
     assert entries and missing == []
+
+
+def test_every_microbenchmark_import_resolves():
+    # the benchmark's microbenchmarks import these names from the package;
+    # a refactor that drops one fails here, not only in the benchmark's
+    # own tests
+    import kgz2d
+
+    tree = parse(ROOT / "bench" / "micro.py")
+    names = [alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "kgz2d"
+             for alias in node.names]
+    assert names and [n for n in names if not hasattr(kgz2d, n)] == []

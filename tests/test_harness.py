@@ -232,7 +232,7 @@ class TestStreamedRun:
         # source, the run's reducer gives bit for bit what the readers of a
         # stored trajectory give
         data = gaussian_data(grid64, 0.3)
-        duhamel = scattering.DuhamelSum(grid64, 0.1, 0.0, 2.0, (1.0,))
+        duhamel = scattering.DuhamelSum(grid64, 0.1, 2.0, (1.0,))
         live = RunDiagnostics(grid64, energies=True, delta=0.1, snap_every=3,
                               duhamel=duhamel)
         # shells and t_min that this short run reaches
@@ -422,9 +422,9 @@ class TestScatterVerb:
         # spectra; none goes through a transform in h_norm
         assert counts["hs_norm"] == 2 * (steps + 2 * snapshots)
         assert counts["h_norm"] == 0
-        # the march's two half steps, one per step for the launch and one
-        # per snapshot for the residual, shared by both s
-        assert counts["rotation"] == 2 + steps + snapshots
+        # the march's two half steps, one for the launch and one per
+        # snapshot for the residual, shared by both s
+        assert counts["rotation"] == 2 + 1 + snapshots
         for tag in ("s1", "s2"):
             assert (tmp_path / "out" / f"scatter_{tag}_meta.txt").exists()
 
@@ -625,6 +625,36 @@ class TestCli:
         assert len(err) == 2
         assert err[0].startswith(f"[kgz2d] run00 {bad}: exit 2 config error: ")
         assert err[1] == f"[kgz2d] run01 {good}: exit 0 ok"
+
+    @pytest.mark.parametrize("window", [
+        ("10", "5"), ("nan", "10"), ("-1", "10"), ("0", "10"), ("1", "inf"),
+        ("1", "nan"), ("inf", "inf"), ("1", "1.99")])
+    def test_fit_bad_window_exits_before_reading(self, tmp_path, monkeypatch,
+                                                 capsys, window):
+        # checked as RunConfig checks fit_t1 and fit_t2, before the CSV is
+        # read; these used to exit 3 (t2 < 2 t1, a nan t1) or fit on the
+        # window as given (t1 <= 0, an infinite t2)
+        reads = []
+        monkeypatch.setattr(harness.DiagnosticsReport, "read_csv",
+                            lambda path: reads.append(path))
+        path = tmp_path / "d.csv"
+        path.write_text("t,a\n" + "".join(f"{t},{t ** -1.0}\n"
+                                           for t in range(1, 11)))
+        code = main(["fit", str(path), "a", *window])
+        err = capsys.readouterr().err
+        assert code == 2 and reads == []
+        assert err.startswith("config error: fit window ")
+        assert err.count("\n") == 1
+
+    def test_fit_too_few_points_is_numerical(self, tmp_path, capsys):
+        # a valid window that holds fewer than 8 samples stays exit 3
+        path = tmp_path / "d.csv"
+        path.write_text("t,a\n" + "".join(f"{t},{t ** -1.0}\n"
+                                           for t in range(1, 11)))
+        assert main(["fit", str(path), "a", "1", "10"]) == 0
+        assert main(["fit", str(path), "a", "4", "8"]) == 3
+        assert capsys.readouterr().err.startswith(
+            "numerical failure: fit window contains fewer than 8 points")
 
     def test_run_and_fit_verbs(self, tmp_path):
         path = write_config(tmp_path, SMALL_CONFIG)

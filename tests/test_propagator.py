@@ -186,8 +186,8 @@ class TestBoxRotation:
         picard_map(traj, data)
         launch = scatter_launch(traj, 1.0)
         residual_series(traj.states, launch, [1.0, 2.0])
-        # 2 per march (4 marches), 10 for the launch, 11 for the residual
-        assert len(shapes) == 2 * 4 + 10 + 11
+        # 2 per march (4 marches), 1 for the launch, 11 for the residual
+        assert len(shapes) == 2 * 4 + 1 + 11
         assert set(shapes) == {grid64.spectral["box_k_sq"].shape}
 
 

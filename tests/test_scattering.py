@@ -22,7 +22,8 @@ from kgz2d.scattering import (
     source_norm_series,
     write_profile,
 )
-from kgz2d.system import InitialData, KGZState, evolve, gaussian_data
+from kgz2d.system import (InitialData, KGZState, _march, evolve,
+                          gaussian_data)
 
 from conftest import dealias
 
@@ -44,6 +45,18 @@ def wave_only_data(grid):
     return InitialData(E0=z2, E1=z2,
                        n0_delta=Field(grid, 1e-2 * g),
                        n1_delta=Field(grid, np.zeros_like(g)))
+
+
+def linear_march(data, T, dt, kicks):
+    """The linear flow of data kicked at each step's midpoint by the
+    (Q, S) fields in kicks, packed as the march packs its own sources: the
+    solution map of picard_map with kicks that need not come from a
+    guess."""
+    g = data.grid
+    packed = [tuple(Spectrum.pack(g, g.rfft(f.values)) for f in pair)
+              for pair in kicks]
+    return _march(data, T, dt, kicks=packed, store_every=1,
+                  record_sources=False)
 
 
 def with_history(traj, history):
@@ -82,47 +95,52 @@ class TestBuildScatterData:
         assert np.max(np.abs(diff_u)) == 0.0
         assert profile.captured == 0.0
 
-    def test_single_kick_analytic(self, run_grid, nonlinear_run):
-        # one delta-like source sample: the profile shift is exactly
-        # dt * S1(-tau)(0, Q), Q the dealiased bump the record holds
+    def test_single_kick_analytic(self, run_grid):
+        # the linear flow kicked once, at midpoint tau, by a bump Q: its
+        # launch R(-t_K) E(t_K) is exactly E(0) + dt * S1(-tau)(0, Q), Q the
+        # dealiased bump the march kicks with
         g = run_grid
+        data = gaussian_data(g, 1e-2)
         bump = Field(g, np.exp(-g.R**2)[None] * np.ones((2, 1, 1)))
         zero2 = Field(g, np.zeros((2, g.n, g.n)))
         zero1 = Field(g, np.zeros((1, g.n, g.n)))
-        k0 = 7
-        history = [(zero2, zero1)] * len(nonlinear_run.source_history)
-        history[k0] = (bump, zero1)
-        traj = with_history(nonlinear_run, history)
-        profile = build_scatter_data(traj, 1.0)
-        tau = traj.source_times[k0]
-        op = LinearOperator(g, 1)
-        kicked = free_step(op, FieldPair(zero2, dealias(bump)), -tau)
-        want_u = traj.states[0].E.u.values + traj.dt * kicked.u.values
-        assert np.max(np.abs(profile.data_plus.u.values - want_u)) <= 1e-14
+        k0, dt, T = 7, 0.1, 14.0
+        kicks = [(zero2, zero1)] * 140
+        kicks[k0] = (bump, zero1)
+        traj = linear_march(data, T, dt, kicks)
+        launch = scatter_launch(traj, T)
+        tau = k0 * dt + 0.5 * dt
+        kicked = free_step(LinearOperator(g, 1),
+                           FieldPair(zero2, dealias(bump)), -tau)
+        E0 = traj.states[0].E  # the data as the march packs it
+        for got, start, kick in ((launch.u, E0.u, kicked.u),
+                                 (launch.ut, E0.ut, kicked.ut)):
+            want = start.values + dt * kick.values
+            assert np.max(np.abs(got.values - want)) <= 1e-14
 
-    def test_linearity_in_source(self, run_grid, nonlinear_run):
+    def test_linearity_in_source(self, run_grid):
         g = run_grid
+        data = gaussian_data(g, 1e-2)
         zero1 = Field(g, np.zeros((1, g.n, g.n)))
         env = np.exp(-g.R**2 / 4.0)
+        dt, T = 0.1, 14.0
+        taus = np.arange(140) * dt + 0.5 * dt
 
-        def hist(seed):
-            # random signs with a decaying amplitude so the tail fit stays
-            # in its convergent regime
+        def kicks(seed):
+            # random signs with a decaying amplitude
             r = np.random.default_rng(seed)
             return [(Field(g, r.standard_normal() * (1 + tau) ** (-2.0)
                            * env * np.ones((2, 1, 1))), zero1)
-                    for tau in nonlinear_run.source_times]
+                    for tau in taus]
 
-        ha, hb = hist(1), hist(2)
-        hsum = [(Field(g, a[0].values + b[0].values), zero1)
-                for a, b in zip(ha, hb)]
-        base = nonlinear_run.states[0].E.u.values
-        kw = {"require_convergent_tail": False}
-        pa = build_scatter_data(with_history(nonlinear_run, ha), 1.0, **kw)
-        pb = build_scatter_data(with_history(nonlinear_run, hb), 1.0, **kw)
-        ps = build_scatter_data(with_history(nonlinear_run, hsum), 1.0, **kw)
-        lhs = ps.data_plus.u.values - base
-        rhs = (pa.data_plus.u.values - base) + (pb.data_plus.u.values - base)
+        ka, kb = kicks(1), kicks(2)
+        ksum = [(Field(g, a[0].values + b[0].values), zero1)
+                for a, b in zip(ka, kb)]
+        trajs = [linear_march(data, T, dt, k) for k in (ka, kb, ksum)]
+        base = trajs[0].states[0].E.u.values
+        pa, pb, ps = (scatter_launch(traj, T).u.values for traj in trajs)
+        lhs = ps - base
+        rhs = (pa - base) + (pb - base)
         scale = max(np.max(np.abs(lhs)), 1e-30)
         assert np.max(np.abs(lhs - rhs)) <= 1e-10 * scale
 
@@ -154,51 +172,39 @@ class TestBuildScatterData:
 
 
 class TestBoxLaunchReference:
-    def test_matches_full_plane_duhamel_sum(self, grid64):
-        # the launch accumulated in the dealias box equals the whole-plane
-        # sum of dt * S1(-tau)(0, Q) bit for bit
+    def test_matches_full_plane_rotation(self, grid64):
+        # the launch rotated in the dealias box equals the whole-plane
+        # R(-t_K) of the state at t_K, inverted once, bit for bit
         traj = evolve(gaussian_data(grid64, 0.3), 0.5, 0.1)
         g, op = grid64, LinearOperator(grid64, 1)
-        acc_u = np.zeros((2, g.n, g.n // 2 + 1), dtype=complex)
-        acc_ut = np.zeros_like(acc_u)
-        for tau, (Q, _) in zip(traj.source_times, traj.source_history):
-            Q_hat = Q.unpack()
-            du, dut = op.rotation(-tau)(np.zeros_like(Q_hat), Q_hat)
-            acc_u += traj.dt * du
-            acc_ut += traj.dt * dut
-        E0 = traj.states[0].E
+        state = traj.states[-1]
+        u, ut = op.rotation(-state.t)(*state.spectra("E"))
         launch = scatter_launch(traj, 0.5)
-        assert np.array_equal(launch.u.values, E0.u.values + g.irfft(acc_u))
-        assert np.array_equal(launch.ut.values,
-                              E0.ut.values + g.irfft(acc_ut))
+        assert np.array_equal(launch.u.values, g.irfft(u))
+        assert np.array_equal(launch.ut.values, g.irfft(ut))
 
 
 class TestDuhamelSum:
     def test_live_reducer_equals_the_recorded_sums(self, grid64):
-        # fed by the march, which then records nothing, the reducer gives
-        # bit for bit the launch, the norm series and a later tail sum
-        # that a full record gives
+        # fed by the march, which then records nothing and stores every 5th
+        # state, the reducer gives bit for bit the launch and the norm
+        # series that a full record gives; its state at t_K = 0.7 is one
+        # the march did not store
         data = gaussian_data(grid64, 0.3)
         s_values, t_max = (1.0, 2.0), 0.75
-        live = DuhamelSum(grid64, 0.1, 0.0, t_max, s_values)
-        tail = DuhamelSum(grid64, 0.1, 0.35, t_max)
-        traj = evolve(data, 1.0, 0.1, record_sources=0,
-                      on_source=lambda tau, src: (live.add(tau, src),
-                                                  tail.add(tau, src)))
+        live = DuhamelSum(grid64, 0.1, t_max, s_values)
+        traj = evolve(data, 1.0, 0.1, store_every=5, record_sources=0,
+                      on_source=live.add)
         full = evolve(data, 1.0, 0.1)
         assert traj.source_history is None
+        assert live.state.t == 7 * 0.1 and live.state.t not in traj.times
         want = scatter_launch(full, t_max)
-        got = live.launch(traj.states[0].E)
+        got = scattering.launch_from(live.state)
         assert np.array_equal(got.u.values, want.u.values)
         assert np.array_equal(got.ut.values, want.ut.values)
         for s in s_values:
             for a, b in zip(live.series(s), source_norm_series(full, s)):
                 assert np.array_equal(a, b)
-        replayed = scattering._reduce(full, 0.35, t_max)
-        for a, b in zip((tail.acc_u, tail.acc_ut),
-                        (replayed.acc_u, replayed.acc_ut)):
-            assert np.array_equal(a, b)
-        assert np.any(tail.acc_u != 0)
 
 
 class TestResidualSeries:
@@ -258,7 +264,8 @@ class TestPersistence:
         write_profile(prefix, profile)
         for part, pair_field in (("u", profile.data_plus.u),
                                  ("ut", profile.data_plus.ut)):
-            back, t = read_field(f"{prefix}_{part}.kgz", profile.grid)
+            back, t = read_field(f"{prefix}_{part}.kgz",
+                                 profile.data_plus.grid)
             assert t == 0.0
             assert np.array_equal(back.values, pair_field.values)
         meta = dict(item.split("=")
