@@ -14,7 +14,7 @@ import pathlib
 import numpy as np
 
 from kgz2d import evolve, make_grid
-from kgz2d.harness import fit_envelope, interior_shell_ratio, shell_sup_series
+from kgz2d.harness import RunDiagnostics, fit_envelope
 from kgz2d.system import gaussian_data
 
 OUT = pathlib.Path("demo_out")
@@ -26,17 +26,19 @@ def main():
     data = gaussian_data(grid, 1e-2)
     print(f"grid {grid.n}^2, box [-{grid.length}, {grid.length})^2, "
           f"data radius {data.radius:.2f}")
-    traj = evolve(data, 21.0, 0.15, store_every=2, record_sources=False)
+    # the run verb's reducer reads each snapshot as the march makes it
+    snaps = RunDiagnostics(grid, energies=False, delta=0.1, snap_every=0)
+    traj = evolve(data, 21.0, 0.15, store_every=2, record_sources=False,
+                  on_snapshot=snaps.add)
 
-    sup_E = np.array([s.E.u.magnitude().max() for s in traj.states])
-    shell_n = shell_sup_series(traj)
+    sup_E, shell_n = np.array(snaps.sup_E), np.array(snaps.shells.sups)
 
     fit_E = fit_envelope(traj.times, sup_E, (5.0, 20.0))
     fit_n = fit_envelope(traj.times, shell_n, (5.0, 20.0))
     print(f"sup|E|          : {fit_E}   (theory: slope -1)")
     print(f"sup|n| on shell : {fit_n}   (theory: slope -1/2)")
 
-    measured, predicted = interior_shell_ratio(traj)
+    measured, predicted = snaps.shells.interior_ratio()
     print(f"interior two-shell ratio: measured {measured:.1f}, "
           f"<t-r>^(-1/2) prediction {predicted:.2f}")
     print("  (the measured ratio being much larger means the interior decay")

@@ -6,7 +6,9 @@ initial data plus every earlier source kick pulled back), then measures how
 fast the nonlinear field approaches the free field launched from that data.
 All truncation is explicit: the script prints the extrapolated tail of the
 source-norm integral next to the captured part, and verifies the residual
-equals the remaining Duhamel sum of the recorded kicks to round-off.
+equals the remaining Duhamel sum of the later kicks to round-off.  The
+march keeps no state and records no source: it feeds the scatter verb's
+reducers as it goes.
 
 Run from the repository root:  python3 demos/demo_scattering.py
 """
@@ -14,12 +16,13 @@ Run from the repository root:  python3 demos/demo_scattering.py
 import pathlib
 
 from kgz2d import evolve, make_grid
-from kgz2d.harness import fit_envelope
+from kgz2d.harness import RunDiagnostics, fit_envelope
 from kgz2d.scattering import (
-    build_scatter_data,
-    duhamel_tail_norm,
+    DuhamelSum,
+    DuhamelTail,
+    launch_from,
     residual_series,
-    source_norm_series,
+    scatter_profile,
 )
 from kgz2d.system import gaussian_data
 
@@ -30,28 +33,40 @@ def main():
     OUT.mkdir(exist_ok=True)
     grid = make_grid(192, 30.0)
     data = gaussian_data(grid, 1e-2)
-    traj = evolve(data, 21.0, 0.15)
-
+    T, dt = 21.0, 0.15
     t_max = 0.8 * (grid.length - data.radius)
-    times, norms, running = source_norm_series(traj, 1.0)
+    t_probe = round(T / dt) // 2 * dt  # the middle snapshot's time
+    duhamel = DuhamelSum(grid, dt, t_max, (1.0,))
+    snaps = RunDiagnostics(grid, energies=False, delta=0.1, snap_every=0,
+                           duhamel=duhamel)
+    tails = DuhamelTail(grid, dt, t_max, (t_probe,))
+
+    def on_source(tau, sources, state):
+        snaps.add_source(tau, sources, state)
+        tails.add(tau, sources, state)
+
+    traj = evolve(data, T, dt, record_sources=False, on_snapshot=snaps.add,
+                  on_source=on_source)
+
+    times, norms, running = duhamel.series(1.0)
     fit_q = fit_envelope(times, norms, (6.0, t_max))
     print(f"source norm ||Q||_H1: {fit_q}")
 
-    profile = build_scatter_data(traj, 1.0, t_max=t_max,
-                                 require_convergent_tail=False)
+    profile = scatter_profile(launch_from(duhamel.state), 1.0, t_max, times,
+                              norms, dt)
     frac = profile.tail / profile.captured
     print(f"Duhamel cut at t={profile.t_max:.1f}: captured integral "
           f"{profile.captured:.3e}, extrapolated tail {profile.tail:.3e} "
           f"({100 * frac:.1f}% of captured, fitted slope "
           f"{profile.tail_slope:+.2f})")
 
-    rt, (res,) = residual_series(traj.states, profile.data_plus, [profile.s])
+    rt, (res,) = residual_series(snaps.states, profile.data_plus,
+                                 [profile.s])
     fit_r = fit_envelope(rt, res, (6.0, 0.85 * t_max))
     print(f"residual ||E - E+||_H1 + ||dt(E - E+)||_L2: {fit_r}")
 
-    t_probe = traj.times[len(traj.times) // 2]
     k = traj.index_at(t_probe)
-    tail_norm = duhamel_tail_norm(traj, profile, t_probe)
+    tail_norm = tails.norm(t_probe, profile.s)
     print(f"consistency at t={t_probe:g}: residual {res[k]:.6e} vs "
           f"Duhamel remainder {tail_norm:.6e} "
           f"(difference {abs(res[k] - tail_norm):.1e})")

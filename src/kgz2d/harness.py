@@ -49,8 +49,6 @@ __all__ = [
     "parse_config",
     "FitResult",
     "fit_envelope",
-    "shell_sup_series",
-    "interior_shell_ratio",
     "run",
     "run_picard",
     "run_scatter",
@@ -274,7 +272,8 @@ def fit_envelope(times, values, window, *, n_boot: int = 200,
 class ShellProbe:
     """Per-snapshot reducer of |n| near the light cone, fed add(t, n) in
     time order: sups gets sup |n| over {|r - t| <= band} and ratios, from
-    t_min on, the two-shell ratio of interior_shell_ratio."""
+    t_min on, sup |n| on the near-cone shell t - r in shells[0] over sup |n|
+    on the deep shell t - r in shells[1]."""
 
     def __init__(self, grid, band: float = 2.0,
                  shells=((4.0, 6.0), (16.0, 24.0)), t_min: float = 18.0):
@@ -291,39 +290,21 @@ class ShellProbe:
                 self.ratios.append(n[m1].max() / n[m2].max())
 
     def interior_ratio(self) -> tuple[float, float]:
+        """Two-shell probe of the interior <t-r> decay of the wave field:
+        (measured, predicted), measured the median of the ratios and
+        predicted the <t-r>^{-1/2} value.
+
+        Reading the result: measured >= predicted/2 is the theorem's bound
+        (interior decay at least as fast as <t-r>^{-1/2}); measured near
+        predicted means the profile is saturated; measured far above
+        predicted means the interior decays more steeply, as it does for
+        data whose wave part is a Laplacian.
+        """
         if not self.ratios:
             raise ValueError("no snapshots late enough for the two-shell probe")
         mid1, mid2 = (0.5 * (a + b) for a, b in self.shells)
         predicted = float(np.sqrt(jbracket(mid2) / jbracket(mid1)))
         return float(np.median(self.ratios)), predicted
-
-
-def _probed(traj, probe: ShellProbe) -> ShellProbe:
-    for t, state in zip(traj.times, traj.states):
-        probe.add(t, state.field("n").values[0])
-    return probe
-
-
-def shell_sup_series(traj, band: float = 2.0):
-    """sup of |n| over the light-cone shell {| r - t | <= band} per snapshot."""
-    return np.array(_probed(traj, ShellProbe(traj.grid, band)).sups)
-
-
-def interior_shell_ratio(traj, shells=((4.0, 6.0), (16.0, 24.0)), t_min: float = 18.0):
-    """Two-shell probe of the interior <t-r> decay of the wave field.
-
-    Returns (measured_ratio, predicted_ratio) where measured is the median
-    over late snapshots of sup|n| on the near-cone shell divided by sup|n|
-    on the deep shell, and predicted is the <t-r>^{-1/2} value.
-
-    Reading the result: measured >= predicted/2 is the theorem's bound
-    (interior decay at least as fast as <t-r>^{-1/2}); measured near
-    predicted means the profile is saturated; measured far above predicted
-    means the interior decays more steeply, as it does for data whose wave
-    part is a Laplacian.
-    """
-    probe = ShellProbe(traj.grid, shells=shells, t_min=t_min)
-    return _probed(traj, probe).interior_ratio()
 
 
 class RunDiagnostics:

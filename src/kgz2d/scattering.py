@@ -12,8 +12,8 @@ on the per-step midpoint sources, the quadrature of the Strang step E_{k+1}
 = S1(dt) E_k + dt S1(dt/2)(0, Q_k), the launch is exactly S1(-t_K) E(t_K),
 t_K the end of the last step whose midpoint lies below T_max.  The residual
 (E - E+)(t) is then minus the sum of the later kicks to round-off, which
-duhamel_tail_norm sums from the recorded sources.  One reducer (DuhamelSum)
-keeps the source norms and that state, fed by the march or a record.
+DuhamelTail sums from the march's sources.  One reducer (DuhamelSum) keeps
+the source norms and that state, fed by the march or a record.
 All truncation is explicit: the ignored tail of the source-norm integral is
 extrapolated from a power-law fit on the last window and reported next to
 every residual statement.
@@ -37,7 +37,7 @@ __all__ = [
     "scatter_profile",
     "build_scatter_data",
     "residual_series",
-    "duhamel_tail_norm",
+    "DuhamelTail",
     "write_profile",
     "MissingHistoryError",
     "TailDivergenceError",
@@ -231,22 +231,32 @@ def residual_series(states, data_plus: FieldPair, s_values):
     return np.array([state.t for state in states], dtype=float), res
 
 
-def duhamel_tail_norm(traj, profile: ScatterProfile, t: float, s: float | None = None) -> float:
-    """|| sum over midpoints tau in (t, t_max) of dt S1(t - tau)(0, Q) ||.
-
-    The residual series, launched from the states, equals this sum of the
-    recorded sources up to round-off; comparing the two validates the
-    whole construction.
+class DuhamelTail:
+    """The Duhamel remainders of one march, fed add(tau, (Q, S), state) as
+    DuhamelSum is: for each probe time t, one packed accumulator (u, u_t)
+    of the Duhamel remainder, the sum over midpoints tau in (t, t_max) of
+    dt S1(t - tau)(0, Q).  The residual series, launched from the states,
+    equals its norm up to round-off; comparing the two validates the whole
+    construction.
     """
-    if s is None:
-        s = profile.s
-    g, op = traj.grid, LinearOperator(traj.grid, 1, box=True)
-    acc = np.zeros((2, 2) + g.spectral["box_k_sq"].shape, dtype=complex)
-    for tau, (Q, _) in _history(traj):
-        if t < tau < profile.t_max:
-            for level, kick in zip(acc, op.rotation(t - tau)(0.0, Q.values)):
-                level += traj.dt * kick
-    return g.hs_norm(acc[0], s) + g.hs_norm(acc[1], max(s - 1.0, 0.0))
+
+    def __init__(self, grid: Grid, dt: float, t_max: float, probes):
+        self.grid, self.dt, self.t_max = grid, dt, t_max
+        self.op = LinearOperator(grid, 1, box=True)
+        shape = (2, 2) + grid.spectral["box_k_sq"].shape
+        self.sums = {t: np.zeros(shape, dtype=complex) for t in probes}
+
+    def add(self, tau: float, sources, state) -> None:
+        Q = sources[0].values
+        for t, acc in self.sums.items():
+            if t < tau < self.t_max:
+                for level, kick in zip(acc, self.op.rotation(t - tau)(0.0, Q)):
+                    level += self.dt * kick
+
+    def norm(self, t: float, s: float) -> float:
+        """||remainder(t)||_{H^s} + ||d_t remainder(t)||_{H^{s-1}}."""
+        g, (u, ut) = self.grid, self.sums[t]
+        return g.hs_norm(u, s) + g.hs_norm(ut, max(s - 1.0, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,12 @@ __all__ = [
     "PicardNonConvergence",
 ]
 
-SUPPORT_FLOOR = 1e-14  # sample threshold defining the effective data radius
+# Sample threshold, relative to each field's peak, defining the effective
+# data radius.  The radius is read off the data as given, not dealiased: the
+# dealiased desk Gaussian rings across the box at 9.1e-12 of E0's peak, so
+# at this floor its radius would read 40.15, the box corner, and every desk
+# config would fail the wrap-free check.
+SUPPORT_FLOOR = 1e-14
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,6 +3,12 @@ Acceptance suite at the reference desk configuration:
 256 points per axis, box half-width 40, Gaussian amplitude 1e-2, width 1,
 dt = 0.15, horizon 30.  One printed PASS/FAIL line per criterion.
 
+Criteria 6-9 read one desk march through the reducers the run and scatter
+verbs use (harness.RunDiagnostics with a scattering.DuhamelSum), plus
+criterion 7's Duhamel remainders (scattering.DuhamelTail) and every third
+snapshot for criteria 8 and 9; the march itself stores no state and records
+no source.  Criteria 2, 4 and 5 share one stored march to the Picard horizon.
+
 The interior two-shell probe (criterion 6c) asserts the theorem's one-sided
 bound: the interior of the wave field decays at least as fast as the
 <t-r>^(-1/2) profile of |n| <~ eps <t+r>^(-1/2) <t-r>^(-1/2), i.e. the shell
@@ -14,7 +20,7 @@ steeper than the bound.  The measured ratio is therefore far above the
 predicted one.  See notes in the repository README.
 """
 
-import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,25 +31,19 @@ from kgz2d.energy_diag import (
     kg_extra_decay_ratio,
     ks_ratio,
     multiplier_residual,
-    xnorm_terms,
 )
 from kgz2d.grid import Field, FieldPair, make_grid, read_field, write_field
-from kgz2d.harness import (
-    RunConfig,
-    fit_envelope,
-    interior_shell_ratio,
-    run,
-    shell_sup_series,
-)
+from kgz2d.harness import RunConfig, RunDiagnostics, fit_envelope, run
 from kgz2d.propagator import LinearOperator, free_step
 from kgz2d.scattering import (
-    build_scatter_data,
-    duhamel_tail_norm,
+    DuhamelSum,
+    DuhamelTail,
     launch_from,
     residual_series,
-    source_norm_series,
+    scatter_profile,
 )
-from kgz2d.system import evolve, evolve_direct_n, gaussian_data, picard_solve
+from kgz2d.system import (Trajectory, evolve, evolve_direct_n, gaussian_data,
+                          picard_solve)
 from kgz2d.vector_fields import check_commutators
 
 from conftest import windowed_random_jet
@@ -54,6 +54,7 @@ DESK_DT = 0.15
 DESK_T = 30.0
 DESK_AMP = 1e-2
 PICARD_T = 10.05  # nearest multiple of dt to the nominal horizon 10
+PROBES = (7.5, 15.0, 21.0)  # criterion 7's consistency identity times
 
 
 def report(number, name, passed, detail):
@@ -63,26 +64,22 @@ def report(number, name, passed, detail):
 
 
 @pytest.fixture(scope="session")
+def desk_data():
+    # the run verb's default config is the desk configuration
+    return RunConfig().build_data()
+
+
+@pytest.fixture(scope="session")
 def desk_grid():
     return make_grid(DESK_N, DESK_L)
 
 
 @pytest.fixture(scope="session")
-def desk_data(desk_grid):
-    return gaussian_data(desk_grid, DESK_AMP)
-
-
-@pytest.fixture(scope="session")
-def default_run(desk_data):
-    return evolve(desk_data, DESK_T, DESK_DT)
-
-
-@pytest.fixture(scope="session")
-def strided_run(default_run):
-    """Every third snapshot of the default run (0.45 time spacing)."""
-    return dataclasses.replace(
-        default_run, times=default_run.times[::3],
-        states=default_run.states[::3], store_every=3)
+def short_run(desk_data):
+    """The desk data marched to PICARD_T at DESK_DT, every state stored:
+    criterion 2's dt = 0.15 leg, criterion 4's divergence-form leg and
+    criterion 5's eps = 1e-2 reference."""
+    return evolve(desk_data, PICARD_T, DESK_DT, record_sources=False)
 
 
 class TestCriterion1:
@@ -100,9 +97,9 @@ class TestCriterion1:
 
 
 class TestCriterion2:
-    def test_multiplier_identity_convergence(self, desk_data):
-        runs = {dt: evolve(desk_data, PICARD_T, dt, record_sources=False)
-                for dt in (DESK_DT, DESK_DT / 2)}
+    def test_multiplier_identity_convergence(self, desk_data, short_run):
+        runs = {DESK_DT: short_run, DESK_DT / 2: evolve(
+            desk_data, PICARD_T, DESK_DT / 2, record_sources=False)}
         factors = {}
         for delta, kappa in ((0.1, 0.05), (0.2, 0.1)):
             resid = {dt: multiplier_residual(tr, "E", delta, kappa)[-1]
@@ -127,9 +124,8 @@ class TestCriterion3:
 
 
 class TestCriterion4:
-    def test_reformulation_equivalence(self, desk_data):
-        a = evolve(desk_data, PICARD_T, DESK_DT,
-                   record_sources=False, store_every=67)
+    def test_reformulation_equivalence(self, desk_data, short_run):
+        a = short_run
         b = evolve_direct_n(desk_data, PICARD_T, DESK_DT,
                             record_sources=False, store_every=67)
         na = a.states[-1].n.u.values
@@ -141,10 +137,17 @@ class TestCriterion4:
 
 class TestCriterion5:
     @pytest.mark.parametrize("eps", [1e-3, 3e-3, 1e-2])
-    def test_picard_contraction(self, desk_grid, eps):
+    def test_picard_contraction(self, desk_grid, desk_data, short_run, eps):
         data = gaussian_data(desk_grid, eps)
         traj, ratios = picard_solve(data, PICARD_T, DESK_DT, tol=1e-6)
-        reference = evolve(data, PICARD_T, DESK_DT, record_sources=False)
+        if eps == DESK_AMP:
+            # the desk data, so short_run is the reference
+            assert all(np.array_equal(getattr(data, f).values,
+                                      getattr(desk_data, f).values)
+                       for f in ("E0", "E1", "n0_delta", "n1_delta"))
+            reference = short_run
+        else:
+            reference = evolve(data, PICARD_T, DESK_DT, record_sources=False)
         dist = max(
             np.sqrt(energy(a.E - b.E, 1)) + np.sqrt(energy(a.n - b.n, 0))
             for a, b in zip(traj.states, reference.states))
@@ -154,27 +157,68 @@ class TestCriterion5:
                f"energy distance to evolve {dist:.2e} (tol 1e-5)")
 
 
+@pytest.fixture(scope="session")
+def desk_march(desk_data):
+    """The T = 30 desk march, which stores no state and records no source.
+    It feeds the scatter verb's reducer (criteria 6 and 7), the Duhamel
+    remainders at t = 0 and at PROBES, and every third snapshot (0.45 time
+    spacing) to the run verb's ghost energies and a kept list (criteria 8
+    and 9)."""
+    g = desk_data.grid
+    t_max = 0.8 * (DESK_L - desk_data.radius)
+    snaps = RunDiagnostics(g, energies=False, delta=0.1, snap_every=0,
+                           duhamel=DuhamelSum(g, DESK_DT, t_max, (1.0,)))
+    tails = DuhamelTail(g, DESK_DT, t_max, (0.0,) + PROBES)
+    strided = RunDiagnostics(g, energies=True, delta=0.1, snap_every=0)
+    kept = []
+
+    def on_snapshot(state):
+        if len(snaps.sup_E) % 3 == 0:
+            strided.add(state)
+            kept.append(state)
+        snaps.add(state)
+
+    def on_source(tau, sources, state):
+        snaps.add_source(tau, sources, state)
+        tails.add(tau, sources, state)
+
+    traj = evolve(desk_data, DESK_T, DESK_DT, record_sources=False,
+                  on_snapshot=on_snapshot, on_source=on_source)
+    every_third = Trajectory(g, DESK_DT, 3, traj.times[::3], kept, None,
+                             None, "coupled")
+    return SimpleNamespace(traj=traj, snaps=snaps, tails=tails,
+                           strided=strided, every_third=every_third)
+
+
+class TestDeskMarch:
+    def test_keeps_no_state_and_no_source(self, desk_march):
+        # the criteria read the verbs' reducers, not a stored trajectory
+        traj = desk_march.traj
+        assert traj.states == [] and traj.source_history is None
+        assert len(traj.times) == 201 == len(desk_march.snaps.states)
+        assert len(desk_march.every_third) == 67
+
+
 class TestCriterion6:
-    def test_kg_sup_decay_rate(self, default_run):
-        sup_E = np.array([s.E.u.magnitude().max()
-                          for s in default_run.states])
-        fit = fit_envelope(default_run.times, sup_E, (5.0, 28.0))
+    def test_kg_sup_decay_rate(self, desk_march):
+        fit = fit_envelope(desk_march.traj.times, desk_march.snaps.sup_E,
+                           (5.0, 28.0))
         ok = -1.2 <= fit.exponent <= -0.8
         report(6, "sup|E| decay rate", ok,
                f"fitted slope {fit.exponent:+.3f} in [-1.2, -0.8], {fit}")
 
-    def test_wave_cone_decay_rate(self, default_run):
-        shell = shell_sup_series(default_run)
-        fit = fit_envelope(default_run.times, shell, (5.0, 28.0))
+    def test_wave_cone_decay_rate(self, desk_march):
+        fit = fit_envelope(desk_march.traj.times,
+                           desk_march.snaps.shells.sups, (5.0, 28.0))
         ok = -0.7 <= fit.exponent <= -0.35
         report(6, "light-cone sup|n| decay rate", ok,
                f"fitted slope {fit.exponent:+.3f} in [-0.7, -0.35], {fit}")
 
-    def test_interior_two_shell_probe(self, default_run):
+    def test_interior_two_shell_probe(self, desk_march):
         # The theorem bounds the interior decay from one side only (see
         # module docstring): the linear part of n decays like <t-r>^(-7/2)
         # inside the cone, so the ratio lies far above the predicted value.
-        measured, predicted = interior_shell_ratio(default_run)
+        measured, predicted = desk_march.snaps.shells.interior_ratio()
         ok = measured >= 0.5 * predicted
         report(6, "interior two-shell <t-r> ratio", ok,
                f"measured {measured:.2f} vs predicted {predicted:.2f} "
@@ -183,21 +227,32 @@ class TestCriterion6:
 
 
 @pytest.fixture(scope="session")
-def scatter(default_run, desk_data):
-    t_max = 0.8 * (DESK_L - desk_data.radius)
-    return build_scatter_data(default_run, 1.0, t_max=t_max)
+def scatter(desk_march):
+    """The scatter verb's s = 1 profile, launched from the reducer's state
+    at the cut t_max = 0.8 (L - R)."""
+    duhamel = desk_march.snaps.duhamel
+    times, norms, _ = duhamel.series(1.0)
+    return scatter_profile(launch_from(duhamel.state), 1.0, duhamel.t_max,
+                           times, norms, DESK_DT)
+
+
+@pytest.fixture(scope="session")
+def residual(desk_march, scatter):
+    """(times, residual) of every snapshot against the launch."""
+    times, (res,) = residual_series(desk_march.snaps.states,
+                                    scatter.data_plus, [scatter.s])
+    return times, res
 
 
 class TestCriterion7:
-    def test_source_norm_decay(self, default_run, scatter):
-        times, norms, _ = source_norm_series(default_run, 1.0)
+    def test_source_norm_decay(self, desk_march, scatter):
+        times, norms, _ = desk_march.snaps.duhamel.series(1.0)
         fit = fit_envelope(times, norms, (10.0, scatter.t_max))
         report(7, "source norm decay", fit.exponent <= -1.1,
                f"||Q||_H1 slope {fit.exponent:+.3f} (need <= -1.1), {fit}")
 
-    def test_residual_decay_and_tail(self, default_run, scatter):
-        times, (res,) = residual_series(default_run.states,
-                                        scatter.data_plus, [scatter.s])
+    def test_residual_decay_and_tail(self, scatter, residual):
+        times, res = residual
         w_hi = min(28.0, 0.85 * scatter.t_max)
         fit = fit_envelope(times, res, (10.0, w_hi))
         frac = scatter.tail / scatter.captured
@@ -210,20 +265,20 @@ class TestCriterion7:
                f"{scatter.captured:.2e} (need <= 20%); residual at the "
                f"cut {res[k_cut]:.2e}")
 
-    def test_residual_consistency_identity(self, default_run, scatter):
+    def test_residual_consistency_identity(self, desk_march, scatter,
+                                           residual):
         worst = 0.0
-        _, (res,) = residual_series(default_run.states, scatter.data_plus,
-                                    [scatter.s])
-        for t in (7.5, 15.0, 21.0):
-            k = default_run.index_at(t)
-            tail = duhamel_tail_norm(default_run, scatter, t)
+        _, res = residual
+        for t in PROBES:
+            k = desk_march.traj.index_at(t)
+            tail = desk_march.tails.norm(t, scatter.s)
             worst = max(worst, abs(res[k] - tail))
         report(7, "residual consistency identity", worst <= 1e-8,
                f"max |residual - Duhamel remainder| = {worst:.2e} (tol 1e-8)")
 
-    def test_cauchy_tail_windows(self, default_run):
+    def test_cauchy_tail_windows(self, desk_march):
         # dyadic-window Cauchy check on the running source integral
-        times, norms, _ = source_norm_series(default_run, 1.0)
+        times, norms, _ = desk_march.snaps.duhamel.series(1.0)
         t_end = times[-1]
         inc = []
         for a, b in ((t_end / 4, t_end / 2), (t_end / 2, t_end)):
@@ -239,40 +294,34 @@ class TestLaunchFromState:
     """The launch R(-t_K) E(t_K) of the desk run, t_K = 25.5 the state after
     the last midpoint below t_max = 25.48."""
 
-    def test_equals_the_summed_duhamel_launch(self, default_run, scatter):
-        # E(0) + sum over midpoints tau < t_max of dt S1(-tau)(0, Q), summed
-        # in the dealias box from the record: equal up to the round-off of
-        # 170 rotations, measured at 1.24e-15 (u) and 7.2e-11 (u_t) of each
-        # one's peak; u_t's peak is the sources' alone, since E_t(0) = 0
-        g = default_run.grid
-        rotations = LinearOperator(g, 1, box=True)
-        acc = [np.zeros((2,) + g.spectral["box_k_sq"].shape, dtype=complex)
-               for _ in range(2)]
-        for tau, (Q, _) in zip(default_run.source_times,
-                               default_run.source_history):
-            if tau < scatter.t_max:
-                kicks = rotations.rotation(-tau)(0.0, Q.values)
-                for a, kick in zip(acc, kicks):
-                    a += DESK_DT * kick
-        E0, launch = default_run.states[0].E, scatter.data_plus
+    def test_equals_the_summed_duhamel_launch(self, desk_march, scatter):
+        # E(0) + sum over midpoints tau < t_max of dt S1(-tau)(0, Q), the
+        # Duhamel remainder at t = 0 summed in the dealias box as the march
+        # went: equal up to the round-off of 170 rotations, measured at
+        # 1.24e-15 (u) and 7.2e-11 (u_t) of each one's peak; u_t's peak is
+        # the sources' alone, since E_t(0) = 0
+        g = scatter.data_plus.grid
+        acc = desk_march.tails.sums[0.0]
+        E0, launch = desk_march.snaps.states[0].E, scatter.data_plus
         for got, start, a, tol in ((launch.u, E0.u, acc[0], 5e-15),
                                    (launch.ut, E0.ut, acc[1], 3e-10)):
             want = start.values + g.box_irfft(a)
             err = np.max(np.abs(got.values - want)) / np.max(np.abs(want))
             assert err <= tol
 
-    def test_neighbouring_state_fails_the_identity(self, default_run, scatter):
+    def test_neighbouring_state_fails_the_identity(self, desk_march,
+                                                   scatter):
         # launched from the state one step early or late, the residual no
         # longer equals the Duhamel remainder: measured 9.5e-8 and 9.4e-8
         # against 2.7e-17 for the right state, so criterion 7's 1e-8
         # tolerance tells them apart, by a margin of 10 only
-        probes = (7.5, 15.0, 21.0)
-        states = [default_run.states[default_run.index_at(t)] for t in probes]
-        tails = [duhamel_tail_norm(default_run, scatter, t) for t in probes]
-        k = default_run.index_at(25.5)
+        traj, kept = desk_march.traj, desk_march.snaps.states
+        states = [kept[traj.index_at(t)] for t in PROBES]
+        tails = [desk_march.tails.norm(t, scatter.s) for t in PROBES]
+        k = traj.index_at(25.5)
         worst = {}
         for shift in (-1, 0, 1):
-            launch = launch_from(default_run.states[k + shift])
+            launch = launch_from(kept[k + shift])
             if shift == 0:
                 assert np.array_equal(launch.u.values,
                                       scatter.data_plus.u.values)
@@ -283,9 +332,10 @@ class TestLaunchFromState:
 
 
 class TestCriterion8:
-    def test_uniform_low_order_wave_energy(self, strided_run):
-        series = xnorm_terms(strided_run)
-        m = (strided_run.times >= 5.0) & (strided_run.times <= 28.0)
+    def test_uniform_low_order_wave_energy(self, desk_march):
+        series = desk_march.strided.series()["gst_wave_low"]
+        times = desk_march.every_third.times
+        m = (times >= 5.0) & (times <= 28.0)
         variation = (series[m].max() - series[m].min()) / series[m].min()
         report(8, "uniform low-order wave ghost energy",
                variation <= 0.10,
@@ -294,12 +344,12 @@ class TestCriterion8:
 
 
 class TestCriterion9:
-    def test_hessian_ratio_bounded(self, strided_run):
-        times, vals = hessian_decay_ratio(strided_run)
+    def test_hessian_ratio_bounded(self, desk_march):
+        times, vals = hessian_decay_ratio(desk_march.every_third)
         self._check(9, "wave Hessian decay ratio", times, vals, 28.0)
 
-    def test_kg_ratio_bounded(self, strided_run):
-        times, vals = kg_extra_decay_ratio(strided_run)
+    def test_kg_ratio_bounded(self, desk_march):
+        times, vals = kg_extra_decay_ratio(desk_march.every_third)
         self._check(9, "Klein-Gordon extra decay ratio", times, vals, 28.0)
 
     def test_ks_ratio_bounded(self):

@@ -1,7 +1,6 @@
 import contextlib
 import dataclasses
 import io
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,14 +13,13 @@ from kgz2d.harness import (
     ConfigError,
     RunConfig,
     RunDiagnostics,
+    ShellProbe,
     fit_envelope,
-    interior_shell_ratio,
     main,
     parse_config,
     run,
     run_check,
     run_picard,
-    shell_sup_series,
 )
 from kgz2d.propagator import InstabilityError, LinearOperator, free_step
 from kgz2d.system import evolve, gaussian_data
@@ -237,15 +235,18 @@ class TestStreamedRun:
                               duhamel=duhamel)
         # shells and t_min that this short run reaches
         shells, t_min = ((0.2, 0.8), (1.0, 1.6)), 1.0
-        live.shells = harness.ShellProbe(grid64, shells=shells, t_min=t_min)
+        live.shells = ShellProbe(grid64, shells=shells, t_min=t_min)
         streamed = evolve(data, 2.0, 0.1, store_every=2, record_sources=False,
                           on_snapshot=live.add, on_source=live.add_source)
         full = evolve(data, 2.0, 0.1, store_every=2)
         assert streamed.states == [] and streamed.source_history is None
         series = live.series()
+        probe = ShellProbe(grid64, shells=shells, t_min=t_min)
+        for t, state in zip(full.times, full.states):
+            probe.add(t, state.field("n").values[0])
         want = {
             "sup_E": [s.field("E").magnitude().max() for s in full.states],
-            "sup_n_shell": shell_sup_series(full),
+            "sup_n_shell": probe.sups,
             "gst_wave_low": xnorm_terms(full, 0.1),
         }
         for which, m in (("E", 1), ("n", 0)):
@@ -257,8 +258,7 @@ class TestStreamedRun:
         for name, values in want.items():
             assert np.array_equal(series[name], values), name
         assert len(live.shells.ratios) > 1
-        assert live.shells.interior_ratio() == interior_shell_ratio(
-            full, shells, t_min)
+        assert live.shells.interior_ratio() == probe.interior_ratio()
         assert [t for t, _ in live.dumps] == list(full.times[::3])
         for (_, fields), state in zip(live.dumps, full.states[::3],
                                       strict=True):
@@ -440,28 +440,29 @@ class TestScatterVerb:
 
 
 class TestShellProbes:
+    @staticmethod
+    def _probed(grid, samples):
+        """A default ShellProbe fed the (t, n) samples in order."""
+        probe = ShellProbe(grid)
+        for t, n in samples:
+            probe.add(t, n)
+        return probe
+
+    def _probed_run(self, grid):
+        traj = evolve(gaussian_data(grid, 1e-2), 2.0, 0.1, store_every=5)
+        return traj, self._probed(grid, (
+            (t, state.field("n").values[0])
+            for t, state in zip(traj.times, traj.states)))
+
     def test_shell_series_shapes(self, grid64):
-        traj = evolve(gaussian_data(grid64, 1e-2), 2.0, 0.1, store_every=5)
-        series = shell_sup_series(traj)
-        assert series.shape == traj.times.shape
-        assert np.all(series >= 0)
+        traj, probe = self._probed_run(grid64)
+        assert len(probe.sups) == len(traj.times)
+        assert np.all(np.array(probe.sups) >= 0)
 
     def test_interior_ratio_needs_late_times(self, grid64):
-        traj = evolve(gaussian_data(grid64, 1e-2), 2.0, 0.1, store_every=5)
+        _, probe = self._probed_run(grid64)
         with pytest.raises(ValueError):
-            interior_shell_ratio(traj)
-
-    @staticmethod
-    def _profile_trajectory(profile):
-        """Stand-in trajectory whose n samples are profile(t, r)."""
-        grid = make_grid(64, 40.0)
-        times = np.arange(31.0)
-        states = []
-        for t in times:
-            n = Field(grid, profile(t, grid.R))
-            # the probe reads n alone, through KGZState.field
-            states.append(SimpleNamespace(field={"n": n}.__getitem__))
-        return SimpleNamespace(grid=grid, times=times, states=states)
+            probe.interior_ratio()
 
     def test_interior_ratio_calibration(self):
         # the theorem's profile lands in the two-sided band, a profile
@@ -474,9 +475,11 @@ class TestShellProbes:
             "steep": lambda t, r: jbracket(t - r) ** -3.5,
         }
         ratio = {}
+        grid = make_grid(64, 40.0)
         for name, profile in cases.items():
-            measured, predicted = interior_shell_ratio(
-                self._profile_trajectory(profile))
+            probe = self._probed(grid, ((t, profile(t, grid.R))
+                                        for t in np.arange(31.0)))
+            measured, predicted = probe.interior_ratio()
             ratio[name] = measured / predicted
         assert 0.5 <= ratio["theorem"] <= 2.0
         assert ratio["flat"] < 0.5

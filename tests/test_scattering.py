@@ -12,11 +12,11 @@ from kgz2d.propagator import LinearOperator, free_step
 from kgz2d import scattering
 from kgz2d.scattering import (
     DuhamelSum,
+    DuhamelTail,
     MissingHistoryError,
     ScatterProfile,
     TailDivergenceError,
     build_scatter_data,
-    duhamel_tail_norm,
     residual_series,
     scatter_launch,
     source_norm_series,
@@ -57,6 +57,14 @@ def linear_march(data, T, dt, kicks):
               for pair in kicks]
     return _march(data, T, dt, kicks=packed, store_every=1,
                   record_sources=False)
+
+
+def recorded_tails(traj, t_max, probes):
+    """A DuhamelTail fed the trajectory's recorded sources."""
+    tails = DuhamelTail(traj.grid, traj.dt, t_max, probes)
+    for tau, sources in zip(traj.source_times, traj.source_history):
+        tails.add(tau, sources, None)
+    return tails
 
 
 def with_history(traj, history):
@@ -193,8 +201,14 @@ class TestDuhamelSum:
         data = gaussian_data(grid64, 0.3)
         s_values, t_max = (1.0, 2.0), 0.75
         live = DuhamelSum(grid64, 0.1, t_max, s_values)
+        tails = DuhamelTail(grid64, 0.1, t_max, (0.0, 0.3))
+
+        def on_source(tau, sources, state):
+            live.add(tau, sources, state)
+            tails.add(tau, sources, state)
+
         traj = evolve(data, 1.0, 0.1, store_every=5, record_sources=0,
-                      on_source=live.add)
+                      on_source=on_source)
         full = evolve(data, 1.0, 0.1)
         assert traj.source_history is None
         assert live.state.t == 7 * 0.1 and live.state.t not in traj.times
@@ -205,6 +219,10 @@ class TestDuhamelSum:
         for s in s_values:
             for a, b in zip(live.series(s), source_norm_series(full, s)):
                 assert np.array_equal(a, b)
+        # and the Duhamel remainders what the record's sources give
+        recorded = recorded_tails(full, t_max, (0.0, 0.3))
+        for t, acc in tails.sums.items():
+            assert np.any(acc) and np.array_equal(acc, recorded.sums[t])
 
 
 class TestResidualSeries:
@@ -220,10 +238,11 @@ class TestResidualSeries:
                                      require_convergent_tail=False)
         times, (res,) = residual_series(nonlinear_run.states,
                                         profile.data_plus, [profile.s])
-        for t in (3.0, 7.0, 10.0):
+        probes = (3.0, 7.0, 10.0)
+        tails = recorded_tails(nonlinear_run, profile.t_max, probes)
+        for t in probes:
             k = nonlinear_run.index_at(t)
-            tail = duhamel_tail_norm(nonlinear_run, profile, t)
-            assert abs(res[k] - tail) <= 1e-8
+            assert abs(res[k] - tails.norm(t, profile.s)) <= 1e-8
 
     def test_residual_at_cut_below_tail(self, nonlinear_run):
         profile = build_scatter_data(nonlinear_run, 1.0, t_max=12.0,

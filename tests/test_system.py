@@ -236,6 +236,17 @@ class TestTrajectory:
         assert traj.times[1] - traj.times[0] == pytest.approx(0.4)
         assert len(traj.source_history) == 20
 
+    def test_stride_and_record_leave_the_states_alone(self, small_run):
+        # so one stored march serves legs that marched on their own with
+        # another store_every or record_sources: the same states, bit for bit
+        data, dense = small_run
+        sparse = evolve(data, 3.0, 0.1, store_every=6, record_sources=False)
+        assert np.array_equal(sparse.times, dense.times[::6])
+        for a, b in zip(sparse.states, dense.states[::6], strict=True):
+            for which in ("E", "n_delta"):
+                assert all(np.array_equal(x, y) for x, y in
+                           zip(a.box(which), b.box(which), strict=True))
+
     def test_no_record(self, small_run):
         data, _ = small_run
         traj = evolve(data, 1.0, 0.1, record_sources=0)
