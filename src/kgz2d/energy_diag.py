@@ -12,10 +12,11 @@ Conventions used throughout:
   <= 2 (the analysis commutes far more); every weighted quantity reported
   here is the truncated version.
 
-Trajectory arguments are duck-typed.  The ratios and the multiplier identity
-read .grid, .times, .states, .jet(k, which, depth) and .snapshot_source(k,
-which); the ghost energies and xnorm_distance read only .grid, .times and
-.jet_spectra(k, which, depth), the half spectra of a jet's levels.
+Trajectory arguments are duck-typed.  Every reader here reads .grid, .times
+and .jet_spectra(k, which, depth), the half spectra of a jet's levels; the
+extra-decay ratios and the multiplier identity also read .snapshot_source(k,
+which).  All but xnorm_distance evaluate their words and derivatives from
+the word terms of vector_fields on packed levels (WordPlanes).
 """
 
 from __future__ import annotations
@@ -25,17 +26,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Derivatives, FieldPair, Grid, Spectrum
+from .grid import Field, FieldPair, Grid, Spectrum
 from .vector_fields import (
     LETTERS,
     WORD_WEIGHTS,
-    JetField,
     WordPlanes,
     _spectral_jet,
     all_words,
     apply_gamma,
     apply_letters,
-    good_derivative,
+    word_terms,
 )
 
 __all__ = [
@@ -64,7 +64,7 @@ def jbracket(x):
     return np.sqrt(1.0 + np.asarray(x, dtype=np.float64) ** 2)
 
 
-_Q_TABLE: dict[float, tuple[np.ndarray, np.ndarray, float]] = {}
+_Q_TABLE: dict[float, tuple[np.ndarray, float]] = {}
 _Q_ZMAX = 160.0
 _Q_STEP = 1e-3
 
@@ -77,7 +77,7 @@ def _q_table(delta: float):
         odd = np.concatenate([[0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * _Q_STEP)])
         half = 0.5 * math.sqrt(math.pi) * math.gamma(delta / 2.0) \
             / math.gamma((1.0 + delta) / 2.0)
-        table = (zs, odd, half)
+        table = (odd, half)
         _Q_TABLE[delta] = table
     return table
 
@@ -92,9 +92,13 @@ def ghost_weight_q(z, delta: float):
         raise ValueError("delta must be nonnegative")
     if delta == 0.0:
         return np.zeros_like(np.asarray(z, dtype=np.float64))
-    zs, odd, half = _q_table(delta)
+    odd, half = _q_table(delta)
     za = np.asarray(z, dtype=np.float64)
-    g = np.interp(np.abs(za), zs, odd)
+    # linear interpolation on the uniform table, read by index; constant
+    # beyond its end
+    pos = np.minimum(np.abs(za), _Q_ZMAX) / _Q_STEP
+    i = np.minimum(pos.astype(np.intp), len(odd) - 2)
+    g = odd[i] + (pos - i) * (odd[i + 1] - odd[i])
     return delta * (half + np.sign(za) * g)
 
 
@@ -116,11 +120,6 @@ def energy(p: FieldPair, m: int) -> float:
     """Natural energy: int |u_t|^2 + |grad u|^2 + m^2 |u|^2 dx."""
     g = p.grid
     return spectral_energy(g, g.rfft(p.u.values), g.rfft(p.ut.values), m)
-
-
-def _good_sq(jet: JetField) -> np.ndarray:
-    """Sum over a of |G_a u|^2, summed over components."""
-    return sum(np.sum(good_derivative(a, jet).values ** 2, axis=0) for a in (1, 2))
 
 
 _MASS = {"E": 1, "n": 0, "n_delta": 0}
@@ -173,11 +172,16 @@ class GhostEnergies:
         return np.sum(np.sqrt(np.maximum(np.array(self.rows), 0.0)), axis=1)
 
 
+def _levels(traj, k: int, which: str, depth: int) -> list[np.ndarray]:
+    """Snapshot k's jet levels, u to the depth-th time derivative, packed to
+    the dealias box: what WordPlanes reads."""
+    return [Spectrum.pack(traj.grid, h).values
+            for h in traj.jet_spectra(k, which, depth)]
+
+
 def _fed(traj, ghost: GhostEnergies) -> GhostEnergies:
-    g = traj.grid
     for k, t in enumerate(traj.times):
-        ghost.add(t, [Spectrum.pack(g, h).values for h in
-                      traj.jet_spectra(k, ghost.which, ghost.depth)])
+        ghost.add(t, _levels(traj, k, ghost.which, ghost.depth))
     return ghost
 
 
@@ -212,40 +216,35 @@ def multiplier_residual(traj, which: str = "E", delta: float = 0.1,
     g = traj.grid
     rho = np.sqrt(g.R**2 + g.h**2)
     grad_rho_defect = g.h**2 / (g.R**2 + g.h**2)  # 1 - |grad rho|^2
-    out = np.empty(len(traj.states))
-    src_acc = ghost_acc = kap_acc = 0.0
-    prev = None
-    b0 = None
-    for k, state in enumerate(traj.states):
-        t = traj.times[k]
-        # the identity reads no u_tt, so the jet stops at depth 1
-        jet = traj.jet(k, which, depth=1)
+    # per snapshot: the source, boundary, ghost and kappa terms
+    terms = np.empty((len(traj.times), 4))
+    for k, t in enumerate(traj.times):
+        # the identity reads no u_tt, so the levels stop at depth 1
+        planes = WordPlanes(g, t, _levels(traj, k, which, 1))
+        u, ut, u1, u2 = (planes[name] for name in ("u", "ut", "u1", "u2"))
         eq = np.exp(ghost_weight_q(rho - t, delta))
         tw = jbracket(t) ** (-kappa)
-        ut_sq = np.sum(jet.ut**2, axis=0)
+        ut_sq = np.sum(ut**2, axis=0)
         # weighted below, so the energy density stays in physical space
-        e_dens = ut_sq + np.sum(jet.d(1) ** 2 + jet.d(2) ** 2, axis=0) \
-            + mass**2 * np.sum(jet.u**2, axis=0)
+        e_dens = ut_sq + np.sum(u1**2 + u2**2, axis=0) \
+            + mass**2 * np.sum(u**2, axis=0)
         b_term = 0.5 * float(np.sum(tw * eq * e_dens) * g.cell_area)
         ghost_dens = 0.5 * delta * jbracket(rho - t) ** (-(1.0 + delta)) \
-            * (_good_sq(jet) + grad_rho_defect * ut_sq
-               + mass**2 * np.sum(jet.u**2, axis=0))
+            * (sum(np.sum((r * ut + ua) ** 2, axis=0)
+                   for r, ua in zip(g.radial_unit, (u1, u2)))
+               + grad_rho_defect * ut_sq + mass**2 * np.sum(u**2, axis=0))
         ghost_term = float(np.sum(tw * eq * ghost_dens) * g.cell_area)
         kap_term = 0.5 * kappa * t * jbracket(t) ** (-kappa - 2.0)
         kap_int = float(np.sum(kap_term * eq * e_dens) * g.cell_area)
         F = traj.snapshot_source(k, which)
-        src = float(np.sum(tw * eq * np.sum(jet.ut * F.values, axis=0))
+        src = float(np.sum(tw * eq * np.sum(ut * F.values, axis=0))
                     * g.cell_area)
-        if prev is not None:
-            h = traj.times[k] - traj.times[k - 1]
-            src_acc += 0.5 * (prev[0] + src) * h
-            ghost_acc += 0.5 * (prev[1] + ghost_term) * h
-            kap_acc += 0.5 * (prev[2] + kap_int) * h
-        prev = (src, ghost_term, kap_int)
-        if b0 is None:
-            b0 = b_term
-        out[k] = abs(src_acc - (b_term - b0 + ghost_acc + kap_acc))
-    return out
+        terms[k] = (src, b_term, ghost_term, kap_int)
+    # the running trapezoid integrals; the boundary column goes unused
+    acc = np.cumsum(0.5 * (terms[1:] + terms[:-1])
+                    * np.diff(traj.times)[:, None], axis=0)
+    src_acc, _, ghost_acc, kap_acc = np.vstack([np.zeros(4), acc]).T
+    return np.abs(src_acc - (terms[:, 1] - terms[0, 1] + ghost_acc + kap_acc))
 
 
 # ---------------------------------------------------------------------------
@@ -258,18 +257,18 @@ def xnorm_terms(traj, delta: float = 0.1) -> np.ndarray:
     return _fed(traj, GhostEnergies(traj.grid, delta)).uniform_term()
 
 
-def xnorm_distance(a, b, delta: float = 0.1, gamma_cap: int = 1,
+def xnorm_distance(a, b, delta: float = 0.1,
                    include_spacetime: bool = False) -> float:
     """Truncated discrete X-seminorm distance between two trajectories.
 
-    sup over t of sum_{|I| <= cap} of <t>^{-delta} ( E_1(Gamma^I dE)^{1/2}
+    sup over t of sum_{|I| <= 1} of <t>^{-delta} ( E_1(Gamma^I dE)^{1/2}
     + ||Gamma^I dn|| + ||(<t+r>/<t-r>) Gamma^I dE|| ), where d* are the
     snapshot differences.  With include_spacetime the running integral term
     of the full norm is added (kept optional; see module notes).
     """
     if len(a.times) != len(b.times) or not np.allclose(a.times, b.times):
         raise ValueError("trajectories cover different time grids")
-    words = all_words(gamma_cap)
+    words = all_words(1)
     best = 0.0
     st_acc = np.zeros(len(words))
     st_prev = None
@@ -324,7 +323,7 @@ def _xnorm_snapshot(a, b, k: int, words, delta: float,
 # inequality-ratio diagnostics
 # ---------------------------------------------------------------------------
 
-def ks_ratio(traj, which: str = "n", gamma_cap: int = 2):
+def ks_ratio(traj, which: str = "n"):
     """Klainerman-Sobolev ratio series (no scaling field, order capped at 2).
 
     ratio(t) = sup_x <t+|x|>^{1/2} |u(t,x)|
@@ -334,55 +333,33 @@ def ks_ratio(traj, which: str = "n", gamma_cap: int = 2):
     snapshot times up to half the horizon.  0/0 is reported as 0.
     """
     g = traj.grid
-    words = all_words(gamma_cap)
+    words = [word_terms(w.letters) for w in all_words(2)]
     times = np.asarray(traj.times, dtype=float)
-    t_end = times[-1]
-    valid = [k for k in range(len(times)) if 2.0 * times[k] <= t_end + 1e-9]
+    valid = [k for k in range(len(times)) if 2.0 * times[k] <= times[-1] + 1e-9]
     if not valid:
         raise ValueError("trajectory horizon too short for any K-S query")
-    w_snap = np.empty(len(times))
-    for k in range(len(times)):
-        jet = traj.jet(k, which)
-        w_snap[k] = max(
-            float(np.sqrt(np.sum(apply_gamma(w, jet).values ** 2) * g.cell_area))
-            for w in words)
-    out_t = np.empty(len(valid))
-    out_v = np.empty(len(valid))
-    for i, k in enumerate(valid):
-        t = times[k]
-        pair = traj.states[k].pair(which)
-        num = float(np.max(jbracket(t + g.R) ** 0.5 * pair.u.magnitude()))
-        den = float(np.max(w_snap[times <= 2.0 * t + 1e-9]))
-        out_t[i] = t
-        out_v[i] = num / den if den > 0 else 0.0
-    return out_t, out_v
+    w_snap, num = np.empty((2, len(times)))
+    for k, t in enumerate(times):
+        planes = WordPlanes(g, t, _levels(traj, k, which, 2))
+        w_snap[k] = max(float(np.sqrt(np.sum(planes.combine(terms) ** 2)
+                                      * g.cell_area)) for terms in words)
+        num[k] = np.max(jbracket(t + g.R) ** 0.5
+                        * Field(g, planes["u"]).magnitude())
+    den = np.array([np.max(w_snap[times <= 2.0 * times[k] + 1e-9])
+                    for k in valid])
+    return times[valid], np.divide(num[valid], den, out=np.zeros(len(valid)),
+                                   where=den > 0)
 
 
-def _second_derivatives(jet: JetField) -> np.ndarray:
-    """Pointwise Frobenius norm of the spacetime Hessian, over components."""
-    g = jet.grid
-    d1u = Derivatives(g, jet.d(1))
-    parts = [jet.utt, jet.d(1, 1), jet.d(2, 1),
-             d1u(1), d1u(2), Derivatives(g, jet.d(2))(2)]
-    weights = [1.0, 2.0, 2.0, 1.0, 2.0, 1.0]  # off-diagonal pairs twice
-    return np.sqrt(sum(w * np.sum(p**2, axis=0) for w, p in zip(weights, parts)))
+# |dd u|^2 and |d u|^2 as weighted sums of squared planes, the Hessian's
+# mixed pairs counted twice
+HESSIAN = {"utt": 1, "ut1": 2, "ut2": 2, "u11": 1, "u12": 2, "u22": 1}
+GRADIENT = {"ut": 1, "u1": 1, "u2": 1}
 
 
-def _first_derivatives(jet: JetField) -> np.ndarray:
-    total = np.sum(jet.ut**2, axis=0) \
-        + np.sum(jet.d(1) ** 2, axis=0) \
-        + np.sum(jet.d(2) ** 2, axis=0)
-    return np.sqrt(total)
-
-
-def _gamma_first_derivatives(jet: JetField) -> np.ndarray:
-    """sqrt(sum over Gamma, alpha of |d_alpha Gamma u|^2) pointwise."""
-    total = 0.0
-    for letter in LETTERS:
-        wjet = apply_letters((letter,), jet, depth=2)
-        for val in (wjet.ut, wjet.d(1), wjet.d(2)):
-            total = total + np.sum(val**2, axis=0)
-    return np.sqrt(total)
+def _norm(planes: WordPlanes, weights: dict) -> np.ndarray:
+    return np.sqrt(sum(w * np.sum(planes[name] ** 2, axis=0)
+                       for name, w in weights.items()))
 
 
 def _masked_max_ratio(lhs: np.ndarray, rhs: np.ndarray, mask: np.ndarray) -> float:
@@ -394,31 +371,31 @@ def _masked_max_ratio(lhs: np.ndarray, rhs: np.ndarray, mask: np.ndarray) -> flo
     return float(np.max(lhs[good] / rhs[good]))
 
 
-def hessian_pointwise(jet: JetField, gamma_first: np.ndarray,
+def hessian_pointwise(planes: WordPlanes, gamma_first: np.ndarray,
                       source_mag: np.ndarray):
     """Pointwise (lhs, rhs) of the wave-Hessian extra-decay inequality."""
-    g = jet.grid
-    tr_b = jbracket(jet.t - g.R)
-    lhs = _second_derivatives(jet)
-    rhs = (gamma_first + _first_derivatives(jet)) / tr_b \
-        + jet.t * source_mag / tr_b
-    return lhs, rhs
+    t = planes.t
+    tr_b = jbracket(t - planes.grid.R)
+    rhs = (gamma_first + _norm(planes, GRADIENT)) / tr_b + t * source_mag / tr_b
+    return _norm(planes, HESSIAN), rhs
 
 
 def _extra_decay_series(traj, which: str, pointwise):
-    """Series of max over |x| <= 3t of lhs/rhs from pointwise(jet, |d Gamma
-    u|, |F|), at the snapshots with t >= 1."""
+    """Series of max over |x| <= 3t of lhs/rhs from pointwise(planes,
+    |d Gamma u|, |F|), at the snapshots with t >= 1.  |d Gamma u| sums the
+    d_t, d_1 and d_2 rows of the single-letter words."""
     g = traj.grid
     out_t, out_v = [], []
-    for k in range(len(traj.times)):
-        t = traj.times[k]
+    for k, t in enumerate(traj.times):
         if t < 1.0:
             continue
-        jet = traj.jet(k, which)
+        planes = WordPlanes(g, t, _levels(traj, k, which, 2))
+        gamma_first = np.sqrt(sum(
+            np.sum(planes.combine(terms) ** 2, axis=0)
+            for letter in LETTERS for terms in WORD_WEIGHTS[(letter,)][1:]))
         F = traj.snapshot_source(k, which)
-        lhs, rhs = pointwise(
-            jet, _gamma_first_derivatives(jet),
-            np.sqrt(np.sum(F.values**2, axis=0)))
+        lhs, rhs = pointwise(planes, gamma_first,
+                             np.sqrt(np.sum(F.values**2, axis=0)))
         out_t.append(t)
         out_v.append(_masked_max_ratio(lhs, rhs, g.R <= 3.0 * t))
     return np.asarray(out_t), np.asarray(out_v)
@@ -433,14 +410,14 @@ def hessian_decay_ratio(traj, which: str = "n_delta"):
     return _extra_decay_series(traj, which, hessian_pointwise)
 
 
-def kg_pointwise(jet: JetField, gamma_first: np.ndarray,
+def kg_pointwise(planes: WordPlanes, gamma_first: np.ndarray,
                  source_mag: np.ndarray):
     """Pointwise (lhs, rhs) of the Klein-Gordon extra-decay inequality."""
-    g = jet.grid
-    tb = jbracket(jet.t)
-    lhs = np.sqrt(np.sum(jet.u**2, axis=0))
-    rhs = (np.abs(jet.t - g.R) / tb) * _second_derivatives(jet) \
-        + gamma_first / tb + _first_derivatives(jet) / tb + source_mag
+    t = planes.t
+    tb = jbracket(t)
+    lhs = np.sqrt(np.sum(planes["u"] ** 2, axis=0))
+    rhs = (np.abs(t - planes.grid.R) / tb) * _norm(planes, HESSIAN) \
+        + gamma_first / tb + _norm(planes, GRADIENT) / tb + source_mag
     return lhs, rhs
 
 

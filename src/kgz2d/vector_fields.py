@@ -1,17 +1,19 @@
 """
-Discrete Klainerman vector-field calculus on snapshot jets.
-
-A jet holds a field together with enough time derivatives (u_t, and u_tt
-supplied by the field's equation) to evaluate any word of length <= 2 over
-the alphabet
+Discrete Klainerman vector-field calculus at a single time, over the
+alphabet
 
     dt, d1, d2        translations
     rot               rotation  x1 d2 - x2 d1
     L1, L2            Lorentz boosts  x_a dt + t d_a
 
-at a single time.  Spatial derivatives are spectral; time derivatives come
-from the jet, never from differencing across snapshots.  The scaling field
-t dt + r dr is deliberately absent.
+with words of length <= 2; the scaling field t dt + r dr is deliberately
+absent.  Each letter is first order with coefficients linear in (t, x), so
+a word of u is a fixed sum of polynomial coefficients times derivative
+planes: word_terms generates it by the product rule from the letters'
+PARTS, and WordPlanes evaluates it on a jet's packed levels, one pruned
+inverse transform per plane.  The letter path (JetField, apply_letters)
+multiplies by the box's sawtooth x_a before each spectral derivative.  Time
+derivatives come from the jet, never from differencing across snapshots.
 """
 
 from __future__ import annotations
@@ -25,11 +27,13 @@ from .grid import Derivatives, Field, Grid
 
 __all__ = [
     "LETTERS",
+    "PARTS",
     "WORD_WEIGHTS",
     "GammaWord",
     "WordPlanes",
     "JetField",
     "all_words",
+    "word_terms",
     "apply_gamma",
     "apply_letters",
     "good_derivative",
@@ -57,12 +61,10 @@ class GammaWord:
                 f"word order {len(self.letters)} exceeds the cap {MAX_ORDER}")
 
 
-def all_words(max_order: int, letters: tuple[str, ...] = LETTERS) -> list[GammaWord]:
+def all_words(max_order: int) -> list[GammaWord]:
     """Every word with order <= max_order, identity first."""
-    words = [GammaWord(())]
-    for m in range(1, max_order + 1):
-        words.extend(GammaWord(w) for w in itertools.product(letters, repeat=m))
-    return words
+    return [GammaWord(w) for m in range(max_order + 1)
+            for w in itertools.product(LETTERS, repeat=m)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,11 +73,9 @@ class JetField:
     u_tt and a third time derivative u_ttt.
 
     The levels present bound the words a jet can evaluate: each dt or boost
-    letter reads one level more.  The third derivative extends the budget
-    for diagnostics that time-differentiate an order-2 word (e.g. energies
-    of Gamma^I u).  Every level keeps its spatial derivatives once taken
-    (`d`), so all words evaluated on one jet share one forward transform
-    per level, and keeps that level's half spectrum (`hat`).
+    letter reads one level more.  Every level keeps its spatial derivatives
+    once taken (`d`), so all words evaluated on one jet share one forward
+    transform per level, and keeps that level's half spectrum (`hat`).
     """
 
     grid: Grid
@@ -103,10 +103,6 @@ class JetField:
         object.__setattr__(self, "_stack", tuple(
             Derivatives(self.grid, lv) for lv in self.levels()))
 
-    @property
-    def components(self) -> int:
-        return self.u.shape[0]
-
     def levels(self) -> list[np.ndarray]:
         return [lv for lv in (self.u, self.ut, self.utt, self.uttt)
                 if lv is not None]
@@ -120,25 +116,52 @@ class JetField:
         return self._stack[level].hat
 
 
-# Each word |I| <= 1 and its d_t, d_1 and d_2 by the product rule, as sums of
-# "coefficient*plane" terms: a coefficient is +-1 (its sign alone), x_a or t,
-# and a plane is u with a "t" per time derivative, then its spatial axes.
-WORD_WEIGHTS = {
-    (): (("u",), ("ut",), ("u1",), ("u2",)),
-    ("dt",): (("ut",), ("utt",), ("ut1",), ("ut2",)),
-    ("d1",): (("u1",), ("ut1",), ("u11",), ("u12",)),
-    ("d2",): (("u2",), ("ut2",), ("u12",), ("u22",)),
-    ("rot",): (("x1*u2", "-x2*u1"), ("x1*ut2", "-x2*ut1"),
-               ("u2", "x1*u12", "-x2*u11"), ("x1*u22", "-u1", "-x2*u12")),
-    ("L1",): (("x1*ut", "t*u1"), ("x1*utt", "u1", "t*ut1"),
-              ("ut", "x1*ut1", "t*u11"), ("x1*ut2", "t*u12")),
-    ("L2",): (("x2*ut", "t*u2"), ("x2*utt", "u2", "t*ut2"),
-              ("x2*ut1", "t*u12"), ("ut", "x2*ut2", "t*u22")),
+# Each letter as its (coefficient, derivative) parts: L1 is x1 d_t + t d_1.
+# A coefficient is a sign and a factor x_a or t, or nothing for 1.
+PARTS = {
+    "dt": (("", "t"),), "d1": (("", "1"),), "d2": (("", "2"),),
+    "rot": (("x1", "2"), ("-x2", "1")),
+    "L1": (("x1", "t"), ("t", "1")), "L2": (("x2", "t"), ("t", "2")),
 }
 
 
+def apply_parts(letter: str, terms) -> tuple[str, ...]:
+    """A letter applied to a sum of "coefficient*plane" terms (a sign and
+    factors x_a or t; u with a "t" per time derivative, then its axes) by
+    the product rule: per part and term, each factor the part's derivative
+    takes to 1 in order, then the plane's derivative."""
+    out = []
+    for coef, d in PARTS[letter]:
+        var = "t" if d == "t" else "x" + d
+        head = [coef.lstrip("-")] if coef.lstrip("-") else []
+        for term in terms:
+            sign = "-" if term.startswith("-") != coef.startswith("-") else ""
+            *factors, plane = term.lstrip("-").split("*")
+            axes = "".join(sorted(plane.lstrip("ut") + d.strip("t")))
+            dplane = "u" + "t" * (plane.count("t") + (d == "t")) + axes
+            moved = [factors[:i] + factors[i + 1:] + [plane]
+                     for i, f in enumerate(factors) if f == var]
+            out += [sign + "*".join(head + m)
+                    for m in moved + [factors + [dplane]]]
+    return tuple(out)
+
+
+def word_terms(letters) -> tuple[str, ...]:
+    """The terms of the letters applied to u, right to left."""
+    terms = ("u",)
+    for letter in reversed(letters):
+        terms = apply_parts(letter, terms)
+    return terms
+
+
+# Each word |I| <= 1 and its d_t, d_1 and d_2, as sums of terms
+WORD_WEIGHTS = {w.letters: tuple(word_terms(d + w.letters)
+                                 for d in ((), ("dt",), ("d1",), ("d2",)))
+                for w in all_words(1)}
+
+
 class WordPlanes(dict):
-    """The planes of WORD_WEIGHTS at time t of packed jet levels (u, u_t[,
+    """The planes of word terms at time t of packed jet levels (u, u_t[,
     u_tt]), each one pruned inverse transform, made on first use and kept."""
 
     def __init__(self, grid: Grid, t: float, levels):
@@ -154,12 +177,14 @@ class WordPlanes(dict):
         return out
 
     def combine(self, terms) -> np.ndarray:
-        """The physical sum of the terms of one row of WORD_WEIGHTS."""
+        """The physical sum of word terms, such as a row of WORD_WEIGHTS."""
         factor = {"t": self.t, "x1": self.grid.X1, "x2": self.grid.X2}
         total = None
         for term in terms:
-            coef, _, name = term.lstrip("-").rpartition("*")
-            value = factor[coef] * self[name] if coef else self[name]
+            *coef, name = term.lstrip("-").split("*")
+            value = self[name]
+            for f in coef:
+                value = factor[f] * value
             value = -value if term[0] == "-" else value
             total = value if total is None else total + value
         return total
@@ -277,33 +302,29 @@ class CommutatorReport:
         return self.max_residual / self.scale if self.scale > 0 else 0.0
 
 
-def check_commutators(jet: JetField) -> CommutatorReport:
-    """Residuals of the first-order commutator identities.
+# The first-order commutator identities, each as the residual it reports:
+# [a,b] minus or plus the letter it equals
+COMMUTATORS = ("[dt,L1]-d1", "[dt,L2]-d2", "[d1,L1]-dt", "[d2,L1]", "[d1,L2]",
+               "[d2,L2]-dt", "[dt,rot]", "[d1,rot]-d2", "[d2,rot]+d1")
 
-    Checks [dt, L_b] = d_b, [d_a, L_b] = delta_ab dt, [dt, rot] = 0,
-    [d1, rot] = d2 and [d2, rot] = -d1, each evaluated as
-    |Gamma_1 Gamma_2 u - Gamma_2 Gamma_1 u - expected| in max norm.
-    Fields should be effectively supported inside the box (box emulation of
-    the plane), otherwise boundary jumps of x_a * u pollute the spectra.
+
+def check_commutators(jet: JetField) -> CommutatorReport:
+    """Residuals of COMMUTATORS, |Gamma_1 Gamma_2 u - Gamma_2 Gamma_1 u -
+    expected| in max norm.  Fields should be effectively supported inside
+    the box (box emulation of the plane), otherwise boundary jumps of
+    x_a * u pollute the spectra.
     """
     def word(*letters):
         return apply_gamma(GammaWord(letters), jet).values
 
-    def comm(a: str, b: str) -> np.ndarray:
-        return word(a, b) - word(b, a)
-
     residuals = {}
-    for b, db in (("L1", "d1"), ("L2", "d2")):
-        residuals[f"[dt,{b}]-{db}"] = float(
-            np.max(np.abs(comm("dt", b) - word(db))))
-    for a, da in (("L1", "d1"), ("L2", "d2")):
-        for bname, db in (("d1", "d1"), ("d2", "d2")):
-            expected = word("dt") if da == db else 0.0
-            residuals[f"[{db},{a}]" + ("-dt" if da == db else "")] = float(
-                np.max(np.abs(comm(db, a) - expected)))
-    residuals["[dt,rot]"] = float(np.max(np.abs(comm("dt", "rot"))))
-    residuals["[d1,rot]-d2"] = float(np.max(np.abs(comm("d1", "rot") - word("d2"))))
-    residuals["[d2,rot]+d1"] = float(np.max(np.abs(comm("d2", "rot") + word("d1"))))
+    for name in COMMUTATORS:
+        pair, _, rest = name[1:].partition("]")
+        a, b = pair.split(",")
+        res = word(a, b) - word(b, a)
+        if rest:
+            res = res - word(rest[1:]) if rest[0] == "-" else res + word(rest[1:])
+        residuals[name] = float(np.max(np.abs(res)))
 
     scale = float(max(np.max(np.abs(jet.u)), np.max(np.abs(jet.ut)),
                       np.max(np.abs(jet.utt)), 1e-300))

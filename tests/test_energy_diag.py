@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from kgz2d.energy_diag import (
+    _Q_STEP,
+    _Q_ZMAX,
     DiagnosticsReport,
+    _q_table,
     energy,
     ghost_energy,
     ghost_weight_q,
@@ -18,7 +21,7 @@ from kgz2d.energy_diag import (
 )
 from kgz2d.grid import Field, FieldPair, make_grid, partial
 from kgz2d.system import evolve, free_flow, gaussian_data
-from kgz2d.vector_fields import JetField
+from kgz2d.vector_fields import WordPlanes
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +68,19 @@ class TestGhostWeight:
         q = ghost_weight_q(zs, 0.1)
         assert np.all(np.diff(q) >= 0)
         assert q[-1] < 2.5
+
+    def test_index_lookup_is_interp(self):
+        # the table is uniform, so reading it by index and clamping at its
+        # end is np.interp on it: at a negative z, zero, a node, mid-cell
+        # and beyond the end
+        d = 0.1
+        odd, half = _q_table(d)
+        zs = np.arange(0.0, _Q_ZMAX + _Q_STEP, _Q_STEP)
+        z = np.array([-37.2504, 0.0, 5.0, 2.0 + 0.5 * _Q_STEP, 1.5 * _Q_ZMAX])
+        assert 5.0 in zs and len(zs) == len(odd)
+        want = d * (half + np.sign(z) * np.interp(np.abs(z), zs, odd))
+        got = ghost_weight_q(z, d)
+        assert np.max(np.abs(got - want) / want) <= 1e-15
 
     def test_quadrature_oracle(self):
         # direct Simpson quadrature of the integrand over [-200, z] plus the
@@ -154,7 +170,8 @@ class TestMultiplierIdentity:
 
     def test_depth_one_jets_give_the_depth_two_series(self, grid64):
         # the identity reads u, u_t and their gradients but no u_tt, so the
-        # depth-1 jets it builds give the series of depth-2 ones bit for bit
+        # depth-1 jet levels it asks for give the series of depth-2 ones bit
+        # for bit
         traj = evolve(gaussian_data(grid64, 0.3), 2.0, 0.1)
         depths = []
 
@@ -162,9 +179,9 @@ class TestMultiplierIdentity:
             def __getattr__(self, name):
                 return getattr(traj, name)
 
-            def jet(self, k, which, depth=2):
+            def jet_spectra(self, k, which, depth=2):
                 depths.append(depth)
-                return traj.jet(k, which, depth=2)
+                return traj.jet_spectra(k, which, depth=2)
 
         for which in ("E", "n"):
             want = multiplier_residual(DepthTwo(), which, 0.1, 0.05)
@@ -236,11 +253,11 @@ class TestXnormDistance:
 
 class TestRatios:
     def test_ks_zero_guarded(self, grid64):
-        times, series = ks_ratio(zero_run(grid64), "n", gamma_cap=1)
+        times, series = ks_ratio(zero_run(grid64), "n")
         assert np.all(series == 0.0)
 
     def test_ks_static_time_zero(self, free_kg_run):
-        times, series = ks_ratio(free_kg_run, "n", gamma_cap=1)
+        times, series = ks_ratio(free_kg_run, "n")
         assert times[0] == 0.0
         assert np.isfinite(series[0]) and series[0] > 0
 
@@ -273,14 +290,16 @@ class TestRatios:
         assert np.all(h == 0.0) and np.all(k == 0.0)
 
     def test_kg_pointwise_closed_form_at_origin(self, grid64):
-        # spatially constant mode v = cos(t): at the origin r = 0 both sides
-        # reduce to elementary functions of t
+        # spatially constant mode v = cos(t), which is band-limited: at the
+        # origin r = 0 both sides reduce to elementary functions of t
         t = 2.0
         ones = np.ones((1, grid64.n, grid64.n))
-        jet = JetField(grid64, t, np.cos(t) * ones, -np.sin(t) * ones,
-                       -np.cos(t) * ones)
+        planes = WordPlanes(grid64, t, [
+            grid64.box_rfft(c * ones) for c in (np.cos(t), -np.sin(t),
+                                                 -np.cos(t))])
         gamma_first = np.zeros((grid64.n, grid64.n))
-        lhs, rhs = kg_pointwise(jet, gamma_first, np.zeros_like(gamma_first))
+        lhs, rhs = kg_pointwise(planes, gamma_first,
+                                np.zeros_like(gamma_first))
         i0 = np.argmin(np.abs(grid64.xs))
         tb = np.sqrt(1 + t * t)
         assert lhs[i0, i0] == pytest.approx(abs(np.cos(t)), rel=1e-12)
