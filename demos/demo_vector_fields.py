@@ -11,11 +11,11 @@ Run from the repository root:  python3 demos/demo_vector_fields.py
 
 import numpy as np
 
-from kgz2d import Field, FieldPair, LinearOperator, free_step, laplacian, make_grid, partial
+from kgz2d import Field, FieldPair, LinearOperator, free_step, make_grid, partial
 from kgz2d.energy_diag import ks_ratio
 from kgz2d.grid import bump_window
 from kgz2d.system import free_flow, gaussian_data
-from kgz2d.vector_fields import JetField, check_commutators, good_derivative
+from kgz2d.vector_fields import WordPlanes, check_commutators, good_derivative
 
 
 def main():
@@ -25,10 +25,9 @@ def main():
     window = bump_window(grid, 0.4 * grid.length)
     spec = np.zeros((1, grid.n, grid.n // 2 + 1), dtype=complex)
     spec[0, :8, :8] = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    jet = JetField(grid, 0.8,
-                   grid.irfft(spec) * window,
-                   grid.irfft(np.roll(spec, 1, axis=1)) * window,
-                   grid.irfft(np.roll(spec, 2, axis=1)) * window)
+    jet = WordPlanes(grid, 0.8, [
+        grid.box_rfft(grid.irfft(np.roll(spec, j, axis=1)) * window)
+        for j in range(3)])
     rep = check_commutators(jet)
     print("commutator residuals (max-norm / field scale):")
     for name, val in rep.residuals.items():
@@ -39,8 +38,8 @@ def main():
     t = 8.0
     pair = free_step(LinearOperator(grid, 0),
                      FieldPair(Field(grid, amp), Field(grid, 0 * amp)), t)
-    wjet = JetField(grid, t, pair.u.values, pair.ut.values,
-                    laplacian(pair.u).values)
+    wjet = WordPlanes(grid, t, [grid.box_rfft(f.values)
+                                for f in (pair.u, pair.ut)])
     shell = np.abs(grid.R - t) <= 1.0
     good = np.sqrt(sum(good_derivative(a, wjet).values[0] ** 2 for a in (1, 2)))
     full = np.sqrt(pair.ut.values[0] ** 2 + partial(pair.u, 1).values[0] ** 2

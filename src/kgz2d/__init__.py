@@ -43,7 +43,6 @@ from .system import (
 )
 from .vector_fields import (
     GammaWord,
-    JetField,
     all_words,
     apply_gamma,
     check_commutators,

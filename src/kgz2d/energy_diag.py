@@ -13,10 +13,12 @@ Conventions used throughout:
   here is the truncated version.
 
 Trajectory arguments are duck-typed.  Every reader here reads .grid, .times
-and .jet_spectra(k, which, depth), the half spectra of a jet's levels; the
-extra-decay ratios and the multiplier identity also read .snapshot_source(k,
-which).  All but xnorm_distance evaluate their words and derivatives from
-the word terms of vector_fields on packed levels (WordPlanes).
+and .jet_levels(k, which, depth), a jet's packed levels; the extra-decay
+ratios and the multiplier identity also read .source(k, which), the packed
+source of the field's equation, once per snapshot, and the first builds its
+levels on .states[k] from it.  Every reader evaluates its words and
+derivatives from the word terms of vector_fields on packed levels
+(WordPlanes).
 """
 
 from __future__ import annotations
@@ -27,16 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Field, FieldPair, Grid, Spectrum
-from .vector_fields import (
-    LETTERS,
-    WORD_WEIGHTS,
-    WordPlanes,
-    _spectral_jet,
-    all_words,
-    apply_gamma,
-    apply_letters,
-    word_terms,
-)
+from .system import state_levels
+from .vector_fields import (LETTERS, WORD_WEIGHTS, WordPlanes, all_words,
+                            word_terms)
 
 __all__ = [
     "jbracket",
@@ -172,16 +167,9 @@ class GhostEnergies:
         return np.sum(np.sqrt(np.maximum(np.array(self.rows), 0.0)), axis=1)
 
 
-def _levels(traj, k: int, which: str, depth: int) -> list[np.ndarray]:
-    """Snapshot k's jet levels, u to the depth-th time derivative, packed to
-    the dealias box: what WordPlanes reads."""
-    return [Spectrum.pack(traj.grid, h).values
-            for h in traj.jet_spectra(k, which, depth)]
-
-
 def _fed(traj, ghost: GhostEnergies) -> GhostEnergies:
     for k, t in enumerate(traj.times):
-        ghost.add(t, _levels(traj, k, ghost.which, ghost.depth))
+        ghost.add(t, traj.jet_levels(k, ghost.which, ghost.depth))
     return ghost
 
 
@@ -220,7 +208,7 @@ def multiplier_residual(traj, which: str = "E", delta: float = 0.1,
     terms = np.empty((len(traj.times), 4))
     for k, t in enumerate(traj.times):
         # the identity reads no u_tt, so the levels stop at depth 1
-        planes = WordPlanes(g, t, _levels(traj, k, which, 1))
+        planes = WordPlanes(g, t, traj.jet_levels(k, which, 1))
         u, ut, u1, u2 = (planes[name] for name in ("u", "ut", "u1", "u2"))
         eq = np.exp(ghost_weight_q(rho - t, delta))
         tw = jbracket(t) ** (-kappa)
@@ -236,9 +224,8 @@ def multiplier_residual(traj, which: str = "E", delta: float = 0.1,
         ghost_term = float(np.sum(tw * eq * ghost_dens) * g.cell_area)
         kap_term = 0.5 * kappa * t * jbracket(t) ** (-kappa - 2.0)
         kap_int = float(np.sum(kap_term * eq * e_dens) * g.cell_area)
-        F = traj.snapshot_source(k, which)
-        src = float(np.sum(tw * eq * np.sum(ut * F.values, axis=0))
-                    * g.cell_area)
+        F = g.box_irfft(traj.source(k, which))
+        src = float(np.sum(tw * eq * np.sum(ut * F, axis=0)) * g.cell_area)
         terms[k] = (src, b_term, ghost_term, kap_int)
     # the running trapezoid integrals; the boundary column goes unused
     acc = np.cumsum(0.5 * (terms[1:] + terms[:-1])
@@ -290,31 +277,44 @@ def _xnorm_snapshot(a, b, k: int, words, delta: float,
                     include_spacetime: bool):
     """Snapshot k's sum over words of the distance terms, and the integrands
     of the spacetime term.  A jet is linear in (state, source), so each
-    field's difference jet is built once, on the difference of the two
-    trajectories' level spectra; it is freed when this returns."""
+    field's word planes are made once, on the difference of the two
+    trajectories' packed levels; they are freed when this returns.
+
+    Gamma dE and d_t Gamma dE are the words' first two WORD_WEIGHTS rows,
+    and E_1 is the Parseval sum of their transforms; a row that is one bare
+    time level reads that level's spectrum, so needs no transform."""
     g = a.grid
     R = g.R
     t = a.times[k]
     tb = jbracket(t)
-    jet_E, jet_n = (
-        _spectral_jet(g, t, [ha - hb for ha, hb in zip(
-            a.jet_spectra(k, which, depth), b.jet_spectra(k, which, depth))])
-        for which, depth in (("E", 2), ("n", 1)))
+    dE, dn = ([la - lb for la, lb in zip(a.jet_levels(k, which, depth),
+                                         b.jet_levels(k, which, depth))]
+              for which, depth in (("E", 2), ("n", 1)))
+    planes_E, planes_n = WordPlanes(g, t, dE), WordPlanes(g, t, dn)
+
+    def spectrum(terms, value):
+        name = terms[0]
+        if len(terms) == 1 and name == "u" + "t" * name.count("t"):
+            return Spectrum(g, dE[name.count("t")]).unpack()
+        return g.rfft(value)
+
     cone_w = (jbracket(t + R) / jbracket(t - R)) ** 2
     total = 0.0
     st_integ = np.empty(len(words))
     for i, w in enumerate(words):
-        vE = apply_letters(w.letters, jet_E, depth=2)
-        e1 = spectral_energy(g, vE.hat(0), vE.hat(1), 1)
-        vn = apply_gamma(w, jet_n)
-        l2n = float(np.sqrt(np.sum(vn.values**2) * g.cell_area))
-        cone = float(np.sqrt(np.sum(cone_w * np.sum(vE.u**2, axis=0))
+        rows = WORD_WEIGHTS[w.letters][:2]
+        vE, vE_t = (planes_E.combine(terms) for terms in rows)
+        e1 = spectral_energy(g, *(spectrum(terms, v) for terms, v in
+                                  zip(rows, (vE, vE_t))), 1)
+        vn = planes_n.combine(WORD_WEIGHTS[w.letters][0])
+        l2n = float(np.sqrt(np.sum(vn**2) * g.cell_area))
+        cone = float(np.sqrt(np.sum(cone_w * np.sum(vE**2, axis=0))
                              * g.cell_area))
         total += tb ** (-delta) * (math.sqrt(max(e1, 0.0)) + l2n + cone)
         if include_spacetime:
             stw = (tb ** (-0.5 * delta)
                    * jbracket(t - R) ** (-0.5 - 0.5 * delta)) ** 2
-            st_integ[i] = float(np.sum(stw * np.sum(vE.u**2, axis=0))
+            st_integ[i] = float(np.sum(stw * np.sum(vE**2, axis=0))
                                 * g.cell_area)
     return total, st_integ
 
@@ -340,7 +340,7 @@ def ks_ratio(traj, which: str = "n"):
         raise ValueError("trajectory horizon too short for any K-S query")
     w_snap, num = np.empty((2, len(times)))
     for k, t in enumerate(times):
-        planes = WordPlanes(g, t, _levels(traj, k, which, 2))
+        planes = WordPlanes(g, t, traj.jet_levels(k, which, 2))
         w_snap[k] = max(float(np.sqrt(np.sum(planes.combine(terms) ** 2)
                                       * g.cell_area)) for terms in words)
         num[k] = np.max(jbracket(t + g.R) ** 0.5
@@ -389,13 +389,15 @@ def _extra_decay_series(traj, which: str, pointwise):
     for k, t in enumerate(traj.times):
         if t < 1.0:
             continue
-        planes = WordPlanes(g, t, _levels(traj, k, which, 2))
+        source = traj.source(k, which)
+        planes = WordPlanes(g, t,
+                            state_levels(traj.states[k], which, [source]))
         gamma_first = np.sqrt(sum(
             np.sum(planes.combine(terms) ** 2, axis=0)
             for letter in LETTERS for terms in WORD_WEIGHTS[(letter,)][1:]))
-        F = traj.snapshot_source(k, which)
+        F = g.box_irfft(source)
         lhs, rhs = pointwise(planes, gamma_first,
-                             np.sqrt(np.sum(F.values**2, axis=0)))
+                             np.sqrt(np.sum(F**2, axis=0)))
         out_t.append(t)
         out_v.append(_masked_max_ratio(lhs, rhs, g.R <= 3.0 * t))
     return np.asarray(out_t), np.asarray(out_v)

@@ -24,7 +24,6 @@ __all__ = [
     "make_grid",
     "laplacian",
     "partial",
-    "Derivatives",
     "l2_norm",
     "h_norm",
     "write_field",
@@ -286,46 +285,12 @@ def laplacian(f: Field) -> Field:
     return Field(g, g.irfft(-g.spectral["k_sq"] * hat))
 
 
-class Derivatives:
-    """The half spectrum and first spatial derivatives of one array, each
-    taken on demand.
-
-    Calling d(axis) returns the spectral derivative d_axis of the array.
-    The forward transform (hat) is done once, at the first call for it or
-    for either derivative, and kept; a caller that already holds the
-    array's half spectrum passes it as hat and none is done.  Each
-    derivative is kept too, so asking for it again costs nothing.
-    """
-
-    __slots__ = ("grid", "values", "_hat", "_d")
-
-    def __init__(self, grid: Grid, values: np.ndarray,
-                 hat: np.ndarray | None = None):
-        self.grid = grid
-        self.values = values
-        self._hat = hat
-        self._d = {}
-
-    @property
-    def hat(self) -> np.ndarray:
-        if self._hat is None:
-            self._hat = self.grid.rfft(self.values)
-        return self._hat
-
-    def __call__(self, axis: int) -> np.ndarray:
-        out = self._d.get(axis)
-        if out is None:
-            if axis not in (1, 2):
-                raise ValueError(f"axis must be 1 or 2, got {axis}")
-            g = self.grid
-            mult = g.spectral["d1" if axis == 1 else "d2"]
-            out = self._d[axis] = g.irfft(mult * self.hat)
-        return out
-
-
 def partial(f: Field, axis: int) -> Field:
     """Spectral first derivative along axis 1 or 2."""
-    return Field(f.grid, Derivatives(f.grid, f.values)(axis))
+    if axis not in (1, 2):
+        raise ValueError(f"axis must be 1 or 2, got {axis}")
+    g = f.grid
+    return Field(g, g.irfft(g.spectral[f"d{axis}"] * g.rfft(f.values)))
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ from .system import (
     evolve,
     gaussian_data,
     picard_solve,
+    state_levels,
 )
 
 __all__ = [
@@ -350,11 +351,10 @@ class RunDiagnostics:
             for which, m in (("E", 1), ("n", 0)):
                 self.energies[which].append(
                     spectral_energy(self.grid, *state.spectra(which), m))
-            # u_tt = lap (u + S), S = |E|^2 made as Trajectory.products does
-            u, ut = state.box("n")
-            lap = -self.grid.spectral["box_k_sq"]
+            # n's source lap |E|^2, |E|^2 made as Trajectory.products does
             S = _products(self.grid, E.values)[1].values
-            self.ghost.add(state.t, (u, ut, lap * u + lap * S))
+            source = -self.grid.spectral["box_k_sq"] * S
+            self.ghost.add(state.t, state_levels(state, "n", [source]))
 
     def series(self) -> dict:
         series = {"sup_E": np.array(self.sup_E),
@@ -547,7 +547,7 @@ def run_check(quiet: bool = False) -> list[tuple[str, bool, str]]:
     from .grid import FieldPair, bump_window, h_norm, l2_norm
     from .propagator import LinearOperator, free_step
     from .system import evolve_direct_n
-    from .vector_fields import JetField, check_commutators
+    from .vector_fields import WordPlanes, check_commutators
 
     results = []
 
@@ -583,10 +583,9 @@ def run_check(quiet: bool = False) -> list[tuple[str, bool, str]]:
     low = 6
     spec[0, :low, :low] = rng.standard_normal((low, low)) \
         + 1j * rng.standard_normal((low, low))
-    u = g.irfft(spec) * window
-    ut = g.irfft(np.roll(spec, 1, axis=1)) * window
-    utt = g.irfft(np.roll(spec, 2, axis=1)) * window
-    rep = check_commutators(JetField(g, 0.7, u, ut, utt))
+    rep = check_commutators(WordPlanes(g, 0.7, [
+        g.box_rfft(g.irfft(np.roll(spec, j, axis=1)) * window)
+        for j in range(3)]))
     record("commutator identities", rep.max_relative() <= 1e-8,
            f"max rel residual {rep.max_relative():.2e}")
 

@@ -29,11 +29,12 @@ import numpy as np
 
 from .grid import Field, FieldPair, Grid, Spectrum, laplacian
 from .propagator import InstabilityError, LinearOperator
-from .vector_fields import JetField, _spectral_jet
+from .vector_fields import WordPlanes
 
 __all__ = [
     "KGZState",
     "Trajectory",
+    "state_levels",
     "InitialData",
     "gaussian_data",
     "evolve",
@@ -148,12 +149,12 @@ class Trajectory:
 
     # -- equation sources at snapshot times (for jets and identities) --
 
-    def _source_hat(self, k: int, which: str, rate: bool = False) -> np.ndarray:
-        """Half spectrum of the source that drives `which` at snapshot k, or
-        with rate of its time derivative: -nE for "E", |E|^2 for "n_delta"
-        and lap(|E|^2) for "n"."""
+    def source(self, k: int, which: str, rate: bool = False) -> np.ndarray:
+        """The packed source that drives `which` at snapshot k, or with rate
+        its time derivative: -nE for "E", |E|^2 for "n_delta" and
+        lap(|E|^2) for "n"."""
         if self.kind == "free":
-            return np.zeros_like(self.states[k].spectra(which)[0])
+            return np.zeros_like(self.states[k].box(which)[0])
         if self.kind == "picard":
             if rate:
                 raise ValueError("a Picard iterate records no source "
@@ -161,11 +162,8 @@ class Trajectory:
             q, s = self.snapshot_sources[k]
         else:
             q, s = self.products(k, with_n=which == "E", rate=rate)
-        hat = (q if which == "E" else s).unpack()
-        return -self.grid.spectral["k_sq"] * hat if which == "n" else hat
-
-    def snapshot_source(self, k: int, which: str) -> Field:
-        return Field(self.grid, self.grid.irfft(self._source_hat(k, which)))
+        src = (q if which == "E" else s).values
+        return -self.grid.spectral["box_k_sq"] * src if which == "n" else src
 
     def products(self, k: int, with_n: bool = True, rate: bool = False):
         """The packed (Q, S) = (-nE, |E|^2) of snapshot k's own fields, the
@@ -178,24 +176,28 @@ class Trajectory:
              else [None, None])
         return _products(g, E[0], n[0], rate=(E[1], n[1]) if rate else None)
 
-    def jet_spectra(self, k: int, which: str, depth: int = 2) -> list:
-        """Half spectra of snapshot k's jet levels (u, u_t[, u_tt[, u_ttt]])
-        up to the depth-th time derivative, the second and third supplied by
-        the field's own equation, u_tt = (lap - m^2) u + source.  They are
-        linear in (state, source)."""
-        hats = list(self.states[k].spectra(which))
-        if depth >= 2:
-            op = -self.grid.spectral["k_sq"] - (1.0 if which == "E" else 0.0)
-            hats.append(op * hats[0] + self._source_hat(k, which))
-        if depth >= 3:
-            hats.append(op * hats[1] + self._source_hat(k, which, rate=True))
-        return hats
+    def jet_levels(self, k: int, which: str, depth: int = 2) -> list:
+        """Snapshot k's packed jet levels up to the depth-th time
+        derivative (state_levels on its sources)."""
+        return state_levels(self.states[k], which, [
+            self.source(k, which, rate) for rate in (False, True)[:depth - 1]])
 
-    def jet(self, k: int, which: str, depth: int = 2) -> JetField:
-        """Snapshot jet on jet_spectra(k, which, depth); each level keeps
-        its half spectrum for its spatial derivatives."""
-        return _spectral_jet(self.grid, self.states[k].t,
-                             self.jet_spectra(k, which, depth))
+    def jet(self, k: int, which: str, depth: int = 2) -> WordPlanes:
+        """The word planes of snapshot k's jet_levels(k, which, depth)."""
+        return WordPlanes(self.grid, self.states[k].t,
+                          self.jet_levels(k, which, depth))
+
+
+def state_levels(state: KGZState, which: str, sources=()) -> list:
+    """The packed jet levels (u, u_t[, u_tt[, u_ttt]]) of `which` at a state:
+    its pair, then a level per packed source of the field's equation given
+    (the source, then its rate), u_tt = (-|k|^2 - m^2) u + source and u_ttt
+    likewise from u_t.  They are linear in (state, sources)."""
+    op = -state.grid.spectral["box_k_sq"] - (1.0 if which == "E" else 0.0)
+    levels = list(state.box(which))
+    for j, src in enumerate(sources):
+        levels.append(op * levels[j] + src)
+    return levels
 
 
 def _products(g: Grid, E: np.ndarray, n: np.ndarray | None = None, *,

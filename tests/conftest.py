@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kgz2d.grid import Field, FieldPair, Grid, bump_window, make_grid
-from kgz2d.vector_fields import JetField
+from kgz2d.vector_fields import WordPlanes
 
 
 def windowed_random_field(grid, seed, components=1, modes=6):
@@ -20,14 +20,13 @@ def windowed_random_field(grid, seed, components=1, modes=6):
     return grid.irfft(spec) * bump_window(grid, 0.4 * grid.length)
 
 
-def windowed_random_jet(grid, seed, t=0.8, components=1):
-    """Arbitrary windowed jet (the commutator identities hold for any jet)."""
-    return JetField(
-        grid, t,
-        windowed_random_field(grid, seed, components),
-        windowed_random_field(grid, seed + 1000, components),
-        windowed_random_field(grid, seed + 2000, components),
-    )
+def windowed_random_jet(grid, seed, t=0.8, components=1, depth=2):
+    """The word planes of an arbitrary windowed jet (u, u_t, ...) up to the
+    depth-th time derivative, each level packed by box_rfft (the commutator
+    identities hold for any jet)."""
+    return WordPlanes(grid, t, [
+        grid.box_rfft(windowed_random_field(grid, seed + 1000 * j, components))
+        for j in range(depth + 1)])
 
 
 def dealias(f):

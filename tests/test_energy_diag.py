@@ -16,12 +16,15 @@ from kgz2d.energy_diag import (
     kg_pointwise,
     ks_ratio,
     multiplier_residual,
+    spectral_energy,
     xnorm_distance,
     xnorm_terms,
 )
 from kgz2d.grid import Field, FieldPair, make_grid, partial
-from kgz2d.system import evolve, free_flow, gaussian_data
-from kgz2d.vector_fields import WordPlanes
+from kgz2d.system import evolve, free_flow, gaussian_data, picard_map
+from kgz2d.vector_fields import WordPlanes, all_words
+
+from test_vector_fields import reference_word
 
 
 @pytest.fixture(scope="module")
@@ -179,9 +182,9 @@ class TestMultiplierIdentity:
             def __getattr__(self, name):
                 return getattr(traj, name)
 
-            def jet_spectra(self, k, which, depth=2):
+            def jet_levels(self, k, which, depth=2):
                 depths.append(depth)
-                return traj.jet_spectra(k, which, depth=2)
+                return traj.jet_levels(k, which, depth=2)
 
         for which in ("E", "n"):
             want = multiplier_residual(DepthTwo(), which, 0.1, 0.05)
@@ -227,6 +230,30 @@ class TestXnormTerms:
         assert np.all(xnorm_terms(nonlinear_run) >= np.sqrt(series))
 
 
+def letter_path_distance(a, b, delta=0.1):
+    """xnorm_distance evaluated letter by letter (reference_word) on the
+    difference of the two trajectories' jet levels, E_1 taken from the
+    transforms of the physical values of Gamma dE and d_t Gamma dE."""
+    g = a.grid
+    cell = g.cell_area
+    best = 0.0
+    for k, t in enumerate(a.times):
+        jet = {which: WordPlanes(g, t, [la - lb for la, lb in zip(
+            a.jet_levels(k, which, depth), b.jet_levels(k, which, depth))])
+            for which, depth in (("E", 2), ("n", 1))}
+        cone_w = (jbracket(t + g.R) / jbracket(t - g.R)) ** 2
+        total = 0.0
+        for w in all_words(1):
+            u, ut = reference_word(w.letters, jet["E"])[:2]
+            vn = reference_word(w.letters, jet["n"])[0]
+            e1 = spectral_energy(g, g.rfft(u), g.rfft(ut), 1)
+            total += jbracket(t) ** (-delta) * (
+                math.sqrt(e1) + math.sqrt(np.sum(vn**2) * cell)
+                + math.sqrt(np.sum(cone_w * np.sum(u**2, axis=0)) * cell))
+        best = max(best, total)
+    return best
+
+
 class TestXnormDistance:
     def test_identical_trajectories(self, nonlinear_run):
         assert xnorm_distance(nonlinear_run, nonlinear_run) == 0.0
@@ -243,6 +270,20 @@ class TestXnormDistance:
         other = zero_run(make_grid(32, 12.0), T=3.0)
         with pytest.raises(ValueError):
             xnorm_distance(nonlinear_run, other)
+
+    def test_matches_the_letter_path(self, grid64):
+        # the second and third Picard iterates, whose difference reaches
+        # the box edge at 5.9e-4 of its peak; E_1 is the Parseval sum of
+        # the transforms of Gamma dE and d_t Gamma dE.  Taking it from the
+        # words' d_a rows instead moves the distance by 3.7e-5
+        data = gaussian_data(grid64, 0.3)
+        first = picard_map(free_flow(data, 1.5, 0.05), data)
+        a, b = picard_map(first, data), first
+        edge = grid64.box_irfft(a.jet_levels(30, "E", 1)[0]
+                                - b.jet_levels(30, "E", 1)[0])
+        assert np.max(np.abs(edge[:, 0])) >= 1e-4 * np.max(np.abs(edge))
+        want = letter_path_distance(a, b)
+        assert abs(xnorm_distance(a, b) - want) <= 1e-12 * want
 
     def test_spacetime_term_optional(self, nonlinear_run, free_kg_run):
         base = xnorm_distance(nonlinear_run, free_kg_run)
