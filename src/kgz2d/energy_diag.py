@@ -261,7 +261,9 @@ def xnorm_distance(a, b, delta: float = 0.1,
     st_prev = None
     for k in range(len(a.times)):
         t = a.times[k]
-        total, st_integ = _xnorm_snapshot(a, b, k, words, delta,
+        sides = ({which: traj.jet_levels(k, which, depth)
+                  for which, depth in (("E", 2), ("n", 1))} for traj in (a, b))
+        total, st_integ = _xnorm_snapshot(a.grid, t, *sides, words, delta,
                                           include_spacetime)
         if include_spacetime:
             if st_prev is not None:
@@ -273,23 +275,21 @@ def xnorm_distance(a, b, delta: float = 0.1,
     return best
 
 
-def _xnorm_snapshot(a, b, k: int, words, delta: float,
+def _xnorm_snapshot(g, t: float, a: dict, b: dict, words, delta: float,
                     include_spacetime: bool):
-    """Snapshot k's sum over words of the distance terms, and the integrands
-    of the spacetime term.  A jet is linear in (state, source), so each
-    field's word planes are made once, on the difference of the two
-    trajectories' packed levels; they are freed when this returns.
+    """One snapshot's sum over words of the distance terms, and the
+    integrands of the spacetime term, from the two sides' packed jet levels
+    a[which], b[which] at t ("E" to depth 2, "n" to depth 1).  A jet is
+    linear, so each field's word planes are made once, on the levels'
+    difference, and freed when this returns.
 
     Gamma dE and d_t Gamma dE are the words' first two WORD_WEIGHTS rows,
     and E_1 is the Parseval sum of their transforms; a row that is one bare
     time level reads that level's spectrum, so needs no transform."""
-    g = a.grid
     R = g.R
-    t = a.times[k]
     tb = jbracket(t)
-    dE, dn = ([la - lb for la, lb in zip(a.jet_levels(k, which, depth),
-                                         b.jet_levels(k, which, depth))]
-              for which, depth in (("E", 2), ("n", 1)))
+    dE, dn = ([la - lb for la, lb in zip(a[which], b[which])]
+              for which in ("E", "n"))
     planes_E, planes_n = WordPlanes(g, t, dE), WordPlanes(g, t, dn)
 
     def spectrum(terms, value):

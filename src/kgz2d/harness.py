@@ -514,9 +514,9 @@ def run_picard(config: RunConfig, out_dir=None, quiet: bool = False) -> RunRepor
     out = _out_dir(config, out_dir)
     data = config.build_data()
     say = (lambda *a: None) if quiet else print
-    traj, ratios = picard_solve(data, config.T, config.dt,
-                                max_iter=config.picard_max_iter,
-                                tol=config.picard_tol)
+    ratios = picard_solve(data, config.T, config.dt,
+                          max_iter=config.picard_max_iter,
+                          tol=config.picard_tol)
     report = RunReport(out_dir=out)
     report.scalars["iterations"] = float(len(ratios) + 1)
     for i, r in enumerate(ratios):

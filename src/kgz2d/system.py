@@ -9,27 +9,28 @@ plus the Picard solution mapping that sends a guessed trajectory to the
 solution of the corresponding *linear* system with sources read off the
 guess.
 
-Stepping is a Strang composition built on the exact mode-wise propagator:
-half free step, source kick at the interval midpoint, half free step.  A
-march can record its midpoint sources (Q, S) = (-nE, |E|^2) as the packed
-dealiased spectra it kicks with, at every step.  Replayed as kicks, the
-record makes the discrete solution an exact fixed point of the Picard map
-and makes Duhamel reconstructions exact up to round-off.  A reader that
-only sums over the steps or keeps a few of them (the run and scatter verbs)
-is instead handed each step's sources and the E after it as they are made
-(evolve's on_source), and nothing is recorded for it; a reader of one
-snapshot at a time is handed each state (on_snapshot), and none is kept.
+One Strang stepper (_Strang: half free step on the exact mode-wise
+propagator, source kick at the interval midpoint, half free step) drives
+every flow.  A march can record its midpoint sources (Q, S) = (-nE, |E|^2),
+the packed spectra it kicks with; replayed as kicks, the record makes the
+discrete solution an exact fixed point of the Picard map.  Readers that
+reduce as they go are handed each step's sources (on_source) or each state
+(on_snapshot) instead, and nothing is kept.  picard_solve marches the free
+flow and every iterate in lockstep, one state each, and keeps no iterate.
 """
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import pairwise
 
 import numpy as np
 
 from .grid import Field, FieldPair, Grid, Spectrum, laplacian
 from .propagator import InstabilityError, LinearOperator
-from .vector_fields import WordPlanes
+from .vector_fields import WordPlanes, all_words
 
 __all__ = [
     "KGZState",
@@ -45,21 +46,17 @@ __all__ = [
     "PicardNonConvergence",
 ]
 
-# Sample threshold, relative to each field's peak, defining the effective
-# data radius.  The radius is read off the data as given, not dealiased: the
-# dealiased desk Gaussian rings across the box at 9.1e-12 of E0's peak, so
-# at this floor its radius would read 40.15, the box corner, and every desk
-# config would fail the wrap-free check.
+# Sample threshold, relative to each field's peak, of the effective data
+# radius, read off the data as given: the dealiased desk Gaussian rings
+# across the box at 9.1e-12 of E0's peak, so its radius would be the box's.
 SUPPORT_FLOOR = 1e-14
 
 
 @dataclass(frozen=True, eq=False)
 class KGZState:
-    """Simulation state at one time as the march holds it: packed maps "E"
-    and "n_delta" (and "n" for the direct-n flow only) to the Spectrum pair
-    of (u, u_t).  Otherwise n = lap(n_delta) is derived, not stored.  The
-    physical pairs E, n and n_delta are built on each access, not kept.
-    """
+    """One time's state as the march holds it: packed maps "E", "n_delta"
+    (and "n" for the direct-n flow only; else n = lap(n_delta) is derived)
+    to the Spectrum pair of (u, u_t).  Physical pairs are built on access."""
 
     t: float
     packed: dict
@@ -69,8 +66,7 @@ class KGZState:
         return self.packed["E"][0].grid
 
     def box(self, which: str) -> tuple[np.ndarray, np.ndarray]:
-        """The packed box coefficients of (u, u_t) for "E", "n" or
-        "n_delta"."""
+        """The packed box coefficients of (u, u_t) of "E", "n" or "n_delta"."""
         if which == "n" and "n" not in self.packed:
             lap = -self.grid.spectral["box_k_sq"]
             return tuple(lap * s.values for s in self.packed["n_delta"])
@@ -105,16 +101,11 @@ class KGZState:
 class Trajectory:
     """Time-ordered KGZ snapshots plus recorded midpoint sources.
 
-    source_history holds (Q, S) = (-nE, |E|^2) sampled along this
-    trajectory at the midpoint of every step, with source_times the
-    midpoint times (both None when nothing was recorded).  Each is a
-    Spectrum: the 2/3-dealiased coefficients the march kicks with,
-    exactly what a solution map feeds to the linear equations.  The
-    equation sources at snapshot times follow from kind: the snapshot's
-    own products for the nonlinear flows ("coupled", "direct"), zero for
-    "free", and the recorded snapshot_sources for a Picard iterate
-    ("picard"), which solves the linear system whose sources are its
-    guess's products.
+    source_history holds every step's midpoint (Q, S) = (-nE, |E|^2), the
+    packed spectra the march kicks with, at source_times (both None when
+    nothing was recorded).  The sources at snapshot times follow from kind:
+    the snapshot's own products ("coupled", "direct"), zero ("free"), or
+    the guess's products, recorded as snapshot_sources ("picard").
     """
 
     grid: Grid
@@ -166,9 +157,8 @@ class Trajectory:
         return -self.grid.spectral["box_k_sq"] * src if which == "n" else src
 
     def products(self, k: int, with_n: bool = True, rate: bool = False):
-        """The packed (Q, S) = (-nE, |E|^2) of snapshot k's own fields, the
-        type the source record holds (Q is None without n), or with rate
-        their time derivatives.  Only the levels read are transformed."""
+        """Snapshot k's own packed (Q, S) = (-nE, |E|^2) (Q None without n),
+        or with rate their time derivatives, from the levels read alone."""
         g, state = self.grid, self.states[k]
         read = 2 if rate else 1
         E = [g.box_irfft(b) for b in state.box("E")[:read]]
@@ -241,10 +231,8 @@ class InitialData:
             lost = g.parseval(n0_hat, ~g.spectral["dealias_mask"])
             unresolved = lost and lost / g.parseval(n0_hat)
         object.__setattr__(self, "unresolved", unresolved)
-        # the derived n data spreads further than n_delta (Laplacian adds a
-        # polynomial factor), so include it in the effective support; the
-        # floor is relative to each field's peak, with extra headroom for
-        # the spectral-differentiation round-off of the derived fields
+        # the derived n data spreads further than n_delta, so it counts,
+        # with headroom for its spectral-differentiation round-off
         fields = [(f, SUPPORT_FLOOR) for f in
                   (self.E0, self.E1, self.n0_delta, self.n1_delta)]
         fields += [(f, 10.0 * SUPPORT_FLOOR)
@@ -271,17 +259,6 @@ class InitialData:
         return laplacian(self.n1_delta)
 
 
-def _bump_data(grid: Grid, amplitude: float, g: np.ndarray) -> InitialData:
-    """Data at rest: E0 = (a g, 0), n0_delta = a g, velocities zero."""
-    zero = np.zeros_like(g)
-    return InitialData(
-        E0=Field(grid, np.stack([amplitude * g, zero])),
-        E1=Field(grid, np.stack([zero, zero])),
-        n0_delta=Field(grid, amplitude * g),
-        n1_delta=Field(grid, zero),
-    )
-
-
 def gaussian_data(grid: Grid, amplitude: float, width: float = 1.0,
                   center: tuple[float, float] = (0.0, 0.0)) -> InitialData:
     """Gaussian bump of the given width centered on `center`.  The offsets
@@ -291,7 +268,12 @@ def gaussian_data(grid: Grid, amplitude: float, width: float = 1.0,
     with np.errstate(over="ignore", under="ignore"):
         g = np.exp(-((((grid.X1 - center[0]) / width) ** 2
                       + ((grid.X2 - center[1]) / width) ** 2) / 2.0))
-    return _bump_data(grid, amplitude, g)
+    zero = np.zeros_like(g)
+    # at rest: E0 = (a g, 0), n0_delta = a g, velocities zero
+    return InitialData(E0=Field(grid, np.stack([amplitude * g, zero])),
+                       E1=Field(grid, np.stack([zero, zero])),
+                       n0_delta=Field(grid, amplitude * g),
+                       n1_delta=Field(grid, zero))
 
 
 # ---------------------------------------------------------------------------
@@ -305,32 +287,92 @@ def _steps_for(T: float, dt: float) -> int:
     return steps
 
 
+class _Strang:
+    """One march's state, packed to the dealias box (so dealiased once, and
+    its quadratic products alias-free), and its Strang step.  _march drives
+    one; picard_solve's sweep drives one per iterate, in lockstep."""
+
+    def __init__(self, data: InitialData, T: float, dt: float,
+                 direct_n: bool = False):
+        g = self.grid = data.grid
+        if not T + data.radius < g.length:
+            raise ValueError(f"wrap-free window violated: T + R = "
+                             f"{T + data.radius:.3g} >= L = {g.length:.3g}")
+        self.steps, self.dt, self.k = _steps_for(T, dt), dt, 0
+        self.kg_half = LinearOperator(g, 1, box=True).rotation(0.5 * dt)
+        self.w_half = LinearOperator(g, 0, box=True).rotation(0.5 * dt)
+        self.lap = -g.spectral["box_k_sq"]
+        self.E, self.D = ((g.box_rfft(u.values), g.box_rfft(ut.values)) for u, ut
+                          in ((data.E0, data.E1), (data.n0_delta, data.n1_delta)))
+        self.N = tuple(self.lap * a for a in self.D) if direct_n else None
+        self.limit = 1e6 * (self._scale() + 1e-300)
+
+    def _scale(self) -> float:
+        return float(max(np.max(np.abs(a)) for a in (*self.E, *self.D)))
+
+    def _half(self):
+        self.E = self.kg_half(*self.E)  # pair by pair: old pairs free first
+        self.D = self.w_half(*self.D)
+        if self.N is not None:
+            self.N = self.w_half(*self.N)
+
+    def products(self):
+        """The packed (Q, S) of the positions now (as Trajectory.products)."""
+        g = self.grid
+        n = g.box_irfft(self.lap * self.D[0] if self.N is None else self.N[0])
+        return _products(g, g.box_irfft(self.E[0]), n)
+
+    def step(self, kick=None, products: bool = False):
+        """Half free step, midpoint kick, half free step; pairs are rebound,
+        never written into.  kick: None (free flow), "self" (the nonlinear
+        flow's own midpoint products) or a (Q, S) Spectrum pair.  Returns
+        the midpoint products if made (kick "self" or products True)."""
+        dt, lap, t = self.dt, self.lap, self.k * self.dt
+        self._half()
+        made = None
+        if kick == "self" or products:
+            made = self.products()
+        if kick is not None:
+            Q, S = (src.values for src in (made if kick == "self" else kick))
+            self.E = (self.E[0], self.E[1] + dt * Q)
+            self.D = (self.D[0], self.D[1] + dt * S)
+            if self.N is not None:
+                self.N = (self.N[0], self.N[1] + dt * (lap * S))
+        self._half()
+        self.k += 1
+        if not self._scale() <= self.limit:
+            raise InstabilityError(f"evolution unstable at t={t + dt:.6g}: "
+                                   "amplitude exceeded 1e6 x initial")
+        return made
+
+    def state(self) -> KGZState:
+        """The state now, owning copies of its arrays."""
+        g, t = self.grid, self.k * self.dt
+        spectra = {"E": self.E, "n_delta": self.D}
+        if self.N is not None:
+            # grid L2 norms, by Parseval over the box
+            resid = np.sqrt(g.parseval(self.lap * self.D[0] - self.N[0]))
+            scale = max(np.sqrt(g.parseval(self.N[0])), 1e-300)
+            if resid > 1e-8 * scale and scale > 1e-13:
+                raise InstabilityError(
+                    f"divergence-form consistency lost at t={t:.6g}: "
+                    f"|lap(nD) - n| = {resid:.3e} vs scale {scale:.3e}")
+            spectra["n"] = self.N
+        return KGZState(t=t, packed={
+            name: tuple(Spectrum(g, h.copy()) for h in hats)
+            for name, hats in spectra.items()})
+
+
 def _march(data: InitialData, T: float, dt: float, *, kicks,
            store_every: int, record_sources: bool,
            direct_n: bool = False, on_source=None,
            on_snapshot=None) -> Trajectory:
-    """Shared Strang march for every evolution flavour.
-
-    kicks          -- the midpoint kick: "self" for this march's own
-                      midpoint products (the nonlinear flow), None for none
-                      (the free flow), or a recorded per-step list of
-                      (Q, S) Spectrum pairs (the linear solution map)
-    record_sources -- True (or 1) records every step's sources, False (or
-                      0) none
-    direct_n       -- additionally evolve n directly with source lap(|E|^2)
-                      and take the state's n from that integration
-    on_source      -- called as on_source(tau, (Q, S), state) after every
-                      step whose products the march computes (each step of
-                      the nonlinear flows), state holding the packed E alone
-    on_snapshot    -- called as on_snapshot(state) with each state to be
-                      stored, as it is made; the march then keeps none
-    """
-    g = data.grid
-    if not T + data.radius < g.length:
-        raise ValueError(
-            f"wrap-free window violated: T + R = {T + data.radius:.3g} "
-            f">= L = {g.length:.3g}")
-    steps = _steps_for(T, dt)
+    """Drive one _Strang over [0, T], kicked per _Strang.step or from a
+    recorded per-step list of (Q, S) pairs (the linear solution map).
+    record_sources records every step's sources (True or 1) or none;
+    direct_n also evolves n directly, with source lap(|E|^2).  on_source
+    (for the steps that make products) and on_snapshot are evolve's."""
+    g, march = data.grid, _Strang(data, T, dt, direct_n)
     if record_sources not in (True, False):
         raise ValueError(f"record_sources must be True or False, "
                          f"got {record_sources!r}")
@@ -340,86 +382,25 @@ def _march(data: InitialData, T: float, dt: float, *, kicks,
         kind = "direct" if direct_n else "coupled"
     else:
         kind = "picard"
-        if len(kicks) != steps:
-            raise ValueError(f"kick history has {len(kicks)} steps, need {steps}")
-    own = kind in ("coupled", "direct")
-
-    kg_half = LinearOperator(g, 1, box=True).rotation(0.5 * dt)
-    w_half = LinearOperator(g, 0, box=True).rotation(0.5 * dt)
-    lap = -g.spectral["box_k_sq"]
-
-    # spectral state packed to the dealias box, so dealiased once and
-    # quadratic products stay alias-free
-    Eu, Eut, Du, Dut = (g.box_rfft(f.values) for f in (
-        data.E0, data.E1, data.n0_delta, data.n1_delta))
-    Nu, Nut = (lap * Du, lap * Dut) if direct_n else (None, None)
-
-    def snapshot(t: float) -> KGZState:
-        spectra = {"E": (Eu, Eut), "n_delta": (Du, Dut)}
-        if direct_n:
-            # grid L2 norms, by Parseval over the box
-            resid = np.sqrt(g.parseval(lap * Du - Nu))
-            scale = max(np.sqrt(g.parseval(Nu)), 1e-300)
-            if resid > 1e-8 * scale and scale > 1e-13:
-                raise InstabilityError(
-                    f"divergence-form consistency lost at t={t:.6g}: "
-                    f"|lap(nD) - n| = {resid:.3e} vs scale {scale:.3e}")
-            spectra["n"] = (Nu, Nut)
-        # copies, so a snapshot owns its arrays
-        return KGZState(t=t, packed={
-            name: tuple(Spectrum(g, h.copy()) for h in hats)
-            for name, hats in spectra.items()})
-
-    def scale_now() -> float:
-        return float(max(np.max(np.abs(a)) for a in (Eu, Eut, Du, Dut)))
-
-    limit = 1e6 * (scale_now() + 1e-300)
-    states = []
-    store = states.append if on_snapshot is None else on_snapshot
-    store(snapshot(0.0))
-    times = [0.0]
+        if len(kicks) != march.steps:
+            raise ValueError(f"kick history has {len(kicks)} steps, need {march.steps}")
+    states, times, source_times = [], [0.0], []
     history = [] if record_sources else None
-    source_times = []
-
-    for k in range(steps):
-        t = k * dt
-        Eu, Eut = kg_half(Eu, Eut)
-        Du, Dut = w_half(Du, Dut)
-        if direct_n:
-            Nu, Nut = w_half(Nu, Nut)
-
-        # midpoint products from the half-stepped positions
-        if own or record_sources:
-            n_mid = g.box_irfft(Nu if direct_n else lap * Du)
-            products = _products(g, g.box_irfft(Eu), n_mid)
-            if record_sources:
-                history.append(products)
-                source_times.append(t + 0.5 * dt)
-
-        if kicks is not None:
-            Q, S = (src.values for src in (products if own else kicks[k]))
-            Eut = Eut + dt * Q
-            Dut = Dut + dt * S
-            if direct_n:
-                Nut = Nut + dt * (lap * S)
-
-        Eu, Eut = kg_half(Eu, Eut)
-        Du, Dut = w_half(Du, Dut)
-        if direct_n:
-            Nu, Nut = w_half(Nu, Nut)
-
-        if not scale_now() <= limit:
-            raise InstabilityError(
-                f"evolution unstable at t={t + dt:.6g}: "
-                "amplitude exceeded 1e6 x initial")
-        if on_source is not None and (own or record_sources):
-            # the march rebinds, never writes into, Eu and Eut
-            on_source(t + 0.5 * dt, products, KGZState(
-                (k + 1) * dt, {"E": (Spectrum(g, Eu), Spectrum(g, Eut))}))
-        if (k + 1) % store_every == 0 or k + 1 == steps:
-            store(snapshot((k + 1) * dt))
+    store = states.append if on_snapshot is None else on_snapshot
+    store(march.state())
+    for k in range(march.steps):
+        tau = k * dt + 0.5 * dt
+        products = march.step(kicks[k] if kind == "picard" else kicks,
+                              record_sources)
+        if record_sources:
+            history.append(products)
+            source_times.append(tau)
+        if on_source is not None and products is not None:
+            on_source(tau, products, KGZState(
+                (k + 1) * dt, {"E": tuple(Spectrum(g, h) for h in march.E)}))
+        if (k + 1) % store_every == 0 or k + 1 == march.steps:
+            store(march.state())
             times.append((k + 1) * dt)
-
     return Trajectory(
         grid=g, dt=dt, store_every=store_every,
         times=np.asarray(times), states=states,
@@ -433,16 +414,12 @@ def evolve(data: InitialData, T: float, dt: float, *, store_every: int = 1,
            on_snapshot=None) -> Trajectory:
     """Nonlinear KGZ evolution in divergence form (n reconstructed as lap nD).
 
-    Snapshots are kept every store_every steps.  record_sources keeps every
-    step's midpoint sources (what picard_map and the scattering
-    construction read) or, False, none.  on_source, if given, is called as
-    on_source(tau, (Q, S), state) after every step with its midpoint time,
-    packed products and the state after it (its packed E alone); a reducer
-    fed that way (scattering.DuhamelSum, harness.RunDiagnostics) needs no
-    record and no stored snapshot.
-    on_snapshot, its twin for the states, if given is called with every
-    state to be stored as it is made, and the trajectory keeps none.
-    """
+    Snapshots are kept every store_every steps; record_sources keeps every
+    step's midpoint sources (for picard_map and the scattering readers).
+    on_source, if given, is called as on_source(tau, (Q, S), state) after
+    every step with its midpoint time, packed products and the state after
+    it (its packed E alone); on_snapshot with every state to be stored, as
+    it is made, and the trajectory keeps none."""
     return _march(data, T, dt, kicks="self", store_every=store_every,
                   record_sources=record_sources, on_source=on_source,
                   on_snapshot=on_snapshot)
@@ -479,11 +456,9 @@ class PicardNonConvergence(RuntimeError):
 
 
 def picard_map(guess: Trajectory, data: InitialData) -> Trajectory:
-    """One application of the solution mapping.
-
-    Solves the linear system with sources (-phi*Psi, |Psi|^2) sampled along
-    the guess (its recorded midpoint products) and the fixed initial data.
-    The discrete nonlinear solution is an exact fixed point.
+    """One application of the solution mapping: the linear system with the
+    guess's recorded midpoint products (-phi*Psi, |Psi|^2) as sources, from
+    the fixed data.  The discrete nonlinear solution is an exact fixed point.
     """
     if guess.grid != data.grid:
         raise ValueError("guess and data live on different grids")
@@ -494,36 +469,61 @@ def picard_map(guess: Trajectory, data: InitialData) -> Trajectory:
                          "step; it recorded none")
     out = _march(data, guess.t_end, guess.dt, kicks=guess.source_history,
                  store_every=1, record_sources=True)
-    # the iterate solves the linear system whose sources are the guess's
-    # products; record them at snapshot times so jets are exact
+    # its jets read the guess's products at snapshot times, so are exact
     out.snapshot_sources = [guess.products(k) for k in range(len(guess))]
     return out
 
 
-def picard_solve(data: InitialData, T: float, dt: float, *,
-                 max_iter: int = 12, tol: float = 1e-6):
-    """Iterate the solution mapping from the free-flow guess to a fixed point.
+def _xnorm_levels(marches: list, j: int) -> dict:
+    """Iterate j's X-distance levels now: E to depth 2 on iterate j-1's
+    products (none for the free flow, j = 0) and n to depth 1."""
+    state = marches[j].state()
+    src = marches[j - 1].products()[0].values if j else 0.0
+    return {"E": state_levels(state, "E", [src]), "n": state_levels(state, "n")}
 
-    Returns (trajectory, contraction_ratios).  Distances between successive
-    iterates are measured in the truncated discrete X-seminorm
-    (energy_diag.xnorm_distance); ratios are successive distance quotients.
-    Raises PicardNonConvergence with the ratio history when tol is not
-    reached within max_iter iterations.
-    """
-    from .energy_diag import xnorm_distance
+
+def picard_solve(data: InitialData, T: float, dt: float, *,
+                 max_iter: int = 12, tol: float = 1e-6,
+                 on_snapshot=None) -> list:
+    """Iterate the solution mapping from the free-flow guess to a fixed point
+    and return the contraction ratios of successive X-distances between
+    iterates (energy_diag.xnorm_distance).  The map is causal, so the free
+    flow and every iterate march in lockstep, one state each, iterate j+1
+    kicked by iterate j's midpoint products; each adjacent pair's running
+    sup takes one X-term per snapshot.  Once the newest pair's reaches tol,
+    an iterate is added and the sweep restarts from t = 0, keeping its
+    terms; once iterate max_iter's does, the sweep runs to the horizon and
+    raises PicardNonConvergence.  on_snapshot, if given, gets the newest
+    iterate's states in time order, from t = 0 again at each restart."""
+    from .energy_diag import _xnorm_snapshot
 
     if max_iter < 2:
         raise ValueError("max_iter must be >= 2")
-    current = free_flow(data, T, dt)
-    distances: list[float] = []
-    ratios: list[float] = []
-    for _ in range(max_iter):
-        new = picard_map(current, data)
-        d = xnorm_distance(new, current)
-        if distances and distances[-1] > 0:
-            ratios.append(d / distances[-1])
-        distances.append(d)
-        current = new
-        if d < tol:
-            return current, ratios
+    words, terms = all_words(1), [[]]  # terms[j][k]: iterates j+1, j at k
+    start = _Strang(data, T, dt)  # copied per pass; a step only rebinds
+    while True:
+        marches = [copy(start) for _ in range(len(terms) + 1)]
+        for k in range(marches[0].steps + 1):
+            if k:
+                made = None
+                for march in marches[:-1]:
+                    made = march.step(made, products=True)
+                marches[-1].step(made)
+            # the measured pairs lead: a pair is measured where its follower is
+            first = sum(len(row) > k for row in terms)
+            levels = (_xnorm_levels(marches, j) for j in range(first, len(marches)))
+            for j, (below, above) in enumerate(pairwise(levels), first):
+                terms[j].append(_xnorm_snapshot(
+                    data.grid, k * dt, above, below, words, 0.1, False)[0])
+            if on_snapshot is not None:
+                on_snapshot(marches[-1].state())
+            if len(terms) < max_iter and reduce(max, terms[-1], 0.0) >= tol:
+                terms.append([])
+                break
+        else:
+            break
+    distances = [reduce(max, row, 0.0) for row in terms]
+    ratios = [d / prev for prev, d in zip(distances, distances[1:]) if prev > 0]
+    if distances[-1] < tol:
+        return ratios
     raise PicardNonConvergence(ratios, distances)

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from kgz2d.energy_diag import xnorm_distance
 from kgz2d.grid import Field, FieldPair, Grid, Spectrum, laplacian, make_grid
+from kgz2d.harness import RunConfig
 from kgz2d.propagator import InstabilityError, LinearOperator, free_step
 from kgz2d.system import (
     InitialData,
@@ -181,13 +183,17 @@ class TestPicard:
         assert all(np.all(s.E.u.values == 0.0) for s in out.states)
 
     def test_zero_data_converges_first_iteration(self, grid64):
-        traj, ratios = picard_solve(zero_data(grid64), 2.0, 0.1)
-        assert ratios == []
+        assert picard_solve(zero_data(grid64), 2.0, 0.1) == []
 
     def test_contraction_and_limit(self, small_run):
         data, reference = small_run
-        traj, ratios = picard_solve(data, 3.0, 0.1, tol=1e-7)
+        limit = []
+        ratios = picard_solve(data, 3.0, 0.1, tol=1e-7,
+                              on_snapshot=restarting_list(limit))
         assert all(r <= 0.5 for r in ratios)
+        # the limit's jets read its own products, as the nonlinear flow's do
+        traj = dataclasses.replace(reference, states=limit,
+                                   source_history=None, source_times=None)
         assert xnorm_distance(traj, reference) <= 10 * 1e-7
 
     def test_requires_dense_guess(self, grid64):
@@ -215,6 +221,96 @@ class TestPicard:
         data = gaussian_data(grid64, 20.0)
         with pytest.raises((PicardNonConvergence, InstabilityError)):
             picard_solve(data, 2.5, 0.1, max_iter=3, tol=1e-12)
+
+
+def restarting_list(kept: list):
+    """An on_snapshot for picard_solve that keeps the newest iterate's
+    states, starting over at each restart (t = 0)."""
+    def keep(state):
+        if state.t == 0.0:
+            kept.clear()
+        kept.append(state)
+    return keep
+
+
+def reference_picard(data, T, dt, *, max_iter=12, tol=1e-6):
+    """The Picard loop the lockstep sweep replaced: whole iterates, each the
+    solution map of the one before, measured by xnorm_distance.  Returns
+    (final iterate, ratios) or raises PicardNonConvergence."""
+    current = free_flow(data, T, dt)
+    distances, ratios = [], []
+    for _ in range(max_iter):
+        new = picard_map(current, data)
+        d = xnorm_distance(new, current)
+        if distances and distances[-1] > 0:
+            ratios.append(d / distances[-1])
+        distances.append(d)
+        current = new
+        if d < tol:
+            return current, ratios
+    raise PicardNonConvergence(ratios, distances)
+
+
+def nonconvergent_desk_picard():
+    """The desk Picard benchmark at seed 0 with a tolerance no map meets,
+    and two maps allowed."""
+    cfg = RunConfig(points_per_axis=256, L=40.0, amplitude=1e-2, dt=0.15,
+                    T=1.5, center=(0.042186, -0.843367), picard_tol=1e-30,
+                    picard_max_iter=2)
+    return cfg.build_data(), cfg
+
+
+class TestPicardSweep:
+    """picard_solve's lockstep sweep against the whole-iterate loop: the
+    same arithmetic, so the same numbers bit for bit."""
+
+    @pytest.mark.parametrize("amplitude", [1e-2, 0.1])
+    def test_equals_the_reference_loop(self, grid64, amplitude):
+        data = gaussian_data(grid64, amplitude)
+        final, want = reference_picard(data, 3.0, 0.1, tol=1e-7)
+        limit, times = [], []
+        keep = restarting_list(limit)
+
+        def on_snapshot(state):
+            times.append(state.t)
+            keep(state)
+
+        assert picard_solve(data, 3.0, 0.1, tol=1e-7,
+                            on_snapshot=on_snapshot) == want
+        # each pass runs forward from t = 0, the last to the horizon
+        starts = [i for i, t in enumerate(times) if t == 0.0]
+        assert starts[0] == 0 and times[starts[-1]:] == list(final.times)
+        assert all(np.all(np.diff(times[a:b]) > 0)
+                   for a, b in zip(starts, starts[1:] + [len(times)]))
+        for got, ref in zip(limit, final.states, strict=True):
+            for which in ("E", "n_delta"):
+                assert all(np.array_equal(x, y) for x, y in
+                           zip(got.box(which), ref.box(which), strict=True))
+
+    def test_nonconvergence_equals_the_reference_loop(self):
+        data, cfg = nonconvergent_desk_picard()
+        errors = []
+        for solve in (reference_picard, picard_solve):
+            with pytest.raises(PicardNonConvergence) as info:
+                solve(data, cfg.T, cfg.dt, max_iter=cfg.picard_max_iter,
+                      tol=cfg.picard_tol)
+            errors.append(info.value)
+        ref, got = errors
+        assert got.distances == ref.distances \
+            == [0.001988082016646103, 7.380374242879054e-06]
+        assert got.ratios == ref.ratios and str(got) == str(ref)
+
+    def test_keeps_under_half_the_reference_memory(self, grid64):
+        data = gaussian_data(grid64, 1e-2)
+        peaks = []
+        for solve in (reference_picard, picard_solve):
+            tracemalloc.start()
+            try:
+                solve(data, 3.0, 0.1, tol=1e-7)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 0.5 * peaks[0]
 
 
 class TestTrajectory:
