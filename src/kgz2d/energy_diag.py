@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, FieldPair, Grid, Spectrum
+from .grid import Field, FieldPair, Grid
 from .system import state_levels
 from .vector_fields import (LETTERS, WORD_WEIGHTS, WordPlanes, all_words,
                             word_terms)
@@ -283,39 +283,41 @@ def _xnorm_snapshot(g, t: float, a: dict, b: dict, words, delta: float,
     linear, so each field's word planes are made once, on the levels'
     difference, and freed when this returns.
 
-    Gamma dE and d_t Gamma dE are the words' first two WORD_WEIGHTS rows,
-    and E_1 is the Parseval sum of their transforms; a row that is one bare
-    time level reads that level's spectrum, so needs no transform."""
+    v = Gamma dE and d_t v are the words' first two WORD_WEIGHTS rows.  In
+    E_1(v) = int |d_t v|^2 + |grad v|^2 + |v|^2 only the gradient term
+    needs a spectrum; by discrete Parseval, exact for any grid function,
+    the other two are grid sums.  A value row that is one unsigned plane
+    reads its packed spectrum from the jet (WordPlanes.packed), whose
+    weight box_k_sq is grad_sq on the box, so only rot, L1 and L2 take a
+    whole-plane rfft."""
     R = g.R
     tb = jbracket(t)
     dE, dn = ([la - lb for la, lb in zip(a[which], b[which])]
               for which in ("E", "n"))
     planes_E, planes_n = WordPlanes(g, t, dE), WordPlanes(g, t, dn)
-
-    def spectrum(terms, value):
-        name = terms[0]
-        if len(terms) == 1 and name == "u" + "t" * name.count("t"):
-            return Spectrum(g, dE[name.count("t")]).unpack()
-        return g.rfft(value)
-
     cone_w = (jbracket(t + R) / jbracket(t - R)) ** 2
     total = 0.0
     st_integ = np.empty(len(words))
     for i, w in enumerate(words):
-        rows = WORD_WEIGHTS[w.letters][:2]
-        vE, vE_t = (planes_E.combine(terms) for terms in rows)
-        e1 = spectral_energy(g, *(spectrum(terms, v) for terms, v in
-                                  zip(rows, (vE, vE_t))), 1)
-        vn = planes_n.combine(WORD_WEIGHTS[w.letters][0])
+        rows = WORD_WEIGHTS[w.letters]
+        vE = planes_E.combine(rows[0])
+        # d_t v enters through its grid sum alone, so its plane goes at once
+        vt_sum = np.sum(planes_E.combine(rows[1]) ** 2)
+        vE_sq = np.sum(vE**2, axis=0)
+        if len(rows[0]) == 1 and rows[0][0].isalnum():
+            grad = g.parseval(planes_E.packed(rows[0][0]),
+                              g.spectral["box_k_sq"])
+        else:
+            grad = g.parseval(g.rfft(vE), g.spectral["grad_sq"])
+        e1 = grad + float(vt_sum + np.sum(vE_sq)) * g.cell_area
+        vn = planes_n.combine(rows[0])
         l2n = float(np.sqrt(np.sum(vn**2) * g.cell_area))
-        cone = float(np.sqrt(np.sum(cone_w * np.sum(vE**2, axis=0))
-                             * g.cell_area))
+        cone = float(np.sqrt(np.sum(cone_w * vE_sq) * g.cell_area))
         total += tb ** (-delta) * (math.sqrt(max(e1, 0.0)) + l2n + cone)
         if include_spacetime:
             stw = (tb ** (-0.5 * delta)
                    * jbracket(t - R) ** (-0.5 - 0.5 * delta)) ** 2
-            st_integ[i] = float(np.sum(stw * np.sum(vE**2, axis=0))
-                                * g.cell_area)
+            st_integ[i] = float(np.sum(stw * vE_sq) * g.cell_area)
     return total, st_integ
 
 

@@ -191,20 +191,22 @@ def state_levels(state: KGZState, which: str, sources=()) -> list:
 
 
 def _products(g: Grid, E: np.ndarray, n: np.ndarray | None = None, *,
-              rate=None) -> tuple[Spectrum | None, Spectrum]:
+              rate=None, with_s: bool = True
+              ) -> tuple[Spectrum | None, Spectrum | None]:
     """The packed, so 2/3-dealiased, quadratic sources (Q, S) = (-nE, |E|^2)
-    of physical E (2 components) and n; Q is None without n.  With rate =
-    (E_t, n_t) they are the time derivatives -(n_t E + n E_t) and 2 E.E_t.
+    of physical E (2 components) and n; Q is None without n, S without
+    with_s.  With rate = (E_t, n_t) they are the time derivatives -(n_t E
+    + n E_t) and 2 E.E_t.
     """
     if rate is None:
         q = None if n is None else n[0] * E
-        s = np.sum(E**2, axis=0)
+        s = np.sum(E**2, axis=0) if with_s else None
     else:
         Et, nt = rate
         q = None if n is None else nt[0] * E + n[0] * Et
-        s = 2.0 * np.sum(E * Et, axis=0)
+        s = 2.0 * np.sum(E * Et, axis=0) if with_s else None
     Q = None if q is None else Spectrum(g, g.box_rfft(-q))
-    return Q, Spectrum(g, g.box_rfft(s[None]))
+    return Q, None if s is None else Spectrum(g, g.box_rfft(s[None]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -316,11 +318,12 @@ class _Strang:
         if self.N is not None:
             self.N = self.w_half(*self.N)
 
-    def products(self):
-        """The packed (Q, S) of the positions now (as Trajectory.products)."""
+    def products(self, with_s: bool = True):
+        """The packed (Q, S) of the positions now (as Trajectory.products);
+        S is None without with_s."""
         g = self.grid
         n = g.box_irfft(self.lap * self.D[0] if self.N is None else self.N[0])
-        return _products(g, g.box_irfft(self.E[0]), n)
+        return _products(g, g.box_irfft(self.E[0]), n, with_s=with_s)
 
     def step(self, kick=None, products: bool = False):
         """Half free step, midpoint kick, half free step; pairs are rebound,
@@ -478,7 +481,7 @@ def _xnorm_levels(marches: list, j: int) -> dict:
     """Iterate j's X-distance levels now: E to depth 2 on iterate j-1's
     products (none for the free flow, j = 0) and n to depth 1."""
     state = marches[j].state()
-    src = marches[j - 1].products()[0].values if j else 0.0
+    src = marches[j - 1].products(with_s=False)[0].values if j else 0.0
     return {"E": state_levels(state, "E", [src]), "n": state_levels(state, "n")}
 
 

@@ -119,7 +119,9 @@ class WordPlanes(dict):
     def __init__(self, grid: Grid, t: float, levels):
         self.grid, self.t, self.levels = grid, t, levels
 
-    def __missing__(self, name: str) -> np.ndarray:
+    def packed(self, name: str) -> np.ndarray:
+        """The packed spectrum of a plane: its level times its derivative
+        multipliers, made anew on each call."""
         g = self.grid
         rows, cols = g.spectral["box"]
         level = name.count("t")
@@ -130,7 +132,10 @@ class WordPlanes(dict):
         hat = self.levels[level]
         for axis in name.lstrip("ut"):
             hat = g.spectral["d" + axis][rows, :cols] * hat
-        self[name] = out = g.box_irfft(hat)
+        return hat
+
+    def __missing__(self, name: str) -> np.ndarray:
+        self[name] = out = self.grid.box_irfft(self.packed(name))
         return out
 
     def combine(self, terms) -> np.ndarray:

@@ -300,6 +300,22 @@ class TestParseval:
         assert g.parseval(packed.values, g.spectral["box_k_sq"]) \
             == pytest.approx(grad, rel=1e-12)
 
+    @pytest.mark.parametrize("components", [1, 2])
+    def test_edge_plane_times_x1(self, grid64, components):
+        # a packed plane that reaches the box edge, times the sawtooth x_1,
+        # is not band-limited, as Gamma dE is for rot, L1 and L2; discrete
+        # Parseval holds for it all the same
+        g = grid64
+        packed = Spectrum.pack(g, masked_random_spectrum(g, 7, components))
+        plane = packed.field().values
+        assert np.max(np.abs(plane[:, 0])) >= 0.1 * np.max(np.abs(plane))
+        v = g.X1 * plane
+        hat = g.rfft(v)
+        outside = g.parseval(hat, ~g.spectral["dealias_mask"])
+        assert outside >= 1e-3 * g.parseval(hat)
+        assert g.parseval(hat) == pytest.approx(
+            np.sum(v**2) * g.cell_area, rel=1e-13)
+
 
 class TestDumpFormat:
     @settings(max_examples=30, deadline=None)

@@ -223,10 +223,11 @@ class TestTransformCounts:
         xnorm_distance(a, b)
         # one pruned inverse per plane of the difference levels: u, u_t,
         # u_tt and d_a of u and u_t for dE (7), u, u_t and d_a u for dn
-        # (4); the energy of Gamma dE reads the spectra of its value and
-        # d_t rows, known levels for the identity and dt words and one
-        # rfft each for the other five words
-        assert calls == {"rfft": 10, "irfft": 0,
+        # (4); E_1 of Gamma dE takes a spectrum of its value row alone,
+        # for the gradient term: the jet's packed spectrum for the words
+        # whose row is one plane (1, dt, d1, d2) and one rfft each for
+        # rot, L1 and L2
+        assert calls == {"rfft": 3, "irfft": 0,
                          "box_rfft": 0, "box_irfft": 11}
 
     def test_word_table_reads_each_plane_once(self, grid64, transforms):
@@ -240,6 +241,25 @@ class TestTransformCounts:
         assert calls == {"rfft": 0, "irfft": 0, "box_rfft": 0, "box_irfft": 9}
         planes.combine(WORD_WEIGHTS[()][0])
         assert calls["box_irfft"] == 10
+
+
+class TestPackedSpectrum:
+    @pytest.mark.parametrize("name", ["u", "ut", "u1", "u2"])
+    def test_gradient_parseval_of_the_plane(self, grid64, name):
+        # levels of random fields, so the planes reach the box edge; the
+        # packed spectrum stands for the plane's rfft in E_1's gradient term
+        g, rng = grid64, np.random.default_rng(47)
+        planes = planes_of(g, 0.8, *rng.standard_normal((2, 2, 64, 64)))
+        if name[-1].isdigit():  # d_a u, against the whole-plane derivative
+            ref = partial(Field(g, planes["u"]), int(name[-1])).values
+            assert np.max(np.abs(planes[name] - ref)) \
+                <= 1e-12 * np.max(np.abs(ref))
+        rows, cols = g.spectral["box"]
+        assert np.array_equal(g.spectral["grad_sq"][rows, :cols],
+                              g.spectral["box_k_sq"])
+        want = g.parseval(g.rfft(planes[name]), g.spectral["grad_sq"])
+        got = g.parseval(planes.packed(name), g.spectral["box_k_sq"])
+        assert got == pytest.approx(want, rel=1e-13)
 
 
 def box_interior_jet(seed, components):
