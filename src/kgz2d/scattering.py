@@ -73,7 +73,9 @@ class DuhamelSum:
     """The scatter verb's reducer of one march, fed in midpoint order by
     add(tau, (Q, S), state), the march's on_source call: the midpoint
     times, ||Q(tau)||_{H^s} for each s in s_values, and state, the packed E
-    after the last step whose midpoint lies below t_max, to launch from.
+    after the last step whose midpoint lies below t_max, to launch from: or
+    E* at that midpoint if the march deferred the step's trailing half, as
+    S1(-t_K) E(t_K) = S1(-tau_K) E*.
     """
 
     def __init__(self, grid: Grid, dt: float, t_max: float, s_values=()):

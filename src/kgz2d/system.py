@@ -11,12 +11,14 @@ guess.
 
 One Strang stepper (_Strang: half free step on the exact mode-wise
 propagator, source kick at the interval midpoint, half free step) drives
-every flow.  A march can record its midpoint sources (Q, S) = (-nE, |E|^2),
-the packed spectra it kicks with; replayed as kicks, the record makes the
-discrete solution an exact fixed point of the Picard map.  Readers that
-reduce as they go are handed each step's sources (on_source) or each state
-(on_snapshot) instead, and nothing is kept.  picard_solve marches the free
-flow and every iterate in lockstep, one state each, and keeps no iterate.
+every flow; between two steps that store no state, the two half steps are
+one exact full step.  A march can record its midpoint sources (Q, S) =
+(-nE, |E|^2), the packed spectra it kicks with; replayed as kicks, the
+record makes the discrete solution an exact fixed point of the Picard map.
+Readers that reduce as they go are handed each step's sources (on_source)
+or each state (on_snapshot) instead, and nothing is kept.  picard_solve
+marches the free flow and every iterate in lockstep, one state each, and
+keeps no iterate.
 """
 
 from __future__ import annotations
@@ -292,17 +294,24 @@ def _steps_for(T: float, dt: float) -> int:
 class _Strang:
     """One march's state, packed to the dealias box (so dealiased once, and
     its quadratic products alias-free), and its Strang step.  _march drives
-    one; picard_solve's sweep drives one per iterate, in lockstep."""
+    one, deferring each trailing half step that no stored state reads, so
+    two kicks are one R(dt) apart; picard_solve's sweep drives one per
+    iterate, in lockstep, and like picard_map never defers."""
 
     def __init__(self, data: InitialData, T: float, dt: float,
-                 direct_n: bool = False):
+                 direct_n: bool = False, store_every: int = 1):
         g = self.grid = data.grid
         if not T + data.radius < g.length:
             raise ValueError(f"wrap-free window violated: T + R = "
                              f"{T + data.radius:.3g} >= L = {g.length:.3g}")
         self.steps, self.dt, self.k = _steps_for(T, dt), dt, 0
-        self.kg_half = LinearOperator(g, 1, box=True).rotation(0.5 * dt)
-        self.w_half = LinearOperator(g, 0, box=True).rotation(0.5 * dt)
+        self.store_every, self.pending = store_every, False
+        ops = [LinearOperator(g, m, box=True) for m in (1, 0)]
+        self.half = [op.rotation(0.5 * dt) for op in ops]
+        # R(dt) is built here if the march fuses: built mid-march on first
+        # use, its arrays left heap holes that raised a 512^2 run's peak RSS
+        self.full = ([op.rotation(dt) for op in ops] if store_every > 1
+                     else None)
         self.lap = -g.spectral["box_k_sq"]
         self.E, self.D = ((g.box_rfft(u.values), g.box_rfft(ut.values)) for u, ut
                           in ((data.E0, data.E1), (data.n0_delta, data.n1_delta)))
@@ -310,13 +319,14 @@ class _Strang:
         self.limit = 1e6 * (self._scale() + 1e-300)
 
     def _scale(self) -> float:
-        return float(max(np.max(np.abs(a)) for a in (*self.E, *self.D)))
+        return float(np.max([  # NaN if any entry is NaN
+            np.max(np.abs(a)) for a in (*self.E, *self.D)]))
 
-    def _half(self):
-        self.E = self.kg_half(*self.E)  # pair by pair: old pairs free first
-        self.D = self.w_half(*self.D)
+    def _rotate(self, kg, w):
+        self.E = kg(*self.E)  # pair by pair: old pairs free first
+        self.D = w(*self.D)
         if self.N is not None:
-            self.N = self.w_half(*self.N)
+            self.N = w(*self.N)
 
     def products(self, with_s: bool = True):
         """The packed (Q, S) of the positions now (as Trajectory.products);
@@ -329,9 +339,12 @@ class _Strang:
         """Half free step, midpoint kick, half free step; pairs are rebound,
         never written into.  kick: None (free flow), "self" (the nonlinear
         flow's own midpoint products) or a (Q, S) Spectrum pair.  Returns
-        the midpoint products if made (kick "self" or products True)."""
+        the midpoint products if made (kick "self" or products True).  After
+        a step that stores no state (pending) the trailing half step waits,
+        leaving E* (after the kick): the next step opens with one R(dt) for
+        both halves, state() with the half step."""
         dt, lap, t = self.dt, self.lap, self.k * self.dt
-        self._half()
+        self._rotate(*(self.full if self.pending else self.half))
         made = None
         if kick == "self" or products:
             made = self.products()
@@ -341,8 +354,10 @@ class _Strang:
             self.D = (self.D[0], self.D[1] + dt * S)
             if self.N is not None:
                 self.N = (self.N[0], self.N[1] + dt * (lap * S))
-        self._half()
         self.k += 1
+        self.pending = self.k % self.store_every != 0 and self.k < self.steps
+        if not self.pending:
+            self._rotate(*self.half)
         if not self._scale() <= self.limit:
             raise InstabilityError(f"evolution unstable at t={t + dt:.6g}: "
                                    "amplitude exceeded 1e6 x initial")
@@ -350,6 +365,9 @@ class _Strang:
 
     def state(self) -> KGZState:
         """The state now, owning copies of its arrays."""
+        if self.pending:
+            self._rotate(*self.half)
+            self.pending = False
         g, t = self.grid, self.k * self.dt
         spectra = {"E": self.E, "n_delta": self.D}
         if self.N is not None:
@@ -375,7 +393,7 @@ def _march(data: InitialData, T: float, dt: float, *, kicks,
     record_sources records every step's sources (True or 1) or none;
     direct_n also evolves n directly, with source lap(|E|^2).  on_source
     (for the steps that make products) and on_snapshot are evolve's."""
-    g, march = data.grid, _Strang(data, T, dt, direct_n)
+    g, march = data.grid, _Strang(data, T, dt, direct_n, store_every)
     if record_sources not in (True, False):
         raise ValueError(f"record_sources must be True or False, "
                          f"got {record_sources!r}")
@@ -399,9 +417,11 @@ def _march(data: InitialData, T: float, dt: float, *, kicks,
             history.append(products)
             source_times.append(tau)
         if on_source is not None and products is not None:
+            # a deferred step leaves E*, whose label is its midpoint
             on_source(tau, products, KGZState(
-                (k + 1) * dt, {"E": tuple(Spectrum(g, h) for h in march.E)}))
-        if (k + 1) % store_every == 0 or k + 1 == march.steps:
+                tau if march.pending else (k + 1) * dt,
+                {"E": tuple(Spectrum(g, h) for h in march.E)}))
+        if not march.pending:
             store(march.state())
             times.append((k + 1) * dt)
     return Trajectory(
@@ -420,9 +440,11 @@ def evolve(data: InitialData, T: float, dt: float, *, store_every: int = 1,
     Snapshots are kept every store_every steps; record_sources keeps every
     step's midpoint sources (for picard_map and the scattering readers).
     on_source, if given, is called as on_source(tau, (Q, S), state) after
-    every step with its midpoint time, packed products and the state after
-    it (its packed E alone); on_snapshot with every state to be stored, as
-    it is made, and the trajectory keeps none."""
+    every step with its midpoint time, packed products and packed E alone:
+    after the step at (k+1) dt if a state is stored there, else E* (before
+    the deferred half step) at tau, whose S1(-t) E is the same to round-off.
+    on_snapshot gets every state to be stored, as it is made, and the
+    trajectory keeps none."""
     return _march(data, T, dt, kicks="self", store_every=store_every,
                   record_sources=record_sources, on_source=on_source,
                   on_snapshot=on_snapshot)
