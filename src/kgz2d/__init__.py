@@ -52,8 +52,6 @@ from .energy_diag import (
     DiagnosticsReport,
     energy,
     ghost_energy,
-    hessian_decay_ratio,
-    kg_extra_decay_ratio,
     ks_ratio,
     multiplier_residual,
     xnorm_distance,

@@ -12,13 +12,13 @@ Conventions used throughout:
   <= 2 (the analysis commutes far more); every weighted quantity reported
   here is the truncated version.
 
-Trajectory arguments are duck-typed.  Every reader here reads .grid, .times
-and .jet_levels(k, which, depth), a jet's packed levels; the extra-decay
-ratios and the multiplier identity also read .source(k, which), the packed
-source of the field's equation, once per snapshot, and the first builds its
-levels on .states[k] from it.  Every reader evaluates its words and
-derivatives from the word terms of vector_fields on packed levels
-(WordPlanes).
+Every per-snapshot diagnostic is a reducer fed add(t, levels[, source]) in
+time order: a snapshot's packed jet levels (u, u_t[, u_tt]) of its field
+.which to its .depth and, if .sourced, the packed source of the field's
+equation they are built on.  It evaluates its words and derivatives from
+the word terms of vector_fields on the levels' WordPlanes.  A march feeds
+one from on_snapshot, with sources from system.state_source; _fed feeds
+one a stored trajectory (duck-typed: .times, .jet_levels, .source).
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Field, FieldPair, Grid
-from .system import state_levels
 from .vector_fields import (LETTERS, WORD_WEIGHTS, WordPlanes, all_words,
                             word_terms)
 
@@ -40,12 +39,13 @@ __all__ = [
     "energy",
     "GhostEnergies",
     "ghost_energy",
+    "MultiplierResiduals",
     "multiplier_residual",
     "xnorm_terms",
     "xnorm_distance",
+    "KSRatios",
     "ks_ratio",
-    "hessian_decay_ratio",
-    "kg_extra_decay_ratio",
+    "ExtraDecayRatios",
     "DiagnosticsReport",
 ]
 
@@ -127,6 +127,8 @@ class GhostEnergies:
     natural energy plus the running trapezoid integral of delta (|G_a Gamma^I
     u|^2 + m^2 |Gamma^I u|^2) / <tau - r>^{1+delta}, as physical sums."""
 
+    sourced = False
+
     def __init__(self, grid: Grid, delta: float = 0.1, which: str = "n",
                  order: int = 1):
         if not delta > 0:
@@ -167,10 +169,15 @@ class GhostEnergies:
         return np.sum(np.sqrt(np.maximum(np.array(self.rows), 0.0)), axis=1)
 
 
-def _fed(traj, ghost: GhostEnergies) -> GhostEnergies:
+def _fed(traj, reducer):
+    """reducer fed each snapshot of traj, as on_snapshot feeds a march's."""
     for k, t in enumerate(traj.times):
-        ghost.add(t, traj.jet_levels(k, ghost.which, ghost.depth))
-    return ghost
+        levels = traj.jet_levels(k, reducer.which, reducer.depth)
+        if reducer.sourced:
+            reducer.add(t, levels, traj.source(k, reducer.which))
+        else:
+            reducer.add(t, levels)
+    return reducer
 
 
 def ghost_energy(traj, which: str = "n", delta: float = 0.1) -> np.ndarray:
@@ -181,9 +188,9 @@ def ghost_energy(traj, which: str = "n", delta: float = 0.1) -> np.ndarray:
     return np.array(ghost.rows)[:, 0]
 
 
-def multiplier_residual(traj, which: str = "E", delta: float = 0.1,
-                        kappa: float = 0.05) -> np.ndarray:
-    """Imbalance of the ghost-weight multiplier identity, per snapshot.
+class MultiplierResiduals:
+    """Imbalance of the ghost-weight multiplier identity per snapshot, from
+    levels (u, u_t) and the source F.
 
     The multiplier <t>^{-kappa} e^q d_t u against -box(u) + m^2 u = F gives,
     once the periodic flux term drops out,
@@ -198,17 +205,21 @@ def multiplier_residual(traj, which: str = "E", delta: float = 0.1,
     smoothed to rho = sqrt(r^2 + h^2), matching the regularised good
     derivatives; this keeps the identity exact (the unregularised identity
     is its h -> 0 limit), so for the exact semidiscrete solution the
-    returned imbalance is pure time-quadrature error, O(dt^2).
+    imbalance series() returns is pure time-quadrature error, O(dt^2).
     """
-    mass = _MASS[which]
-    g = traj.grid
-    rho = np.sqrt(g.R**2 + g.h**2)
-    grad_rho_defect = g.h**2 / (g.R**2 + g.h**2)  # 1 - |grad rho|^2
-    # per snapshot: the source, boundary, ghost and kappa terms
-    terms = np.empty((len(traj.times), 4))
-    for k, t in enumerate(traj.times):
-        # the identity reads no u_tt, so the levels stop at depth 1
-        planes = WordPlanes(g, t, traj.jet_levels(k, which, 1))
+
+    depth, sourced = 1, True  # the identity reads no u_tt
+
+    def __init__(self, grid: Grid, which: str = "E", delta: float = 0.1,
+                 kappa: float = 0.05):
+        self.grid, self.which, self.delta, self.kappa = grid, which, delta, kappa
+        self.rows = []  # per snapshot: t, source, boundary, ghost, kappa
+
+    def add(self, t: float, levels, source) -> None:
+        g, mass, delta, kappa = self.grid, _MASS[self.which], self.delta, self.kappa
+        rho = np.sqrt(g.R**2 + g.h**2)
+        grad_rho_defect = g.h**2 / (g.R**2 + g.h**2)  # 1 - |grad rho|^2
+        planes = WordPlanes(g, t, levels)
         u, ut, u1, u2 = (planes[name] for name in ("u", "ut", "u1", "u2"))
         eq = np.exp(ghost_weight_q(rho - t, delta))
         tw = jbracket(t) ** (-kappa)
@@ -224,14 +235,25 @@ def multiplier_residual(traj, which: str = "E", delta: float = 0.1,
         ghost_term = float(np.sum(tw * eq * ghost_dens) * g.cell_area)
         kap_term = 0.5 * kappa * t * jbracket(t) ** (-kappa - 2.0)
         kap_int = float(np.sum(kap_term * eq * e_dens) * g.cell_area)
-        F = g.box_irfft(traj.source(k, which))
+        F = g.box_irfft(source)
         src = float(np.sum(tw * eq * np.sum(ut * F, axis=0)) * g.cell_area)
-        terms[k] = (src, b_term, ghost_term, kap_int)
-    # the running trapezoid integrals; the boundary column goes unused
-    acc = np.cumsum(0.5 * (terms[1:] + terms[:-1])
-                    * np.diff(traj.times)[:, None], axis=0)
-    src_acc, _, ghost_acc, kap_acc = np.vstack([np.zeros(4), acc]).T
-    return np.abs(src_acc - (terms[:, 1] - terms[0, 1] + ghost_acc + kap_acc))
+        self.rows.append((t, src, b_term, ghost_term, kap_int))
+
+    def series(self) -> np.ndarray:
+        rows = np.array(self.rows)
+        times, terms = rows[:, 0], rows[:, 1:]
+        # the running trapezoid integrals; the boundary column goes unused
+        acc = np.cumsum(0.5 * (terms[1:] + terms[:-1])
+                        * np.diff(times)[:, None], axis=0)
+        src_acc, _, ghost_acc, kap_acc = np.vstack([np.zeros(4), acc]).T
+        return np.abs(src_acc - (terms[:, 1] - terms[0, 1] + ghost_acc + kap_acc))
+
+
+def multiplier_residual(traj, which: str = "E", delta: float = 0.1,
+                        kappa: float = 0.05) -> np.ndarray:
+    """MultiplierResiduals' series of a stored trajectory."""
+    return _fed(traj, MultiplierResiduals(traj.grid, which, delta,
+                                          kappa)).series()
 
 
 # ---------------------------------------------------------------------------
@@ -325,32 +347,45 @@ def _xnorm_snapshot(g, t: float, a: dict, b: dict, words, delta: float,
 # inequality-ratio diagnostics
 # ---------------------------------------------------------------------------
 
-def ks_ratio(traj, which: str = "n"):
-    """Klainerman-Sobolev ratio series (no scaling field, order capped at 2).
+class KSRatios:
+    """Klainerman-Sobolev ratio series (no scaling field, order capped at 2)
+    from levels (u, u_t, u_tt):
 
     ratio(t) = sup_x <t+|x|>^{1/2} |u(t,x)|
                / sup_{s <= 2t, |I| <= 2} ||Gamma^I u(s)||
 
-    The trajectory must reach 2t for every reported t, so the series covers
-    snapshot times up to half the horizon.  0/0 is reported as 0.
-    """
-    g = traj.grid
-    words = [word_terms(w.letters) for w in all_words(2)]
-    times = np.asarray(traj.times, dtype=float)
-    valid = [k for k in range(len(times)) if 2.0 * times[k] <= times[-1] + 1e-9]
-    if not valid:
-        raise ValueError("trajectory horizon too short for any K-S query")
-    w_snap, num = np.empty((2, len(times)))
-    for k, t in enumerate(times):
-        planes = WordPlanes(g, t, traj.jet_levels(k, which, 2))
-        w_snap[k] = max(float(np.sqrt(np.sum(planes.combine(terms) ** 2)
-                                      * g.cell_area)) for terms in words)
-        num[k] = np.max(jbracket(t + g.R) ** 0.5
-                        * Field(g, planes["u"]).magnitude())
-    den = np.array([np.max(w_snap[times <= 2.0 * times[k] + 1e-9])
-                    for k in valid])
-    return times[valid], np.divide(num[valid], den, out=np.zeros(len(valid)),
-                                   where=den > 0)
+    series() covers the times up to half the last, as s <= 2t needs.  0/0
+    is reported as 0."""
+
+    depth, sourced = 2, False
+
+    def __init__(self, grid: Grid, which: str = "n"):
+        self.grid, self.which = grid, which
+        self.words = [word_terms(w.letters) for w in all_words(2)]
+        self.rows = []  # per snapshot: t, the largest word norm, numerator
+
+    def add(self, t: float, levels) -> None:
+        g, planes = self.grid, WordPlanes(self.grid, t, levels)
+        self.rows.append((t, max(float(np.sqrt(np.sum(planes.combine(terms)
+                                                      ** 2) * g.cell_area))
+                                 for terms in self.words),
+                          np.max(jbracket(t + g.R) ** 0.5
+                                 * Field(g, planes["u"]).magnitude())))
+
+    def series(self):
+        times, w_snap, num = np.array(self.rows).reshape(-1, 3).T
+        valid = 2.0 * times <= times[-1:] + 1e-9
+        if not np.any(valid):
+            raise ValueError("horizon too short for any K-S query")
+        den = np.array([np.max(w_snap[times <= 2.0 * t + 1e-9])
+                        for t in times[valid]])
+        return times[valid], np.divide(num[valid], den,
+                                       out=np.zeros(len(den)), where=den > 0)
+
+
+def ks_ratio(traj, which: str = "n"):
+    """KSRatios' series of a stored trajectory."""
+    return _fed(traj, KSRatios(traj.grid, which)).series()
 
 
 # |dd u|^2 and |d u|^2 as weighted sums of squared planes, the Hessian's
@@ -375,48 +410,18 @@ def _masked_max_ratio(lhs: np.ndarray, rhs: np.ndarray, mask: np.ndarray) -> flo
 
 def hessian_pointwise(planes: WordPlanes, gamma_first: np.ndarray,
                       source_mag: np.ndarray):
-    """Pointwise (lhs, rhs) of the wave-Hessian extra-decay inequality."""
+    """Pointwise (lhs, rhs) of the wave-Hessian extra-decay inequality,
+    |dd w| <~ <t-r>^{-1} (|d Gamma w| + |d w|) + t <t-r>^{-1} |F_w|."""
     t = planes.t
     tr_b = jbracket(t - planes.grid.R)
     rhs = (gamma_first + _norm(planes, GRADIENT)) / tr_b + t * source_mag / tr_b
     return _norm(planes, HESSIAN), rhs
 
 
-def _extra_decay_series(traj, which: str, pointwise):
-    """Series of max over |x| <= 3t of lhs/rhs from pointwise(planes,
-    |d Gamma u|, |F|), at the snapshots with t >= 1.  |d Gamma u| sums the
-    d_t, d_1 and d_2 rows of the single-letter words."""
-    g = traj.grid
-    out_t, out_v = [], []
-    for k, t in enumerate(traj.times):
-        if t < 1.0:
-            continue
-        source = traj.source(k, which)
-        planes = WordPlanes(g, t,
-                            state_levels(traj.states[k], which, [source]))
-        gamma_first = np.sqrt(sum(
-            np.sum(planes.combine(terms) ** 2, axis=0)
-            for letter in LETTERS for terms in WORD_WEIGHTS[(letter,)][1:]))
-        F = g.box_irfft(source)
-        lhs, rhs = pointwise(planes, gamma_first,
-                             np.sqrt(np.sum(F**2, axis=0)))
-        out_t.append(t)
-        out_v.append(_masked_max_ratio(lhs, rhs, g.R <= 3.0 * t))
-    return np.asarray(out_t), np.asarray(out_v)
-
-
-def hessian_decay_ratio(traj, which: str = "n_delta"):
-    """Wave-Hessian extra-decay ratio series, masked to |x| <= 3t, t >= 1.
-
-    ratio(t) = max over the mask of
-        |dd w| / ( <t-r>^{-1} (|d Gamma w| + |d w|) + t <t-r>^{-1} |F_w| ).
-    """
-    return _extra_decay_series(traj, which, hessian_pointwise)
-
-
 def kg_pointwise(planes: WordPlanes, gamma_first: np.ndarray,
                  source_mag: np.ndarray):
-    """Pointwise (lhs, rhs) of the Klein-Gordon extra-decay inequality."""
+    """Pointwise (lhs, rhs) of the Klein-Gordon extra-decay inequality,
+    |v| <~ (|t-r|/<t>) |dd v| + <t>^{-1} (|d Gamma v| + |d v|) + |F_v|."""
     t = planes.t
     tb = jbracket(t)
     lhs = np.sqrt(np.sum(planes["u"] ** 2, axis=0))
@@ -425,14 +430,33 @@ def kg_pointwise(planes: WordPlanes, gamma_first: np.ndarray,
     return lhs, rhs
 
 
-def kg_extra_decay_ratio(traj, which: str = "E"):
-    """Klein-Gordon extra-decay ratio series, masked to |x| <= 3t, t >= 1.
+class ExtraDecayRatios:
+    """Extra-decay ratio series from levels (u, u_t, u_tt) and the source F,
+    at t >= 1: the max over |x| <= 3t of lhs/rhs from pointwise(planes,
+    |d Gamma u|, |F|), hessian_pointwise or kg_pointwise.  |d Gamma u| sums
+    the d_t, d_1 and d_2 rows of the single-letter words."""
 
-    ratio(t) = max over the mask of
-        |v| / ( (|t-r|/<t>) |dd v| + <t>^{-1} |d Gamma v|
-                + <t>^{-1} |d v| + |F_v| ).
-    """
-    return _extra_decay_series(traj, which, kg_pointwise)
+    depth, sourced = 2, True
+
+    def __init__(self, grid: Grid, which: str, pointwise):
+        self.grid, self.which, self.pointwise = grid, which, pointwise
+        self.times, self.values = [], []
+
+    def add(self, t: float, levels, source) -> None:
+        if t < 1.0:
+            return
+        g, planes = self.grid, WordPlanes(self.grid, t, levels)
+        gamma_first = np.sqrt(sum(
+            np.sum(planes.combine(terms) ** 2, axis=0)
+            for letter in LETTERS for terms in WORD_WEIGHTS[(letter,)][1:]))
+        F = g.box_irfft(source)
+        lhs, rhs = self.pointwise(planes, gamma_first,
+                                  np.sqrt(np.sum(F**2, axis=0)))
+        self.times.append(t)
+        self.values.append(_masked_max_ratio(lhs, rhs, g.R <= 3.0 * t))
+
+    def series(self):
+        return np.asarray(self.times), np.asarray(self.values)
 
 
 # ---------------------------------------------------------------------------

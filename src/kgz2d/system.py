@@ -38,6 +38,7 @@ __all__ = [
     "KGZState",
     "Trajectory",
     "state_levels",
+    "state_source",
     "InitialData",
     "gaussian_data",
     "evolve",
@@ -144,29 +145,20 @@ class Trajectory:
 
     def source(self, k: int, which: str, rate: bool = False) -> np.ndarray:
         """The packed source that drives `which` at snapshot k, or with rate
-        its time derivative: -nE for "E", |E|^2 for "n_delta" and
-        lap(|E|^2) for "n"."""
+        its time derivative: zero ("free"), the guess's products ("picard")
+        or the snapshot's own (state_source)."""
         if self.kind == "free":
             return np.zeros_like(self.states[k].box(which)[0])
-        if self.kind == "picard":
-            if rate:
-                raise ValueError("a Picard iterate records no source "
-                                 "derivative, so its jets stop at depth 2")
-            q, s = self.snapshot_sources[k]
-        else:
-            q, s = self.products(k, with_n=which == "E", rate=rate)
-        src = (q if which == "E" else s).values
-        return -self.grid.spectral["box_k_sq"] * src if which == "n" else src
+        if self.kind != "picard":
+            return state_source(self.states[k], which, rate)
+        if rate:
+            raise ValueError("a Picard iterate records no source "
+                             "derivative, so its jets stop at depth 2")
+        return _driving(self.grid, which, *self.snapshot_sources[k])
 
     def products(self, k: int, with_n: bool = True, rate: bool = False):
-        """Snapshot k's own packed (Q, S) = (-nE, |E|^2) (Q None without n),
-        or with rate their time derivatives, from the levels read alone."""
-        g, state = self.grid, self.states[k]
-        read = 2 if rate else 1
-        E = [g.box_irfft(b) for b in state.box("E")[:read]]
-        n = ([g.box_irfft(b) for b in state.box("n")[:read]] if with_n
-             else [None, None])
-        return _products(g, E[0], n[0], rate=(E[1], n[1]) if rate else None)
+        """Snapshot k's own packed (Q, S) (_own_products)."""
+        return _own_products(self.states[k], with_n, rate)
 
     def jet_levels(self, k: int, which: str, depth: int = 2) -> list:
         """Snapshot k's packed jet levels up to the depth-th time
@@ -190,6 +182,30 @@ def state_levels(state: KGZState, which: str, sources=()) -> list:
     for j, src in enumerate(sources):
         levels.append(op * levels[j] + src)
     return levels
+
+
+def _own_products(state: KGZState, with_n: bool = True, rate: bool = False):
+    """A state's own packed (Q, S) = (-nE, |E|^2) (Q None without n), or
+    with rate their time derivatives, from its levels read alone."""
+    g, read = state.grid, 2 if rate else 1
+    E = [g.box_irfft(b) for b in state.box("E")[:read]]
+    n = ([g.box_irfft(b) for b in state.box("n")[:read]] if with_n
+         else [None, None])
+    return _products(g, E[0], n[0], rate=(E[1], n[1]) if rate else None)
+
+
+def state_source(state: KGZState, which: str, rate: bool = False) -> np.ndarray:
+    """The packed source that drives `which` at a state of the coupled flow,
+    or with rate its time derivative, from the state's own products: -nE
+    for "E", |E|^2 for "n_delta" and lap(|E|^2) for "n"."""
+    return _driving(state.grid, which,
+                    *_own_products(state, which == "E", rate))
+
+
+def _driving(g: Grid, which: str, q: Spectrum, s: Spectrum) -> np.ndarray:
+    """Of packed sources (Q, S), the one that drives `which`."""
+    src = (q if which == "E" else s).values
+    return -g.spectral["box_k_sq"] * src if which == "n" else src
 
 
 def _products(g: Grid, E: np.ndarray, n: np.ndarray | None = None, *,

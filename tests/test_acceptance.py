@@ -5,9 +5,12 @@ dt = 0.15, horizon 30.  One printed PASS/FAIL line per criterion.
 
 Criteria 6-9 read one desk march through the reducers the run and scatter
 verbs use (harness.RunDiagnostics with a scattering.DuhamelSum), plus
-criterion 7's Duhamel remainders (scattering.DuhamelTail) and every third
-snapshot for criteria 8 and 9; the march itself stores no state and records
-no source.  Criteria 2, 4 and 5 share one stored march to the Picard horizon.
+criterion 7's Duhamel remainders (scattering.DuhamelTail) and, fed every
+third snapshot, criterion 8's ghost energies and criterion 9's extra-decay
+ratios (energy_diag.ExtraDecayRatios); the march itself stores no state and
+records no source.  Criterion 9's Klainerman-Sobolev march and criterion 2's
+dt/2 march stream into their reducers too.  Criteria 2 (its dt leg), 4 and
+5 share one stored march to the Picard horizon.
 
 The interior two-shell probe (criterion 6c) asserts the theorem's one-sided
 bound: the interior of the wave field decays at least as fast as the
@@ -26,10 +29,12 @@ import numpy as np
 import pytest
 
 from kgz2d.energy_diag import (
+    ExtraDecayRatios,
+    KSRatios,
+    MultiplierResiduals,
     energy,
-    hessian_decay_ratio,
-    kg_extra_decay_ratio,
-    ks_ratio,
+    hessian_pointwise,
+    kg_pointwise,
     multiplier_residual,
 )
 from kgz2d.grid import Field, FieldPair, make_grid, read_field, write_field
@@ -42,11 +47,10 @@ from kgz2d.scattering import (
     residual_series,
     scatter_profile,
 )
-from kgz2d.system import (Trajectory, evolve, evolve_direct_n, gaussian_data,
-                          picard_solve)
+from kgz2d.system import evolve, evolve_direct_n, gaussian_data, picard_solve
 from kgz2d.vector_fields import check_commutators
 
-from conftest import windowed_random_jet
+from conftest import feed, windowed_random_jet
 
 DESK_N = 256
 DESK_L = 40.0
@@ -98,13 +102,17 @@ class TestCriterion1:
 
 class TestCriterion2:
     def test_multiplier_identity_convergence(self, desk_data, short_run):
-        runs = {DESK_DT: short_run, DESK_DT / 2: evolve(
-            desk_data, PICARD_T, DESK_DT / 2, record_sources=False)}
+        # the dt leg reads the stored short_run; the dt/2 leg streams its
+        # states into one reducer per (delta, kappa) and stores none
+        pairs = ((0.1, 0.05), (0.2, 0.1))
+        halves = [MultiplierResiduals(desk_data.grid, "E", delta, kappa)
+                  for delta, kappa in pairs]
+        evolve(desk_data, PICARD_T, DESK_DT / 2, record_sources=False,
+               on_snapshot=lambda state: [feed(r, state) for r in halves])
         factors = {}
-        for delta, kappa in ((0.1, 0.05), (0.2, 0.1)):
-            resid = {dt: multiplier_residual(tr, "E", delta, kappa)[-1]
-                     for dt, tr in runs.items()}
-            factors[(delta, kappa)] = resid[DESK_DT] / resid[DESK_DT / 2]
+        for (delta, kappa), half in zip(pairs, halves):
+            factors[(delta, kappa)] = multiplier_residual(
+                short_run, "E", delta, kappa)[-1] / half.series()[-1]
         ok = all(f >= 3.5 for f in factors.values())
         detail = ", ".join(f"(d={d},k={k}): x{f:.2f}"
                            for (d, k), f in factors.items())
@@ -172,20 +180,22 @@ def desk_march(desk_data):
     """The T = 30 desk march, which stores no state and records no source.
     It feeds the scatter verb's reducer (criteria 6 and 7), the Duhamel
     remainders at t = 0 and at PROBES, and every third snapshot (0.45 time
-    spacing) to the run verb's ghost energies and a kept list (criteria 8
-    and 9)."""
+    spacing) to the run verb's ghost energies (criterion 8) and the two
+    extra-decay ratios (criterion 9)."""
     g = desk_data.grid
     t_max = 0.8 * (DESK_L - desk_data.radius)
     snaps = RunDiagnostics(g, energies=False, delta=0.1, snap_every=0,
                            duhamel=DuhamelSum(g, DESK_DT, t_max, (1.0,)))
     tails = DuhamelTail(g, DESK_DT, t_max, (0.0,) + PROBES)
     strided = RunDiagnostics(g, energies=True, delta=0.1, snap_every=0)
-    kept = []
+    hessian = ExtraDecayRatios(g, "n_delta", hessian_pointwise)
+    kg = ExtraDecayRatios(g, "E", kg_pointwise)
 
     def on_snapshot(state):
         if len(snaps.sup_E) % 3 == 0:
             strided.add(state)
-            kept.append(state)
+            feed(hessian, state)
+            feed(kg, state)
         snaps.add(state)
 
     def on_source(tau, sources, state):
@@ -194,19 +204,23 @@ def desk_march(desk_data):
 
     traj = evolve(desk_data, DESK_T, DESK_DT, record_sources=False,
                   on_snapshot=on_snapshot, on_source=on_source)
-    every_third = Trajectory(g, DESK_DT, 3, traj.times[::3], kept, None,
-                             None, "coupled")
     return SimpleNamespace(traj=traj, snaps=snaps, tails=tails,
-                           strided=strided, every_third=every_third)
+                           strided=strided, hessian=hessian, kg=kg)
 
 
 class TestDeskMarch:
     def test_keeps_no_state_and_no_source(self, desk_march):
-        # the criteria read the verbs' reducers, not a stored trajectory
+        # the criteria read the verbs' reducers, not a stored trajectory,
+        # and the fixture keeps no list of states beside them
         traj = desk_march.traj
         assert traj.states == [] and traj.source_history is None
         assert len(traj.times) == 201 == len(desk_march.snaps.states)
-        assert len(desk_march.every_third) == 67
+        assert not any(isinstance(v, list) for v in vars(desk_march).values())
+        # every third snapshot fed the strided readers; the ratios keep
+        # those with t >= 1, two scalars each
+        assert len(desk_march.strided.sup_E) == 67
+        for ratio in (desk_march.hessian, desk_march.kg):
+            assert len(ratio.times) == len(ratio.values) == 64
 
 
 class TestCriterion6:
@@ -344,7 +358,7 @@ class TestLaunchFromState:
 class TestCriterion8:
     def test_uniform_low_order_wave_energy(self, desk_march):
         series = desk_march.strided.series()["gst_wave_low"]
-        times = desk_march.every_third.times
+        times = desk_march.traj.times[::3]
         m = (times >= 5.0) & (times <= 28.0)
         variation = (series[m].max() - series[m].min()) / series[m].min()
         report(8, "uniform low-order wave ghost energy",
@@ -355,20 +369,22 @@ class TestCriterion8:
 
 class TestCriterion9:
     def test_hessian_ratio_bounded(self, desk_march):
-        times, vals = hessian_decay_ratio(desk_march.every_third)
+        times, vals = desk_march.hessian.series()
         self._check(9, "wave Hessian decay ratio", times, vals, 28.0)
 
     def test_kg_ratio_bounded(self, desk_march):
-        times, vals = kg_extra_decay_ratio(desk_march.every_third)
+        times, vals = desk_march.kg.series()
         self._check(9, "Klein-Gordon extra decay ratio", times, vals, 28.0)
 
     def test_ks_ratio_bounded(self):
         # the K-S window needs data up to 2t, so this criterion gets its own
-        # longer-horizon run (same physics, bigger box)
+        # longer-horizon run (same physics, bigger box), streamed into the
+        # reducer
         g = make_grid(512, 66.0)
-        data = gaussian_data(g, DESK_AMP)
-        traj = evolve(data, 56.0, 0.16, store_every=10, record_sources=False)
-        times, vals = ks_ratio(traj, "n")
+        ks = KSRatios(g, "n")
+        evolve(gaussian_data(g, DESK_AMP), 56.0, 0.16, store_every=10,
+               record_sources=False, on_snapshot=lambda state: feed(ks, state))
+        times, vals = ks.series()
         self._check(9, "Klainerman-Sobolev ratio", times, vals, 28.0)
 
     @staticmethod

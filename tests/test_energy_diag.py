@@ -1,18 +1,27 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from kgz2d.energy_diag import (
+    _MASS,
     _Q_STEP,
     _Q_ZMAX,
+    LETTERS,
+    WORD_WEIGHTS,
     DiagnosticsReport,
+    ExtraDecayRatios,
+    KSRatios,
+    MultiplierResiduals,
+    _fed,
+    _masked_max_ratio,
     _q_table,
     energy,
     ghost_energy,
     ghost_weight_q,
+    hessian_pointwise,
     jbracket,
-    kg_extra_decay_ratio,
     kg_pointwise,
     ks_ratio,
     multiplier_residual,
@@ -21,9 +30,11 @@ from kgz2d.energy_diag import (
     xnorm_terms,
 )
 from kgz2d.grid import Field, FieldPair, make_grid, partial
-from kgz2d.system import evolve, free_flow, gaussian_data, picard_map
-from kgz2d.vector_fields import WordPlanes, all_words
+from kgz2d.system import (evolve, free_flow, gaussian_data, picard_map,
+                          state_levels)
+from kgz2d.vector_fields import WordPlanes, all_words, word_terms
 
+from conftest import feed
 from test_vector_fields import reference_word
 
 
@@ -37,6 +48,14 @@ def free_kg_run(grid64):
 def nonlinear_run(grid64):
     data = gaussian_data(grid64, 1e-2)
     return evolve(data, 3.0, 0.1)
+
+
+@pytest.fixture(scope="module")
+def picard_iterate(grid64):
+    """The first Picard iterate from the free flow of nonlinear_run's data:
+    its sources at snapshot times are the guess's (snapshot_sources)."""
+    data = gaussian_data(grid64, 1e-2)
+    return picard_map(free_flow(data, 3.0, 0.1), data)
 
 
 def zero_run(grid, T=1.0, dt=0.1):
@@ -313,21 +332,23 @@ class TestRatios:
         assert np.max(series[window]) <= 5.0
 
     def test_hessian_free_wave_bounded(self, free_kg_run):
-        from kgz2d.energy_diag import hessian_decay_ratio
-        times, series = hessian_decay_ratio(free_kg_run, "n_delta")
+        times, series = _fed(free_kg_run, ExtraDecayRatios(
+            free_kg_run.grid, "n_delta", hessian_pointwise)).series()
         assert np.all(np.isfinite(series))
         assert np.max(series) <= 10.0
 
     def test_kg_free_bounded(self, free_kg_run):
-        times, series = kg_extra_decay_ratio(free_kg_run, "E")
+        times, series = _fed(free_kg_run, ExtraDecayRatios(
+            free_kg_run.grid, "E", kg_pointwise)).series()
         assert np.all(np.isfinite(series))
         assert np.max(series) <= 10.0
 
     def test_zero_run_ratios(self, grid64):
-        from kgz2d.energy_diag import hessian_decay_ratio
         traj = zero_run(grid64, T=2.0)
-        _, h = hessian_decay_ratio(traj)
-        _, k = kg_extra_decay_ratio(traj)
+        _, h = _fed(traj, ExtraDecayRatios(grid64, "n_delta",
+                                           hessian_pointwise)).series()
+        _, k = _fed(traj, ExtraDecayRatios(grid64, "E", kg_pointwise)).series()
+        assert len(h) == len(k) == 11
         assert np.all(h == 0.0) and np.all(k == 0.0)
 
     def test_kg_pointwise_closed_form_at_origin(self, grid64):
@@ -346,6 +367,166 @@ class TestRatios:
         assert lhs[i0, i0] == pytest.approx(abs(np.cos(t)), rel=1e-12)
         assert rhs[i0, i0] == pytest.approx(
             (t / tb) * abs(np.cos(t)) + abs(np.sin(t)) / tb, rel=1e-9)
+
+
+def reference_ks_ratio(traj, which):
+    """The Klainerman-Sobolev ratio series as one loop over a stored
+    trajectory, before it became a reducer (KSRatios)."""
+    g = traj.grid
+    words = [word_terms(w.letters) for w in all_words(2)]
+    times = np.asarray(traj.times, dtype=float)
+    valid = [k for k in range(len(times)) if 2.0 * times[k] <= times[-1] + 1e-9]
+    if not valid:
+        raise ValueError("trajectory horizon too short for any K-S query")
+    w_snap, num = np.empty((2, len(times)))
+    for k, t in enumerate(times):
+        planes = WordPlanes(g, t, traj.jet_levels(k, which, 2))
+        w_snap[k] = max(float(np.sqrt(np.sum(planes.combine(terms) ** 2)
+                                      * g.cell_area)) for terms in words)
+        num[k] = np.max(jbracket(t + g.R) ** 0.5
+                        * Field(g, planes["u"]).magnitude())
+    den = np.array([np.max(w_snap[times <= 2.0 * times[k] + 1e-9])
+                    for k in valid])
+    return times[valid], np.divide(num[valid], den, out=np.zeros(len(valid)),
+                                   where=den > 0)
+
+
+def reference_extra_decay(traj, which, pointwise):
+    """An extra-decay ratio series as one loop over a stored trajectory,
+    before it became a reducer (ExtraDecayRatios)."""
+    g = traj.grid
+    out_t, out_v = [], []
+    for k, t in enumerate(traj.times):
+        if t < 1.0:
+            continue
+        source = traj.source(k, which)
+        planes = WordPlanes(g, t,
+                            state_levels(traj.states[k], which, [source]))
+        gamma_first = np.sqrt(sum(
+            np.sum(planes.combine(terms) ** 2, axis=0)
+            for letter in LETTERS for terms in WORD_WEIGHTS[(letter,)][1:]))
+        F = g.box_irfft(source)
+        lhs, rhs = pointwise(planes, gamma_first,
+                             np.sqrt(np.sum(F**2, axis=0)))
+        out_t.append(t)
+        out_v.append(_masked_max_ratio(lhs, rhs, g.R <= 3.0 * t))
+    return np.asarray(out_t), np.asarray(out_v)
+
+
+def reference_multiplier_residual(traj, which, delta=0.1, kappa=0.05):
+    """The multiplier identity's imbalance as one loop over a stored
+    trajectory, before it became a reducer (MultiplierResiduals)."""
+    mass = _MASS[which]
+    g = traj.grid
+    rho = np.sqrt(g.R**2 + g.h**2)
+    grad_rho_defect = g.h**2 / (g.R**2 + g.h**2)  # 1 - |grad rho|^2
+    terms = np.empty((len(traj.times), 4))
+    for k, t in enumerate(traj.times):
+        planes = WordPlanes(g, t, traj.jet_levels(k, which, 1))
+        u, ut, u1, u2 = (planes[name] for name in ("u", "ut", "u1", "u2"))
+        eq = np.exp(ghost_weight_q(rho - t, delta))
+        tw = jbracket(t) ** (-kappa)
+        ut_sq = np.sum(ut**2, axis=0)
+        e_dens = ut_sq + np.sum(u1**2 + u2**2, axis=0) \
+            + mass**2 * np.sum(u**2, axis=0)
+        b_term = 0.5 * float(np.sum(tw * eq * e_dens) * g.cell_area)
+        ghost_dens = 0.5 * delta * jbracket(rho - t) ** (-(1.0 + delta)) \
+            * (sum(np.sum((r * ut + ua) ** 2, axis=0)
+                   for r, ua in zip(g.radial_unit, (u1, u2)))
+               + grad_rho_defect * ut_sq + mass**2 * np.sum(u**2, axis=0))
+        ghost_term = float(np.sum(tw * eq * ghost_dens) * g.cell_area)
+        kap_term = 0.5 * kappa * t * jbracket(t) ** (-kappa - 2.0)
+        kap_int = float(np.sum(kap_term * eq * e_dens) * g.cell_area)
+        F = g.box_irfft(traj.source(k, which))
+        src = float(np.sum(tw * eq * np.sum(ut * F, axis=0)) * g.cell_area)
+        terms[k] = (src, b_term, ghost_term, kap_int)
+    acc = np.cumsum(0.5 * (terms[1:] + terms[:-1])
+                    * np.diff(traj.times)[:, None], axis=0)
+    src_acc, _, ghost_acc, kap_acc = np.vstack([np.zeros(4), acc]).T
+    return np.abs(src_acc - (terms[:, 1] - terms[0, 1] + ghost_acc + kap_acc))
+
+
+# each reducer, made on a grid, and its reference loop on a trajectory
+READERS = {
+    "ks_n": (lambda g: KSRatios(g, "n"),
+             lambda traj: reference_ks_ratio(traj, "n")),
+    "hessian_n_delta": (
+        lambda g: ExtraDecayRatios(g, "n_delta", hessian_pointwise),
+        lambda traj: reference_extra_decay(traj, "n_delta",
+                                           hessian_pointwise)),
+    "kg_E": (lambda g: ExtraDecayRatios(g, "E", kg_pointwise),
+             lambda traj: reference_extra_decay(traj, "E", kg_pointwise)),
+    "multiplier_E": (lambda g: MultiplierResiduals(g, "E", 0.1, 0.05),
+                     lambda traj: reference_multiplier_residual(traj, "E")),
+    "multiplier_n": (lambda g: MultiplierResiduals(g, "n", 0.2, 0.1),
+                     lambda traj: reference_multiplier_residual(
+                         traj, "n", 0.2, 0.1)),
+}
+
+
+def assert_same_series(got, want):
+    """Bit for bit, and not vacuously: some value is positive."""
+    got, want = (np.atleast_2d(np.array(x)) for x in (got, want))
+    assert got.shape == want.shape and np.array_equal(got, want)
+    assert np.any(want[-1] > 0)
+
+
+class TestReducers:
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    @pytest.mark.parametrize("run", ["nonlinear_run", "free_kg_run",
+                                     "picard_iterate"])
+    def test_fed_equals_the_reference_loop(self, request, reader, run):
+        traj = request.getfixturevalue(run)
+        make, reference = READERS[reader]
+        assert_same_series(_fed(traj, make(traj.grid)).series(),
+                           reference(traj))
+
+    def test_streamed_equals_the_stored_reference(self, grid64,
+                                                  nonlinear_run):
+        # fed live from on_snapshot, the sources made by state_source
+        readers = {name: make(grid64) for name, (make, _) in READERS.items()}
+        evolve(gaussian_data(grid64, 1e-2), 3.0, 0.1, record_sources=False,
+               on_snapshot=lambda state: [feed(r, state)
+                                          for r in readers.values()])
+        for name, reader in readers.items():
+            assert_same_series(reader.series(),
+                               READERS[name][1](nonlinear_run))
+
+    def test_wrappers_are_the_fed_reducers(self, nonlinear_run):
+        assert_same_series(ks_ratio(nonlinear_run, "n"),
+                           reference_ks_ratio(nonlinear_run, "n"))
+        assert_same_series(multiplier_residual(nonlinear_run, "n", 0.2, 0.1),
+                           reference_multiplier_residual(nonlinear_run, "n",
+                                                         0.2, 0.1))
+
+    def test_streaming_keeps_under_half_the_stored_memory(self, grid128):
+        # criterion 9's three readers on a march that stores every state
+        # and on one that streams them
+        data = gaussian_data(grid128, 1e-2)
+        names = ("ks_n", "hessian_n_delta", "kg_E")
+
+        def stored():
+            traj = evolve(data, 4.0, 0.1, record_sources=False)
+            return [_fed(traj, READERS[name][0](grid128)).series()
+                    for name in names]
+
+        def streamed():
+            readers = [READERS[name][0](grid128) for name in names]
+            evolve(data, 4.0, 0.1, record_sources=False,
+                   on_snapshot=lambda state: [feed(r, state) for r in readers])
+            return [r.series() for r in readers]
+
+        peaks, results = [], []
+        for march in (stored, streamed):
+            tracemalloc.start()
+            try:
+                results.append(march())
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        for got, want in zip(*results, strict=True):
+            assert_same_series(got, want)
+        assert peaks[1] < 0.5 * peaks[0]
 
 
 class TestDiagnosticsReport:
