@@ -14,8 +14,8 @@ Run from the repository root:  python3 demos/demo_energy_identities.py
 import numpy as np
 
 from kgz2d import Field, FieldPair, LinearOperator, free_step, make_grid
-from kgz2d.energy_diag import energy, ghost_energy, multiplier_residual
-from kgz2d.system import evolve, free_flow, gaussian_data
+from kgz2d.energy_diag import GhostEnergies, MultiplierResiduals, energy
+from kgz2d.system import evolve, feed, free_flow, gaussian_data
 
 
 def main():
@@ -32,9 +32,10 @@ def main():
           f"{abs(energy(p, 1) - e0) / e0:.2e} (relative)")
 
     data = gaussian_data(grid, 1e-2)
-    free = free_flow(data, 8.0, 0.1)
+    free = free_flow(data, 8.0, 0.1, record_sources=False)
     nat = np.array([energy(s.E, 1) for s in free.states])
-    gst = ghost_energy(free, "E", delta=0.1)
+    # the identity word's column: the ghost energy of E itself
+    gst = np.array(free.feed(GhostEnergies(grid, 0.1, "E")).rows)[:, 0]
     print(f"ghost energy at t=0 equals natural energy: "
           f"{gst[0]:.6e} vs {nat[0]:.6e}")
     print(f"ghost minus natural at t=8 (accumulated good-derivative flux): "
@@ -44,8 +45,11 @@ def main():
           "(nonlinear run, delta=0.1, kappa=0.05):")
     prev = None
     for dt in (0.2, 0.1, 0.05):
-        traj = evolve(data, 8.0, dt, record_sources=False)
-        resid = multiplier_residual(traj, "E", 0.1, 0.05)[-1]
+        # fed as the march goes, so no state is stored
+        identity = MultiplierResiduals(grid, "E", 0.1, 0.05)
+        evolve(data, 8.0, dt, record_sources=False,
+               on_snapshot=lambda state: feed(identity, state))
+        resid = identity.series()[-1]
         note = f"  dt={dt:<5} imbalance {resid:.3e}"
         if prev is not None:
             note += f"  (x{prev / resid:.2f} smaller)"

@@ -12,7 +12,7 @@ Run from the repository root:  python3 demos/demo_vector_fields.py
 import numpy as np
 
 from kgz2d import Field, FieldPair, LinearOperator, free_step, make_grid, partial
-from kgz2d.energy_diag import ks_ratio
+from kgz2d.energy_diag import KSRatios
 from kgz2d.grid import bump_window
 from kgz2d.system import free_flow, gaussian_data
 from kgz2d.vector_fields import WordPlanes, check_commutators, good_derivative
@@ -50,7 +50,7 @@ def main():
 
     data = gaussian_data(make_grid(256, 40.0), 1e-2)
     run = free_flow(data, 30.0, 0.25, store_every=8, record_sources=False)
-    times, ratios = ks_ratio(run, "n")
+    times, ratios = run.feed(KSRatios(run.grid, "n")).series()
     print("\nKlainerman-Sobolev ratio on a free wave (|I| <= 2, truncated):")
     for t, r in zip(times[::3], ratios[::3]):
         print(f"  t={t:5.1f}  ratio {r:.4f}")

@@ -51,9 +51,6 @@ from .vector_fields import (
 from .energy_diag import (
     DiagnosticsReport,
     energy,
-    ghost_energy,
-    ks_ratio,
-    multiplier_residual,
     xnorm_distance,
     xnorm_terms,
 )

@@ -16,9 +16,10 @@ Every per-snapshot diagnostic is a reducer fed add(t, levels[, source]) in
 time order: a snapshot's packed jet levels (u, u_t[, u_tt]) of its field
 .which to its .depth and, if .sourced, the packed source of the field's
 equation they are built on.  It evaluates its words and derivatives from
-the word terms of vector_fields on the levels' WordPlanes.  A march feeds
-one from on_snapshot, with sources from system.state_source; _fed feeds
-one a stored trajectory (duck-typed: .times, .jet_levels, .source).
+the word terms of vector_fields on the levels' WordPlanes.  One function,
+system.feed, feeds one a state: a march's on_snapshot calls it, and so does
+a stored trajectory's .feed per snapshot.  xnorm_terms calls .feed
+(duck-typed), so this module imports nothing of system.
 """
 
 from __future__ import annotations
@@ -38,13 +39,10 @@ __all__ = [
     "spectral_energy",
     "energy",
     "GhostEnergies",
-    "ghost_energy",
     "MultiplierResiduals",
-    "multiplier_residual",
     "xnorm_terms",
     "xnorm_distance",
     "KSRatios",
-    "ks_ratio",
     "ExtraDecayRatios",
     "DiagnosticsReport",
 ]
@@ -122,22 +120,19 @@ _MASS = {"E": 1, "n": 0, "n_delta": 0}
 
 class GhostEnergies:
     """E_gst(t, Gamma^I u) of one field, fed add(t, levels) with the packed
-    level spectra (u, u_t[, u_tt]) of each snapshot's jet in time order: rows
-    gets a row per snapshot, a column per word |I| <= order, each word's
-    natural energy plus the running trapezoid integral of delta (|G_a Gamma^I
-    u|^2 + m^2 |Gamma^I u|^2) / <tau - r>^{1+delta}, as physical sums."""
+    level spectra (u, u_t, u_tt) of each snapshot's jet in time order: rows
+    gets a row per snapshot, a column per word |I| <= 1 (the identity's
+    first: u's own), each word's natural energy plus the running trapezoid
+    integral of delta (|G_a Gamma^I u|^2 + m^2 |Gamma^I u|^2)
+    / <tau - r>^{1+delta}, as physical sums."""
 
-    sourced = False
+    depth, sourced = 2, False  # dt and the boosts read u_tt
 
-    def __init__(self, grid: Grid, delta: float = 0.1, which: str = "n",
-                 order: int = 1):
+    def __init__(self, grid: Grid, delta: float = 0.1, which: str = "n"):
         if not delta > 0:
             raise ValueError("delta must be positive")
-        if order > 1:
-            raise ValueError("the word table holds the words |I| <= 1")
         self.grid, self.delta, self.which = grid, delta, which
-        self.words = all_words(order)
-        self.depth = 1 + order  # dt and the boosts read one level more
+        self.words = all_words(1)
         self.rows: list[np.ndarray] = []
         self._acc, self._prev = np.zeros(len(self.words)), None
 
@@ -164,28 +159,9 @@ class GhostEnergies:
         self.rows.append(row + self._acc)
 
     def uniform_term(self) -> np.ndarray:
-        """Per snapshot, the sum over words of E_gst^{1/2}; with the
-        default words (n's, |I| <= 1) it is xnorm_terms."""
+        """Per snapshot, the sum over words of E_gst^{1/2}; of n it is
+        xnorm_terms."""
         return np.sum(np.sqrt(np.maximum(np.array(self.rows), 0.0)), axis=1)
-
-
-def _fed(traj, reducer):
-    """reducer fed each snapshot of traj, as on_snapshot feeds a march's."""
-    for k, t in enumerate(traj.times):
-        levels = traj.jet_levels(k, reducer.which, reducer.depth)
-        if reducer.sourced:
-            reducer.add(t, levels, traj.source(k, reducer.which))
-        else:
-            reducer.add(t, levels)
-    return reducer
-
-
-def ghost_energy(traj, which: str = "n", delta: float = 0.1) -> np.ndarray:
-    """Ghost-weight energy series of the field itself (the identity word
-    of the uniform term).  Equals the natural energy at the first snapshot.
-    """
-    ghost = _fed(traj, GhostEnergies(traj.grid, delta, which, order=0))
-    return np.array(ghost.rows)[:, 0]
 
 
 class MultiplierResiduals:
@@ -249,13 +225,6 @@ class MultiplierResiduals:
         return np.abs(src_acc - (terms[:, 1] - terms[0, 1] + ghost_acc + kap_acc))
 
 
-def multiplier_residual(traj, which: str = "E", delta: float = 0.1,
-                        kappa: float = 0.05) -> np.ndarray:
-    """MultiplierResiduals' series of a stored trajectory."""
-    return _fed(traj, MultiplierResiduals(traj.grid, which, delta,
-                                          kappa)).series()
-
-
 # ---------------------------------------------------------------------------
 # solution-space (X-norm) terms
 # ---------------------------------------------------------------------------
@@ -263,7 +232,7 @@ def multiplier_residual(traj, which: str = "E", delta: float = 0.1,
 def xnorm_terms(traj, delta: float = 0.1) -> np.ndarray:
     """The uniform low-order wave-energy term of the X-norm, per snapshot:
     the sum over words |I| <= 1 of E_gst(t, Gamma^I n)^{1/2}."""
-    return _fed(traj, GhostEnergies(traj.grid, delta)).uniform_term()
+    return traj.feed(GhostEnergies(traj.grid, delta)).uniform_term()
 
 
 def xnorm_distance(a, b, delta: float = 0.1,
@@ -381,11 +350,6 @@ class KSRatios:
                         for t in times[valid]])
         return times[valid], np.divide(num[valid], den,
                                        out=np.zeros(len(den)), where=den > 0)
-
-
-def ks_ratio(traj, which: str = "n"):
-    """KSRatios' series of a stored trajectory."""
-    return _fed(traj, KSRatios(traj.grid, which)).series()
 
 
 # |dd u|^2 and |d u|^2 as weighted sums of squared planes, the Hessian's

@@ -36,12 +36,13 @@ from .scattering import (DuhamelSum, TailDivergenceError, in_tail_window,
 from .system import (
     KGZState,
     PicardNonConvergence,
+    _driving,
     _products,
     _steps_for,
     evolve,
+    feed,
     gaussian_data,
     picard_solve,
-    state_levels,
 )
 
 __all__ = [
@@ -351,10 +352,9 @@ class RunDiagnostics:
             for which, m in (("E", 1), ("n", 0)):
                 self.energies[which].append(
                     spectral_energy(self.grid, *state.spectra(which), m))
-            # n's source lap |E|^2, |E|^2 made as Trajectory.products does
-            S = _products(self.grid, E.values)[1].values
-            source = -self.grid.spectral["box_k_sq"] * S
-            self.ghost.add(state.t, state_levels(state, "n", [source]))
+            # n's source by state_source's rule, on the E made above
+            feed(self.ghost, state,
+                 _driving(self.grid, "n", *_products(self.grid, E.values)))
 
     def series(self) -> dict:
         series = {"sup_E": np.array(self.sup_E),

@@ -106,7 +106,8 @@ def _history(traj):
     if traj.source_history is None:
         raise MissingHistoryError(
             "trajectory was run without source recording")
-    return zip(traj.source_times, traj.source_history)
+    return zip(midpoints(len(traj.source_history), traj.dt),
+               traj.source_history)
 
 
 def _reduce(traj, s_values=()) -> DuhamelSum:

@@ -19,6 +19,9 @@ Readers that reduce as they go are handed each step's sources (on_source)
 or each state (on_snapshot) instead, and nothing is kept.  picard_solve
 marches the free flow and every iterate in lockstep, one state each, and
 keeps no iterate.
+
+An energy_diag reducer is fed one way, feed: a state's jet levels on one
+source, state_source's unless given (Trajectory.feed gives its own).
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ __all__ = [
     "Trajectory",
     "state_levels",
     "state_source",
+    "feed",
     "InitialData",
     "gaussian_data",
     "evolve",
@@ -105,10 +109,10 @@ class Trajectory:
     """Time-ordered KGZ snapshots plus recorded midpoint sources.
 
     source_history holds every step's midpoint (Q, S) = (-nE, |E|^2), the
-    packed spectra the march kicks with, at source_times (both None when
-    nothing was recorded).  The sources at snapshot times follow from kind:
-    the snapshot's own products ("coupled", "direct"), zero ("free"), or
-    the guess's products, recorded as snapshot_sources ("picard").
+    packed spectra the march kicks with, step k's at (k + 1/2) dt (None
+    when nothing was recorded).  The sources at snapshot times follow from
+    kind: the snapshot's own products ("coupled", "direct"), zero ("free"),
+    or the guess's products, recorded as snapshot_sources ("picard").
     """
 
     grid: Grid
@@ -116,7 +120,6 @@ class Trajectory:
     store_every: int
     times: np.ndarray
     states: list
-    source_times: np.ndarray | None
     source_history: list | None
     kind: str  # "coupled" | "direct" | "free" | "picard"
     snapshot_sources: list | None = None
@@ -160,6 +163,13 @@ class Trajectory:
         """Snapshot k's own packed (Q, S) (_own_products)."""
         return _own_products(self.states[k], with_n, rate)
 
+    def feed(self, reducer):
+        """reducer fed each snapshot in time order, as on_snapshot feeds a
+        march's: feed on the snapshot's source(k, reducer.which)."""
+        for k, state in enumerate(self.states):
+            feed(reducer, state, self.source(k, reducer.which))
+        return reducer
+
     def jet_levels(self, k: int, which: str, depth: int = 2) -> list:
         """Snapshot k's packed jet levels up to the depth-th time
         derivative (state_levels on its sources)."""
@@ -182,6 +192,20 @@ def state_levels(state: KGZState, which: str, sources=()) -> list:
     for j, src in enumerate(sources):
         levels.append(op * levels[j] + src)
     return levels
+
+
+def feed(reducer, state: KGZState, source: np.ndarray | None = None) -> None:
+    """Feed an energy_diag reducer one state: the packed jet levels of
+    reducer.which to reducer.depth (at most 2), built on the packed source of
+    the field's equation, and that source too if reducer.sourced.  A None
+    source is the coupled flow's, state_source(state, reducer.which)."""
+    if source is None:
+        source = state_source(state, reducer.which)
+    levels = state_levels(state, reducer.which, [source][:reducer.depth - 1])
+    if reducer.sourced:
+        reducer.add(state.t, levels, source)
+    else:
+        reducer.add(state.t, levels)
 
 
 def _own_products(state: KGZState, with_n: bool = True, rate: bool = False):
@@ -421,19 +445,18 @@ def _march(data: InitialData, T: float, dt: float, *, kicks,
         kind = "picard"
         if len(kicks) != march.steps:
             raise ValueError(f"kick history has {len(kicks)} steps, need {march.steps}")
-    states, times, source_times = [], [0.0], []
+    states, times = [], [0.0]
     history = [] if record_sources else None
     store = states.append if on_snapshot is None else on_snapshot
     store(march.state())
     for k in range(march.steps):
-        tau = k * dt + 0.5 * dt
         products = march.step(kicks[k] if kind == "picard" else kicks,
                               record_sources)
         if record_sources:
             history.append(products)
-            source_times.append(tau)
         if on_source is not None and products is not None:
             # a deferred step leaves E*, whose label is its midpoint
+            tau = k * dt + 0.5 * dt
             on_source(tau, products, KGZState(
                 tau if march.pending else (k + 1) * dt,
                 {"E": tuple(Spectrum(g, h) for h in march.E)}))
@@ -443,7 +466,6 @@ def _march(data: InitialData, T: float, dt: float, *, kicks,
     return Trajectory(
         grid=g, dt=dt, store_every=store_every,
         times=np.asarray(times), states=states,
-        source_times=np.asarray(source_times) if record_sources else None,
         source_history=history, kind=kind,
     )
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from kgz2d.grid import Field, FieldPair, Grid, bump_window, make_grid
-from kgz2d.system import state_levels, state_source
 from kgz2d.vector_fields import WordPlanes
 
 
@@ -28,19 +27,6 @@ def windowed_random_jet(grid, seed, t=0.8, components=1, depth=2):
     return WordPlanes(grid, t, [
         grid.box_rfft(windowed_random_field(grid, seed + 1000 * j, components))
         for j in range(depth + 1)])
-
-
-def feed(reducer, state):
-    """One state of the coupled flow, as a march hands it to on_snapshot,
-    into an energy_diag reducer as energy_diag._fed feeds a stored one: the
-    packed jet levels of reducer.which to reducer.depth, built on the source
-    state_source makes, and that source too if the reducer reads it."""
-    source = state_source(state, reducer.which)
-    levels = state_levels(state, reducer.which, [source][:reducer.depth - 1])
-    if reducer.sourced:
-        reducer.add(state.t, levels, source)
-    else:
-        reducer.add(state.t, levels)
 
 
 def dealias(f):

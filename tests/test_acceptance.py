@@ -35,7 +35,6 @@ from kgz2d.energy_diag import (
     energy,
     hessian_pointwise,
     kg_pointwise,
-    multiplier_residual,
 )
 from kgz2d.grid import Field, FieldPair, make_grid, read_field, write_field
 from kgz2d.harness import RunConfig, RunDiagnostics, fit_envelope, run
@@ -47,10 +46,11 @@ from kgz2d.scattering import (
     residual_series,
     scatter_profile,
 )
-from kgz2d.system import evolve, evolve_direct_n, gaussian_data, picard_solve
+from kgz2d.system import (evolve, evolve_direct_n, feed, gaussian_data,
+                          picard_solve)
 from kgz2d.vector_fields import check_commutators
 
-from conftest import feed, windowed_random_jet
+from conftest import windowed_random_jet
 
 DESK_N = 256
 DESK_L = 40.0
@@ -111,8 +111,9 @@ class TestCriterion2:
                on_snapshot=lambda state: [feed(r, state) for r in halves])
         factors = {}
         for (delta, kappa), half in zip(pairs, halves):
-            factors[(delta, kappa)] = multiplier_residual(
-                short_run, "E", delta, kappa)[-1] / half.series()[-1]
+            full = short_run.feed(MultiplierResiduals(desk_data.grid, "E",
+                                                      delta, kappa))
+            factors[(delta, kappa)] = full.series()[-1] / half.series()[-1]
         ok = all(f >= 3.5 for f in factors.values())
         detail = ", ".join(f"(d={d},k={k}): x{f:.2f}"
                            for (d, k), f in factors.items())

@@ -12,29 +12,25 @@ from kgz2d.energy_diag import (
     WORD_WEIGHTS,
     DiagnosticsReport,
     ExtraDecayRatios,
+    GhostEnergies,
     KSRatios,
     MultiplierResiduals,
-    _fed,
     _masked_max_ratio,
     _q_table,
     energy,
-    ghost_energy,
     ghost_weight_q,
     hessian_pointwise,
     jbracket,
     kg_pointwise,
-    ks_ratio,
-    multiplier_residual,
     spectral_energy,
     xnorm_distance,
     xnorm_terms,
 )
 from kgz2d.grid import Field, FieldPair, make_grid, partial
-from kgz2d.system import (evolve, free_flow, gaussian_data, picard_map,
+from kgz2d.system import (evolve, feed, free_flow, gaussian_data, picard_map,
                           state_levels)
 from kgz2d.vector_fields import WordPlanes, all_words, word_terms
 
-from conftest import feed
 from test_vector_fields import reference_word
 
 
@@ -63,6 +59,19 @@ def zero_run(grid, T=1.0, dt=0.1):
     z1 = Field(grid, np.zeros((1, grid.n, grid.n)))
     z2 = Field(grid, np.zeros((2, grid.n, grid.n)))
     return evolve(InitialData(E0=z2, E1=z2, n0_delta=z1, n1_delta=z1), T, dt)
+
+
+def ghost_series(traj, which, delta):
+    """The ghost energy of the field itself: the identity word's column of
+    the GhostEnergies the stored trajectory feeds."""
+    ghost = traj.feed(GhostEnergies(traj.grid, delta, which))
+    return np.array(ghost.rows)[:, 0]
+
+
+def imbalance_series(traj, which, delta, kappa):
+    """The multiplier identity's imbalance on a stored trajectory."""
+    return traj.feed(MultiplierResiduals(traj.grid, which, delta,
+                                         kappa)).series()
 
 
 class TestGhostWeight:
@@ -152,41 +161,41 @@ class TestEnergy:
 
 class TestGhostEnergy:
     def test_zero_run(self, grid64):
-        series = ghost_energy(zero_run(grid64), "n", 0.1)
+        series = ghost_series(zero_run(grid64), "n", 0.1)
         assert np.all(series == 0.0)
 
     def test_equals_energy_at_start(self, free_kg_run):
-        series = ghost_energy(free_kg_run, "E", 0.1)
+        series = ghost_series(free_kg_run, "E", 0.1)
         assert series[0] == pytest.approx(
             energy(free_kg_run.states[0].E, 1), rel=1e-14)
 
     def test_nondecreasing_on_free_run(self, free_kg_run):
-        series = ghost_energy(free_kg_run, "E", 0.1)
+        series = ghost_series(free_kg_run, "E", 0.1)
         assert np.all(np.diff(series) >= -1e-14 * series[0])
 
     def test_dominates_natural_energy(self, free_kg_run):
-        series = ghost_energy(free_kg_run, "E", 0.1)
+        series = ghost_series(free_kg_run, "E", 0.1)
         nat = np.array([energy(s.E, 1) for s in free_kg_run.states])
         assert np.all(series >= nat - 1e-14 * nat[0])
 
     def test_fine_dt_quadrature_oracle(self, grid64):
         data = gaussian_data(grid64, 1e-2)
-        coarse = ghost_energy(free_flow(data, 3.0, 0.1), "E", 0.1)[-1]
-        fine = ghost_energy(free_flow(data, 3.0, 0.025), "E", 0.1)[-1]
+        coarse = ghost_series(free_flow(data, 3.0, 0.1), "E", 0.1)[-1]
+        fine = ghost_series(free_flow(data, 3.0, 0.025), "E", 0.1)[-1]
         assert abs(coarse - fine) / fine <= 1e-4
 
     def test_rejects_bad_delta(self, free_kg_run):
         with pytest.raises(ValueError):
-            ghost_energy(free_kg_run, "E", 0.0)
+            GhostEnergies(free_kg_run.grid, 0.0, "E")
 
 
 class TestMultiplierIdentity:
     def test_zero_run(self, grid64):
-        series = multiplier_residual(zero_run(grid64), "E", 0.1, 0.05)
+        series = imbalance_series(zero_run(grid64), "E", 0.1, 0.05)
         assert np.all(series == 0.0)
 
     def test_degenerate_limit_is_conservation(self, free_kg_run):
-        series = multiplier_residual(free_kg_run, "E", 0.0, 0.0)
+        series = imbalance_series(free_kg_run, "E", 0.0, 0.0)
         e0 = energy(free_kg_run.states[0].E, 1)
         assert series[-1] <= 1e-10 * e0
 
@@ -195,29 +204,27 @@ class TestMultiplierIdentity:
         # depth-1 jet levels it asks for give the series of depth-2 ones bit
         # for bit
         traj = evolve(gaussian_data(grid64, 0.3), 2.0, 0.1)
-        depths = []
 
-        class DepthTwo:
-            def __getattr__(self, name):
-                return getattr(traj, name)
-
-            def jet_levels(self, k, which, depth=2):
-                depths.append(depth)
-                return traj.jet_levels(k, which, depth=2)
+        class Counted(MultiplierResiduals):
+            def add(self, t, levels, source):
+                self.counts.add(len(levels))
+                super().add(t, levels, source)
 
         for which in ("E", "n"):
-            want = multiplier_residual(DepthTwo(), which, 0.1, 0.05)
-            assert set(depths) == {1}
-            assert np.array_equal(multiplier_residual(traj, which, 0.1, 0.05),
-                                  want)
-            assert np.any(want > 0)
+            got, want = (Counted(grid64, which, 0.1, 0.05) for _ in "ab")
+            got.counts, want.counts, want.depth = set(), set(), 2
+            for reducer in (got, want):
+                traj.feed(reducer)
+            assert (got.counts, want.counts) == ({2}, {3})
+            assert np.array_equal(got.series(), want.series())
+            assert np.any(want.series() > 0)
 
     def test_second_order_in_dt(self, grid64):
         data = gaussian_data(grid64, 1e-2)
         resid = {}
         for dt in (0.1, 0.05):
             traj = evolve(data, 3.0, dt)
-            resid[dt] = multiplier_residual(traj, "E", 0.1, 0.05)[-1]
+            resid[dt] = imbalance_series(traj, "E", 0.1, 0.05)[-1]
         assert resid[0.1] / resid[0.05] >= 3.5
 
 
@@ -243,9 +250,9 @@ class TestXnormTerms:
         assert np.all(series >= 0.0)
 
     def test_identity_word_is_ghost_energy(self, nonlinear_run):
-        # ghost_energy is the identity word's term of the same loop, and
-        # every other word's term is nonnegative
-        series = ghost_energy(nonlinear_run, "n", 0.1)
+        # the identity word's term (ghost_series) is one of the summands,
+        # and every other word's term is nonnegative
+        series = ghost_series(nonlinear_run, "n", 0.1)
         assert np.all(xnorm_terms(nonlinear_run) >= np.sqrt(series))
 
 
@@ -313,11 +320,12 @@ class TestXnormDistance:
 
 class TestRatios:
     def test_ks_zero_guarded(self, grid64):
-        times, series = ks_ratio(zero_run(grid64), "n")
+        times, series = zero_run(grid64).feed(KSRatios(grid64, "n")).series()
         assert np.all(series == 0.0)
 
     def test_ks_static_time_zero(self, free_kg_run):
-        times, series = ks_ratio(free_kg_run, "n")
+        times, series = free_kg_run.feed(
+            KSRatios(free_kg_run.grid, "n")).series()
         assert times[0] == 0.0
         assert np.isfinite(series[0]) and series[0] > 0
 
@@ -327,27 +335,27 @@ class TestRatios:
         data = gaussian_data(g, 1e-2)
         traj = free_flow(data, 30.0, 0.25, store_every=8,
                          record_sources=False)
-        times, series = ks_ratio(traj, "n")
+        times, series = traj.feed(KSRatios(g, "n")).series()
         window = (times >= 1.0) & (times <= 15.0)
         assert np.max(series[window]) <= 5.0
 
     def test_hessian_free_wave_bounded(self, free_kg_run):
-        times, series = _fed(free_kg_run, ExtraDecayRatios(
+        times, series = free_kg_run.feed(ExtraDecayRatios(
             free_kg_run.grid, "n_delta", hessian_pointwise)).series()
         assert np.all(np.isfinite(series))
         assert np.max(series) <= 10.0
 
     def test_kg_free_bounded(self, free_kg_run):
-        times, series = _fed(free_kg_run, ExtraDecayRatios(
+        times, series = free_kg_run.feed(ExtraDecayRatios(
             free_kg_run.grid, "E", kg_pointwise)).series()
         assert np.all(np.isfinite(series))
         assert np.max(series) <= 10.0
 
     def test_zero_run_ratios(self, grid64):
         traj = zero_run(grid64, T=2.0)
-        _, h = _fed(traj, ExtraDecayRatios(grid64, "n_delta",
-                                           hessian_pointwise)).series()
-        _, k = _fed(traj, ExtraDecayRatios(grid64, "E", kg_pointwise)).series()
+        _, h = traj.feed(ExtraDecayRatios(grid64, "n_delta",
+                                          hessian_pointwise)).series()
+        _, k = traj.feed(ExtraDecayRatios(grid64, "E", kg_pointwise)).series()
         assert len(h) == len(k) == 11
         assert np.all(h == 0.0) and np.all(k == 0.0)
 
@@ -478,7 +486,7 @@ class TestReducers:
     def test_fed_equals_the_reference_loop(self, request, reader, run):
         traj = request.getfixturevalue(run)
         make, reference = READERS[reader]
-        assert_same_series(_fed(traj, make(traj.grid)).series(),
+        assert_same_series(traj.feed(make(traj.grid)).series(),
                            reference(traj))
 
     def test_streamed_equals_the_stored_reference(self, grid64,
@@ -492,12 +500,18 @@ class TestReducers:
             assert_same_series(reader.series(),
                                READERS[name][1](nonlinear_run))
 
-    def test_wrappers_are_the_fed_reducers(self, nonlinear_run):
-        assert_same_series(ks_ratio(nonlinear_run, "n"),
-                           reference_ks_ratio(nonlinear_run, "n"))
-        assert_same_series(multiplier_residual(nonlinear_run, "n", 0.2, 0.1),
-                           reference_multiplier_residual(nonlinear_run, "n",
-                                                         0.2, 0.1))
+    def test_stored_feed_forms_one_source_per_snapshot(self, grid64,
+                                                      transforms):
+        # before t = 1 the ratios read nothing, so feeding them costs the
+        # source alone, formed once for each of the 6 snapshots: E pruned
+        # inverse, |E|^2 pruned forward; no whole plane
+        traj = evolve(gaussian_data(grid64, 1e-2), 0.5, 0.1)
+        calls = transforms()
+        hessian = traj.feed(ExtraDecayRatios(grid64, "n_delta",
+                                             hessian_pointwise))
+        assert hessian.times == [] and len(traj) == 6
+        assert calls == {"rfft": 0, "irfft": 0, "box_rfft": 6,
+                         "box_irfft": 6}
 
     def test_streaming_keeps_under_half_the_stored_memory(self, grid128):
         # criterion 9's three readers on a march that stores every state
@@ -507,7 +521,7 @@ class TestReducers:
 
         def stored():
             traj = evolve(data, 4.0, 0.1, record_sources=False)
-            return [_fed(traj, READERS[name][0](grid128)).series()
+            return [traj.feed(READERS[name][0](grid128)).series()
                     for name in names]
 
         def streamed():

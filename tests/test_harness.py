@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kgz2d.energy_diag import jbracket, spectral_energy, xnorm_terms
+from kgz2d.energy_diag import (GhostEnergies, jbracket, spectral_energy,
+                               xnorm_terms)
 from kgz2d.grid import Field, FieldPair, Grid, make_grid, read_field
 from kgz2d import grid as grid_module, harness, scattering
 from kgz2d.harness import (
@@ -22,7 +23,8 @@ from kgz2d.harness import (
     run_picard,
 )
 from kgz2d.propagator import InstabilityError, LinearOperator, free_step
-from kgz2d.system import evolve, gaussian_data
+from kgz2d.scattering import midpoints
+from kgz2d.system import evolve, feed, gaussian_data, state_source
 
 
 SMALL_CONFIG = """
@@ -268,7 +270,8 @@ class TestStreamedRun:
                                       state.field(which).values)
         # every 3rd step's sources from step 0, as the full record has them
         assert live.steps == 20 and len(duhamel.times) == 20
-        assert [tau for tau, _ in live.sources] == list(full.source_times[::3])
+        assert [tau for tau, _ in live.sources] == \
+            list(midpoints(20, 0.1)[::3])
         for (_, got), want_src in zip(live.sources, full.source_history[::3],
                                       strict=True):
             assert all(np.array_equal(a.values, b.values)
@@ -283,16 +286,24 @@ class TestStreamedRun:
     def test_ghost_snapshot_transforms(self, grid64, transforms):
         # what the ghost energies add to one snapshot of the reducer: |E|^2
         # forward from the E it already holds, and the 9 planes of n's words
-        # |I| <= 1, each one pruned inverse transform; no whole plane
+        # |I| <= 1, each one pruned inverse transform; no whole plane.  That
+        # source is n's by state_source's rule: the ghost rows are those of
+        # a GhostEnergies fed state_source's, bit for bit
         state = evolve(gaussian_data(grid64, 0.3), 0.2, 0.1).states[-1]
         counts = []
         for energies in (False, True):
             calls = transforms()
-            RunDiagnostics(grid64, energies, 0.1, 0).add(state)
+            snaps = RunDiagnostics(grid64, energies, 0.1, 0)
+            snaps.add(state)
             counts.append(dict(calls))
         ghost = {name: counts[1][name] - counts[0][name] for name in calls}
         assert ghost == {"rfft": 0, "irfft": 0, "box_rfft": 1, "box_irfft": 9}
-        assert counts[1]["rfft"] == counts[1]["irfft"] == 0
+        assert counts[1] == {"rfft": 0, "irfft": 0, "box_rfft": 1,
+                             "box_irfft": 11}
+        want = GhostEnergies(grid64, 0.1)
+        feed(want, state, state_source(state, "n"))
+        assert np.array_equal(snaps.ghost.rows, want.rows)
+        assert want.rows[0][0] > 0
 
     def test_run_and_scatter_keep_no_states(self, tmp_path, monkeypatch):
         marches = []
@@ -369,7 +380,7 @@ class TestSourceDumps:
             assert got == sorted(f"src{w}_t{(k + 0.5) * 0.05:08.3f}.kgz"
                                  for k in dumped for w in "QS")
             for k in dumped:
-                tau = full.source_times[k]
+                tau = midpoints(30, 0.05)[k]
                 for w, src in zip("QS", full.source_history[k]):
                     f, t = read_field(
                         tmp_path / out / f"src{w}_t{tau:08.3f}.kgz")

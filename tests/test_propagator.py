@@ -12,6 +12,7 @@ from kgz2d.propagator import (
     forced_step,
     free_step,
 )
+from kgz2d.scattering import midpoints
 from kgz2d.system import free_flow, gaussian_data, picard_map
 
 from conftest import dealias, gaussian_pair
@@ -32,7 +33,7 @@ def linear_solve(data, T, dt, source):
     guess = free_flow(data, T, dt)
     g = data.grid
     history = [tuple(Spectrum.pack(g, g.rfft(f.values)) for f in source(tau))
-               for tau in guess.source_times]
+               for tau in midpoints(len(guess.source_history), dt)]
     return picard_map(dataclasses.replace(guess, source_history=history), data)
 
 

@@ -17,6 +17,7 @@ from kgz2d.scattering import (
     ScatterProfile,
     TailDivergenceError,
     build_scatter_data,
+    midpoints,
     residual_series,
     scatter_launch,
     source_norm_series,
@@ -62,7 +63,8 @@ def linear_march(data, T, dt, kicks):
 def recorded_tails(traj, t_max, probes):
     """A DuhamelTail fed the trajectory's recorded sources."""
     tails = DuhamelTail(traj.grid, traj.dt, t_max, probes)
-    for tau, sources in zip(traj.source_times, traj.source_history):
+    for tau, sources in zip(midpoints(len(traj.source_history), traj.dt),
+                            traj.source_history):
         tails.add(tau, sources, None)
     return tails
 
@@ -174,7 +176,7 @@ class TestBuildScatterData:
         g = run_grid
         env = Field(g, np.exp(-g.R**2)[None] * np.ones((2, 1, 1)))
         zero1 = Field(g, np.zeros((1, g.n, g.n)))
-        history = [(env, zero1) for _ in nonlinear_run.source_times]
+        history = [(env, zero1) for _ in nonlinear_run.source_history]
         with pytest.raises(TailDivergenceError):
             build_scatter_data(with_history(nonlinear_run, history), 1.0)
 

@@ -9,6 +9,7 @@ from kgz2d.energy_diag import xnorm_distance
 from kgz2d.grid import Field, FieldPair, Grid, Spectrum, laplacian, make_grid
 from kgz2d.harness import RunConfig
 from kgz2d.propagator import InstabilityError, LinearOperator, free_step
+from kgz2d.scattering import midpoints
 from kgz2d.system import (
     InitialData,
     PicardNonConvergence,
@@ -251,7 +252,7 @@ class TestPicard:
         assert all(r <= 0.5 for r in ratios)
         # the limit's jets read its own products, as the nonlinear flow's do
         traj = dataclasses.replace(reference, states=limit,
-                                   source_history=None, source_times=None)
+                                   source_history=None)
         assert xnorm_distance(traj, reference) <= 10 * 1e-7
 
     def test_requires_dense_guess(self, grid64):
@@ -375,8 +376,7 @@ class TestTrajectory:
     def test_source_history_recorded(self, small_run):
         _, traj = small_run
         assert len(traj.source_history) == 30
-        assert len(traj.source_times) == 30
-        assert traj.source_times[0] == pytest.approx(0.05)
+        assert midpoints(30, traj.dt)[0] == pytest.approx(0.05)
 
     def test_index_lookup(self, small_run):
         _, traj = small_run
@@ -414,7 +414,7 @@ class TestTrajectory:
     def test_no_record(self, small_run):
         data, _ = small_run
         traj = evolve(data, 1.0, 0.1, record_sources=0)
-        assert traj.source_history is None and traj.source_times is None
+        assert traj.source_history is None
 
     @pytest.mark.parametrize("bad", [-1, 2.5, 4, "yes"])
     def test_rejects_bad_stride(self, small_run, bad):
