@@ -6,18 +6,14 @@ For small data the iteration contracts dramatically faster than the 1/2
 factor the theory guarantees, and its fixed point reproduces the nonlinear
 solver to round-off.
 
-The second part runs the optional experiment of including the spacetime
-integral term of the solution-space metric in the contraction distance:
-the measured ratios barely move, so the contraction is visible either way.
-
 Run from the repository root:  python3 demos/demo_picard_contraction.py
 """
 
 import numpy as np
 
-from kgz2d import evolve, make_grid, picard_map, picard_solve
-from kgz2d.energy_diag import energy, xnorm_distance
-from kgz2d.system import free_flow, gaussian_data
+from kgz2d import evolve, make_grid, picard_solve
+from kgz2d.energy_diag import energy
+from kgz2d.system import gaussian_data
 
 
 def main():
@@ -43,17 +39,6 @@ def main():
         print(f"  eps={eps:g}: {len(ratios) + 1} maps, "
               f"ratios {[f'{r:.2e}' for r in ratios]}, "
               f"limit-vs-evolve energy distance {dist:.2e}")
-
-    print("\ndistance metric with and without the spacetime integral term:")
-    data = gaussian_data(grid, 1e-2)
-    x0 = free_flow(data, T, dt)
-    x1 = picard_map(x0, data)
-    x2 = picard_map(x1, data)
-    for include in (False, True):
-        d01 = xnorm_distance(x1, x0, include_spacetime=include)
-        d12 = xnorm_distance(x2, x1, include_spacetime=include)
-        tag = "with" if include else "without"
-        print(f"  {tag} spacetime term: ratio {d12 / d01:.4f}")
 
 
 if __name__ == "__main__":

@@ -229,50 +229,36 @@ class MultiplierResiduals:
 # solution-space (X-norm) terms
 # ---------------------------------------------------------------------------
 
+# delta of the X-distance's time weight <t>^{-delta}
+XNORM_DELTA = 0.1
+
+
 def xnorm_terms(traj, delta: float = 0.1) -> np.ndarray:
     """The uniform low-order wave-energy term of the X-norm, per snapshot:
     the sum over words |I| <= 1 of E_gst(t, Gamma^I n)^{1/2}."""
     return traj.feed(GhostEnergies(traj.grid, delta)).uniform_term()
 
 
-def xnorm_distance(a, b, delta: float = 0.1,
-                   include_spacetime: bool = False) -> float:
+def xnorm_distance(a, b) -> float:
     """Truncated discrete X-seminorm distance between two trajectories.
 
     sup over t of sum_{|I| <= 1} of <t>^{-delta} ( E_1(Gamma^I dE)^{1/2}
     + ||Gamma^I dn|| + ||(<t+r>/<t-r>) Gamma^I dE|| ), where d* are the
-    snapshot differences.  With include_spacetime the running integral term
-    of the full norm is added (kept optional; see module notes).
+    snapshot differences and delta is XNORM_DELTA.  The full norm's
+    spacetime integral term is left out (README, Numerical notes).
     """
     if len(a.times) != len(b.times) or not np.allclose(a.times, b.times):
         raise ValueError("trajectories cover different time grids")
-    words = all_words(1)
-    best = 0.0
-    st_acc = np.zeros(len(words))
-    st_prev = None
-    for k in range(len(a.times)):
-        t = a.times[k]
-        sides = ({which: traj.jet_levels(k, which, depth)
-                  for which, depth in (("E", 2), ("n", 1))} for traj in (a, b))
-        total, st_integ = _xnorm_snapshot(a.grid, t, *sides, words, delta,
-                                          include_spacetime)
-        if include_spacetime:
-            if st_prev is not None:
-                st_acc += 0.5 * (st_prev + st_integ) * (t - a.times[k - 1])
-            st_prev = st_integ
-            total += jbracket(t) ** (-0.5 * delta) \
-                * float(np.sqrt(np.sum(st_acc)))
-        best = max(best, total)
-    return best
+    return max((_xnorm_snapshot(a.grid, t, *(
+        {"E": x.jet_levels(k, "E", 2), "n": x.jet_levels(k, "n", 1)}
+        for x in (a, b))) for k, t in enumerate(a.times)), default=0.0)
 
 
-def _xnorm_snapshot(g, t: float, a: dict, b: dict, words, delta: float,
-                    include_spacetime: bool):
-    """One snapshot's sum over words of the distance terms, and the
-    integrands of the spacetime term, from the two sides' packed jet levels
-    a[which], b[which] at t ("E" to depth 2, "n" to depth 1).  A jet is
-    linear, so each field's word planes are made once, on the levels'
-    difference, and freed when this returns.
+def _xnorm_snapshot(g, t: float, a: dict, b: dict) -> float:
+    """One snapshot's sum over words of the distance terms, from the two
+    sides' packed jet levels a[which], b[which] at t ("E" to depth 2, "n"
+    to depth 1).  A jet is linear, so each field's word planes are made
+    once, on the levels' difference, and freed when this returns.
 
     v = Gamma dE and d_t v are the words' first two WORD_WEIGHTS rows.  In
     E_1(v) = int |d_t v|^2 + |grad v|^2 + |v|^2 only the gradient term
@@ -282,15 +268,13 @@ def _xnorm_snapshot(g, t: float, a: dict, b: dict, words, delta: float,
     weight box_k_sq is grad_sq on the box, so only rot, L1 and L2 take a
     whole-plane rfft."""
     R = g.R
-    tb = jbracket(t)
+    weight = jbracket(t) ** (-XNORM_DELTA)
     dE, dn = ([la - lb for la, lb in zip(a[which], b[which])]
               for which in ("E", "n"))
     planes_E, planes_n = WordPlanes(g, t, dE), WordPlanes(g, t, dn)
     cone_w = (jbracket(t + R) / jbracket(t - R)) ** 2
     total = 0.0
-    st_integ = np.empty(len(words))
-    for i, w in enumerate(words):
-        rows = WORD_WEIGHTS[w.letters]
+    for rows in WORD_WEIGHTS.values():
         vE = planes_E.combine(rows[0])
         # d_t v enters through its grid sum alone, so its plane goes at once
         vt_sum = np.sum(planes_E.combine(rows[1]) ** 2)
@@ -304,12 +288,8 @@ def _xnorm_snapshot(g, t: float, a: dict, b: dict, words, delta: float,
         vn = planes_n.combine(rows[0])
         l2n = float(np.sqrt(np.sum(vn**2) * g.cell_area))
         cone = float(np.sqrt(np.sum(cone_w * vE_sq) * g.cell_area))
-        total += tb ** (-delta) * (math.sqrt(max(e1, 0.0)) + l2n + cone)
-        if include_spacetime:
-            stw = (tb ** (-0.5 * delta)
-                   * jbracket(t - R) ** (-0.5 - 0.5 * delta)) ** 2
-            st_integ[i] = float(np.sum(stw * vE_sq) * g.cell_area)
-    return total, st_integ
+        total += weight * (math.sqrt(max(e1, 0.0)) + l2n + cone)
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -232,13 +232,12 @@ class FitResult:
                 f"({self.n_points} pts, rms {self.residual:.2e})")
 
 
-def fit_envelope(times, values, window, *, n_boot: int = 200,
-                 seed: int = 0) -> FitResult:
+def fit_envelope(times, values, window, *, seed: int = 0) -> FitResult:
     """Least-squares slope of log(value) against log(t) over a window.
 
     The window must span at least one octave (t2 >= 2 t1) and contain at
     least 8 strictly positive samples.  The 95% interval comes from
-    resampling the points with replacement.
+    200 resamples of the points with replacement.
     """
     t1, t2 = float(window[0]), float(window[1])
     if t2 < 2.0 * t1:
@@ -254,14 +253,10 @@ def fit_envelope(times, values, window, *, n_boot: int = 200,
     slope, intercept = np.polyfit(lt, lv, 1)
     resid = float(np.sqrt(np.mean((lv - slope * lt - intercept) ** 2)))
     rng = np.random.default_rng(seed)
-    idx = np.arange(len(lt))
-    boots = np.empty(n_boot)
-    for b in range(n_boot):
-        pick = rng.choice(idx, size=len(idx), replace=True)
-        if len(np.unique(lt[pick])) < 2:
-            boots[b] = slope
-            continue
-        boots[b] = np.polyfit(lt[pick], lv[pick], 1)[0]
+    picks = (rng.choice(len(lt), size=len(lt), replace=True)
+             for _ in range(200))
+    boots = [np.polyfit(lt[p], lv[p], 1)[0] if len(np.unique(lt[p])) > 1
+             else slope for p in picks]
     lo, hi = np.percentile(boots, [2.5, 97.5])
     return FitResult(float(slope), float(lo), float(hi), t1, t2, resid,
                      int(np.count_nonzero(mask)))
@@ -273,18 +268,18 @@ def fit_envelope(times, values, window, *, n_boot: int = 200,
 
 class ShellProbe:
     """Per-snapshot reducer of |n| near the light cone, fed add(t, n) in
-    time order: sups gets sup |n| over {|r - t| <= band} and ratios, from
+    time order: sups gets sup |n| over {|r - t| <= 2} and ratios, from
     t_min on, sup |n| on the near-cone shell t - r in shells[0] over sup |n|
     on the deep shell t - r in shells[1]."""
 
-    def __init__(self, grid, band: float = 2.0,
-                 shells=((4.0, 6.0), (16.0, 24.0)), t_min: float = 18.0):
-        self.R, self.band, self.shells, self.t_min = grid.R, band, shells, t_min
+    def __init__(self, grid, shells=((4.0, 6.0), (16.0, 24.0)),
+                 t_min: float = 18.0):
+        self.R, self.shells, self.t_min = grid.R, shells, t_min
         self.sups, self.ratios = [], []
 
     def add(self, t: float, n: np.ndarray) -> None:
         R, n = self.R, np.abs(n)
-        mask = np.abs(R - t) <= self.band
+        mask = np.abs(R - t) <= 2.0
         self.sups.append(float(n[mask].max()) if mask.any() else 0.0)
         if t >= self.t_min:
             m1, m2 = ((t - R >= a) & (t - R <= b) for a, b in self.shells)

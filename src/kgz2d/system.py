@@ -35,7 +35,7 @@ import numpy as np
 
 from .grid import Field, FieldPair, Grid, Spectrum, laplacian
 from .propagator import InstabilityError, LinearOperator
-from .vector_fields import WordPlanes, all_words
+from .vector_fields import WordPlanes
 
 __all__ = [
     "KGZState",
@@ -159,9 +159,9 @@ class Trajectory:
                              "derivative, so its jets stop at depth 2")
         return _driving(self.grid, which, *self.snapshot_sources[k])
 
-    def products(self, k: int, with_n: bool = True, rate: bool = False):
+    def products(self, k: int):
         """Snapshot k's own packed (Q, S) (_own_products)."""
-        return _own_products(self.states[k], with_n, rate)
+        return _own_products(self.states[k])
 
     def feed(self, reducer):
         """reducer fed each snapshot in time order, as on_snapshot feeds a
@@ -208,22 +208,24 @@ def feed(reducer, state: KGZState, source: np.ndarray | None = None) -> None:
         reducer.add(state.t, levels)
 
 
-def _own_products(state: KGZState, with_n: bool = True, rate: bool = False):
-    """A state's own packed (Q, S) = (-nE, |E|^2) (Q None without n), or
-    with rate their time derivatives, from its levels read alone."""
+def _own_products(state: KGZState, with_n: bool = True, rate: bool = False,
+                  with_s: bool = True):
+    """A state's own packed (Q, S) = (-nE, |E|^2) (_products), or with rate
+    their time derivatives, from its levels read alone."""
     g, read = state.grid, 2 if rate else 1
     E = [g.box_irfft(b) for b in state.box("E")[:read]]
     n = ([g.box_irfft(b) for b in state.box("n")[:read]] if with_n
          else [None, None])
-    return _products(g, E[0], n[0], rate=(E[1], n[1]) if rate else None)
+    return _products(g, E[0], n[0], rate=(E[1], n[1]) if rate else None,
+                     with_s=with_s)
 
 
 def state_source(state: KGZState, which: str, rate: bool = False) -> np.ndarray:
     """The packed source that drives `which` at a state of the coupled flow,
     or with rate its time derivative, from the state's own products: -nE
     for "E", |E|^2 for "n_delta" and lap(|E|^2) for "n"."""
-    return _driving(state.grid, which,
-                    *_own_products(state, which == "E", rate))
+    return _driving(state.grid, which, *_own_products(
+        state, which == "E", rate, with_s=which != "E"))
 
 
 def _driving(g: Grid, which: str, q: Spectrum, s: Spectrum) -> np.ndarray:
@@ -562,7 +564,7 @@ def picard_solve(data: InitialData, T: float, dt: float, *,
 
     if max_iter < 2:
         raise ValueError("max_iter must be >= 2")
-    words, terms = all_words(1), [[]]  # terms[j][k]: iterates j+1, j at k
+    terms = [[]]  # terms[j][k]: iterates j+1, j at k
     start = _Strang(data, T, dt)  # copied per pass; a step only rebinds
     while True:
         marches = [copy(start) for _ in range(len(terms) + 1)]
@@ -576,8 +578,8 @@ def picard_solve(data: InitialData, T: float, dt: float, *,
             first = sum(len(row) > k for row in terms)
             levels = (_xnorm_levels(marches, j) for j in range(first, len(marches)))
             for j, (below, above) in enumerate(pairwise(levels), first):
-                terms[j].append(_xnorm_snapshot(
-                    data.grid, k * dt, above, below, words, 0.1, False)[0])
+                terms[j].append(
+                    _xnorm_snapshot(data.grid, k * dt, above, below))
             if on_snapshot is not None:
                 on_snapshot(marches[-1].state())
             if len(terms) < max_iter and reduce(max, terms[-1], 0.0) >= tol:

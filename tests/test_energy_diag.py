@@ -311,12 +311,6 @@ class TestXnormDistance:
         want = letter_path_distance(a, b)
         assert abs(xnorm_distance(a, b) - want) <= 1e-12 * want
 
-    def test_spacetime_term_optional(self, nonlinear_run, free_kg_run):
-        base = xnorm_distance(nonlinear_run, free_kg_run)
-        with_st = xnorm_distance(nonlinear_run, free_kg_run,
-                                 include_spacetime=True)
-        assert with_st >= base
-
 
 class TestRatios:
     def test_ks_zero_guarded(self, grid64):
@@ -503,15 +497,17 @@ class TestReducers:
     def test_stored_feed_forms_one_source_per_snapshot(self, grid64,
                                                       transforms):
         # before t = 1 the ratios read nothing, so feeding them costs the
-        # source alone, formed once for each of the 6 snapshots: E pruned
-        # inverse, |E|^2 pruned forward; no whole plane
+        # source alone, formed once for each of the 6 snapshots: the fields
+        # its product reads pruned inverse (E, and n for -nE), the product
+        # pruned forward (|E|^2 is not formed for E); no whole plane
         traj = evolve(gaussian_data(grid64, 1e-2), 0.5, 0.1)
-        calls = transforms()
-        hessian = traj.feed(ExtraDecayRatios(grid64, "n_delta",
-                                             hessian_pointwise))
-        assert hessian.times == [] and len(traj) == 6
-        assert calls == {"rfft": 0, "irfft": 0, "box_rfft": 6,
-                         "box_irfft": 6}
+        for which, pointwise, inverses in (("n_delta", hessian_pointwise, 6),
+                                           ("E", kg_pointwise, 12)):
+            calls = transforms()
+            ratios = traj.feed(ExtraDecayRatios(grid64, which, pointwise))
+            assert ratios.times == [] and len(traj) == 6
+            assert calls == {"rfft": 0, "irfft": 0, "box_rfft": 6,
+                             "box_irfft": inverses}
 
     def test_streaming_keeps_under_half_the_stored_memory(self, grid128):
         # criterion 9's three readers on a march that stores every state

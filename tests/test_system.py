@@ -428,11 +428,11 @@ class TestJet:
     """A snapshot jet reads the stored packed spectra.  Its word planes
     invert each level read (u, u_t, u_tt) once, and the source of u_tt
     inverts the snapshot fields its driving product reads (E, and n for E's
-    source) and transforms each product forward once, all pruned to the
+    source) and transforms that product forward once, all pruned to the
     dealias box."""
 
     @pytest.mark.parametrize("which, rffts, irffts",
-                             [("E", 2, 5), ("n", 1, 4), ("n_delta", 1, 4)])
+                             [("E", 1, 5), ("n", 1, 4), ("n_delta", 1, 4)])
     def test_depth_two_transform_count(self, small_run, transforms, which,
                                        rffts, irffts):
         _, traj = small_run

@@ -327,6 +327,11 @@ class TestWordTable:
         assert word_terms(("L1", "L1")) == (
             "x1*x1*utt", "x1*u1", "x1*t*ut1", "t*ut", "t*x1*ut1", "t*t*u11")
 
+    def test_table_is_in_word_order(self):
+        # the X-distance sums its words in the table's order, so a reordered
+        # table would move picard.txt by round-off
+        assert list(WORD_WEIGHTS) == [w.letters for w in all_words(1)]
+
     # The product rule against the letter path, which multiplies by x_a in
     # physical space and transforms the product again: on box-interior
     # fields the two agree to round-off, measured <= 3.6e-13 of each word's
