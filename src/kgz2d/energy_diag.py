@@ -233,10 +233,10 @@ class MultiplierResiduals:
 XNORM_DELTA = 0.1
 
 
-def xnorm_terms(traj, delta: float = 0.1) -> np.ndarray:
+def xnorm_terms(traj) -> np.ndarray:
     """The uniform low-order wave-energy term of the X-norm, per snapshot:
-    the sum over words |I| <= 1 of E_gst(t, Gamma^I n)^{1/2}."""
-    return traj.feed(GhostEnergies(traj.grid, delta)).uniform_term()
+    the sum over words |I| <= 1 of E_gst(t, Gamma^I n)^{1/2}, default delta."""
+    return traj.feed(GhostEnergies(traj.grid)).uniform_term()
 
 
 def xnorm_distance(a, b) -> float:

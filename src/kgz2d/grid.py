@@ -20,7 +20,6 @@ __all__ = [
     "Grid",
     "Field",
     "FieldPair",
-    "Spectrum",
     "make_grid",
     "laplacian",
     "partial",
@@ -123,26 +122,35 @@ class Grid:
     def irfft(self, hat: np.ndarray) -> np.ndarray:
         return np.fft.irfft2(hat, s=(self.n, self.n), axes=(-2, -1))
 
-    # Pruned transforms of band-limited fields.  rfft2 and irfft2 are two
-    # passes of 1D transforms, one along each axis; the box keeps only the
-    # leading columns, so the pass along axis -2 runs over those columns
-    # alone.  Each lane is the same 1D transform as in the whole-plane path,
-    # so the results are bit-identical to pack(rfft(.)) and irfft(unpack()).
+    # A band-limited field is packed as its rfft coefficients inside the 2/3
+    # dealias box: a bare (components, rows, cols) complex array, the box's
+    # rows in FFT order by its leading columns, about 0.45 of a physical
+    # plane in bytes.  Packing drops every mode outside the box, i.e.
+    # dealiases.  rfft2 and irfft2 are two passes of 1D transforms, one
+    # along each axis; the box keeps only the leading columns, so the pass
+    # along axis -2 runs over those columns alone.  Each lane is the same 1D
+    # transform as in the whole-plane path, so the results are bit-identical
+    # to the box of rfft(.) and to irfft(unpack(.)).
 
     def box_rfft(self, values: np.ndarray) -> np.ndarray:
-        """The packed dealias-box coefficients (components, rows, cols) of
-        physical values: Spectrum.pack(grid, rfft(values)).values."""
+        """The packed dealias-box coefficients of physical values."""
         rows, cols = self.spectral["box"]
         half = np.fft.rfft(values, axis=-1)[..., :cols]
         return np.fft.fft(half, axis=-2)[..., rows, :]
 
     def box_irfft(self, box: np.ndarray) -> np.ndarray:
-        """The physical field of packed dealias-box coefficients:
-        irfft(Spectrum(grid, box).unpack())."""
+        """The physical field of packed dealias-box coefficients."""
         rows, cols = self.spectral["box"]
         columns = np.zeros(box.shape[:-2] + (self.n, cols), dtype=complex)
         columns[..., rows, :] = box
         return np.fft.irfft(np.fft.ifft(columns, axis=-2), n=self.n, axis=-1)
+
+    def unpack(self, box: np.ndarray) -> np.ndarray:
+        """The half spectrum of packed coefficients, zero outside the box."""
+        rows, cols = self.spectral["box"]
+        hat = np.zeros(box.shape[:-2] + (self.n, self.n // 2 + 1), dtype=complex)
+        hat[..., rows, :cols] = box
+        return hat
 
     def parseval(self, hat: np.ndarray, weight=1.0) -> float:
         """Weighted Parseval sum: sum over modes of weight |u_hat|^2, summed
@@ -150,7 +158,7 @@ class Grid:
         integral of |u|^2.
 
         hat is a half spectrum: either the whole rfft output, or one packed
-        to the dealias box (Spectrum.values); weight broadcasts against it.
+        to the dealias box (box_rfft); weight broadcasts against it.
         Every column stands for itself and its conjugate mirror
         (multiplicity 2) except the zero and Nyquist columns, which are
         their own mirrors (multiplicity 1); the box holds no Nyquist
@@ -236,42 +244,6 @@ class FieldPair:
 
     def __sub__(self, other: "FieldPair") -> "FieldPair":
         return FieldPair(self.u - other.u, self.ut - other.ut)
-
-
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """A band-limited field kept as its rfft coefficients inside the 2/3
-    dealias box.
-
-    values has shape (components, rows, cols): the box's rows in FFT order
-    by its leading columns, about 0.45 of a physical plane in bytes.  pack
-    takes a whole rfft and Grid.box_rfft a physical field; either drops
-    every mode outside the box, i.e. dealiases it.
-    """
-
-    grid: Grid
-    values: np.ndarray
-
-    @classmethod
-    def pack(cls, grid: Grid, hat: np.ndarray) -> "Spectrum":
-        """The box of a half spectrum of shape (components, n, n//2 + 1)."""
-        rows, cols = grid.spectral["box"]
-        return cls(grid, hat[..., rows, :cols])
-
-    @property
-    def components(self) -> int:
-        return self.values.shape[0]
-
-    def unpack(self) -> np.ndarray:
-        """The whole half spectrum, zero outside the box."""
-        g = self.grid
-        rows, cols = g.spectral["box"]
-        hat = np.zeros((self.components, g.n, g.n // 2 + 1), dtype=complex)
-        hat[..., rows, :cols] = self.values
-        return hat
-
-    def field(self) -> Field:
-        return Field(self.grid, self.grid.box_irfft(self.values))
 
 
 # ---------------------------------------------------------------------------

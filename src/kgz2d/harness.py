@@ -34,7 +34,6 @@ from .scattering import (DuhamelSum, TailDivergenceError, in_tail_window,
                          launch_from, midpoints, residual_series,
                          scatter_profile, write_profile)
 from .system import (
-    KGZState,
     PicardNonConvergence,
     _driving,
     _products,
@@ -65,7 +64,7 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    """Flat key=value run configuration; unknown keys are rejected."""
+    """Flat key=value run configuration; unknown or repeated keys fail."""
 
     points_per_axis: int = 256
     L: float = 40.0
@@ -170,8 +169,8 @@ _TUPLE_KEYS = {"center": float, "scatter_s": float, "diagnostics": str}
 
 
 def parse_config(path) -> RunConfig:
-    """Parse a flat UTF-8 `key = value` file with # comments."""
-    values = {}
+    """Parse a flat UTF-8 `key = value` file with # comments, each key once."""
+    values, seen = {}, {}
     known = {f.name: f.type for f in dc_fields(RunConfig)}
     proto = RunConfig()
     try:
@@ -192,6 +191,10 @@ def parse_config(path) -> RunConfig:
         key, val = key.strip(), val.strip()
         if key not in known:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ConfigError(f"{path}:{lineno}: repeated key {key!r}, "
+                              f"first set on line {seen[key]}")
+        seen[key] = lineno
         try:
             if key in _TUPLE_KEYS:
                 conv = _TUPLE_KEYS[key]
@@ -340,7 +343,7 @@ class RunDiagnostics:
             self.dumps.append((state.t, {"E": E, "n": n,
                                          "nDelta": state.field("n_delta")}))
         if self.duhamel is not None:
-            self.states.append(KGZState(state.t, {"E": state.packed["E"]}))
+            self.states.append(replace(state, packed={"E": state.packed["E"]}))
         self.sup_E.append(E.magnitude().max())
         self.shells.add(state.t, n.values[0])
         if self.ghost is not None:
@@ -375,14 +378,15 @@ class RunReport:
 
 def _dump_states(snaps: RunDiagnostics, out_dir: Path):
     """Write the reducer's dumps, (t, {name: field}) pairs, and its kept
-    sources, (tau, (Q, S)) pairs."""
+    packed sources, (tau, (Q, S)) pairs."""
+    g = snaps.grid
     for t, fields in snaps.dumps:
         for name, f in fields.items():
             write_field(out_dir / f"{name}_t{t:08.3f}.kgz", f, t)
-    for tau, (q, s) in snaps.sources:
-        tag = f"{tau:08.3f}"
-        write_field(out_dir / f"srcQ_t{tag}.kgz", q.field(), tau)
-        write_field(out_dir / f"srcS_t{tag}.kgz", s.field(), tau)
+    for tau, sources in snaps.sources:
+        for name, q in zip(("srcQ", "srcS"), sources):
+            write_field(out_dir / f"{name}_t{tau:08.3f}.kgz",
+                        Field(g, g.box_irfft(q)), tau)
 
 
 def _out_dir(config: RunConfig, out_dir) -> Path:

@@ -35,7 +35,7 @@ class InstabilityError(RuntimeError):
 class LinearOperator:
     """Mode-wise frequencies omega(k) = sqrt(|k|^2 + m^2) on a grid: over
     the whole half spectrum, or with box over the dealias box, where its
-    rotations act on packed coefficients (Spectrum.values)."""
+    rotations act on packed coefficients (Grid.box_rfft)."""
 
     grid: Grid
     mass: int

@@ -89,7 +89,7 @@ class DuhamelSum:
         Q = sources[0]
         self.times.append(tau)
         for row, s in zip(self.norms, self.s_values):
-            row.append(self.grid.hs_norm(Q.values, s))
+            row.append(self.grid.hs_norm(Q, s))
         if tau < self.t_max:
             self.state = state
 
@@ -227,7 +227,7 @@ def residual_series(states, data_plus: FieldPair, s_values):
     res = np.empty((len(s_values), len(states)))
     for k, state in enumerate(states):
         up, upt = op.rotation(state.t)(u0, ut0)
-        e, et = (spec.values for spec in state.packed["E"])
+        e, et = state.packed["E"]
         du, dut = e - up, et - upt
         for i, s in enumerate(s_values):
             res[i, k] = g.hs_norm(du, s) + g.hs_norm(dut, max(s - 1.0, 0.0))
@@ -250,7 +250,7 @@ class DuhamelTail:
         self.sums = {t: np.zeros(shape, dtype=complex) for t in probes}
 
     def add(self, tau: float, sources, state) -> None:
-        Q = sources[0].values
+        Q = sources[0]
         for t, acc in self.sums.items():
             if t < tau < self.t_max:
                 for level, kick in zip(acc, self.op.rotation(t - tau)(0.0, Q)):

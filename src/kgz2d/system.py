@@ -33,7 +33,7 @@ from itertools import pairwise
 
 import numpy as np
 
-from .grid import Field, FieldPair, Grid, Spectrum, laplacian
+from .grid import Field, FieldPair, Grid, laplacian
 from .propagator import InstabilityError, LinearOperator
 from .vector_fields import WordPlanes
 
@@ -63,25 +63,23 @@ SUPPORT_FLOOR = 1e-14
 class KGZState:
     """One time's state as the march holds it: packed maps "E", "n_delta"
     (and "n" for the direct-n flow only; else n = lap(n_delta) is derived)
-    to the Spectrum pair of (u, u_t).  Physical pairs are built on access."""
+    to the packed box arrays (Grid.box_rfft) of (u, u_t).  Physical pairs
+    are built on access."""
 
+    grid: Grid
     t: float
     packed: dict
-
-    @property
-    def grid(self) -> Grid:
-        return self.packed["E"][0].grid
 
     def box(self, which: str) -> tuple[np.ndarray, np.ndarray]:
         """The packed box coefficients of (u, u_t) of "E", "n" or "n_delta"."""
         if which == "n" and "n" not in self.packed:
             lap = -self.grid.spectral["box_k_sq"]
-            return tuple(lap * s.values for s in self.packed["n_delta"])
-        return tuple(s.values for s in self.packed[which])
+            return tuple(lap * b for b in self.packed["n_delta"])
+        return self.packed[which]
 
     def spectra(self, which: str) -> tuple[np.ndarray, np.ndarray]:
         """The whole half spectra of (u, u_t) for "E", "n" or "n_delta"."""
-        return tuple(Spectrum(self.grid, b).unpack() for b in self.box(which))
+        return tuple(self.grid.unpack(b) for b in self.box(which))
 
     def pair(self, which: str) -> FieldPair:
         g = self.grid
@@ -228,15 +226,15 @@ def state_source(state: KGZState, which: str, rate: bool = False) -> np.ndarray:
         state, which == "E", rate, with_s=which != "E"))
 
 
-def _driving(g: Grid, which: str, q: Spectrum, s: Spectrum) -> np.ndarray:
+def _driving(g: Grid, which: str, q: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Of packed sources (Q, S), the one that drives `which`."""
-    src = (q if which == "E" else s).values
+    src = q if which == "E" else s
     return -g.spectral["box_k_sq"] * src if which == "n" else src
 
 
 def _products(g: Grid, E: np.ndarray, n: np.ndarray | None = None, *,
               rate=None, with_s: bool = True
-              ) -> tuple[Spectrum | None, Spectrum | None]:
+              ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """The packed, so 2/3-dealiased, quadratic sources (Q, S) = (-nE, |E|^2)
     of physical E (2 components) and n; Q is None without n, S without
     with_s.  With rate = (E_t, n_t) they are the time derivatives -(n_t E
@@ -249,8 +247,8 @@ def _products(g: Grid, E: np.ndarray, n: np.ndarray | None = None, *,
         Et, nt = rate
         q = None if n is None else nt[0] * E + n[0] * Et
         s = 2.0 * np.sum(E * Et, axis=0) if with_s else None
-    Q = None if q is None else Spectrum(g, g.box_rfft(-q))
-    return Q, None if s is None else Spectrum(g, g.box_rfft(s[None]))
+    Q = None if q is None else g.box_rfft(-q)
+    return Q, None if s is None else g.box_rfft(s[None])
 
 
 @dataclass(frozen=True, eq=False)
@@ -380,7 +378,7 @@ class _Strang:
     def step(self, kick=None, products: bool = False):
         """Half free step, midpoint kick, half free step; pairs are rebound,
         never written into.  kick: None (free flow), "self" (the nonlinear
-        flow's own midpoint products) or a (Q, S) Spectrum pair.  Returns
+        flow's own midpoint products) or a packed (Q, S) pair.  Returns
         the midpoint products if made (kick "self" or products True).  After
         a step that stores no state (pending) the trailing half step waits,
         leaving E* (after the kick): the next step opens with one R(dt) for
@@ -391,7 +389,7 @@ class _Strang:
         if kick == "self" or products:
             made = self.products()
         if kick is not None:
-            Q, S = (src.values for src in (made if kick == "self" else kick))
+            Q, S = made if kick == "self" else kick
             self.E = (self.E[0], self.E[1] + dt * Q)
             self.D = (self.D[0], self.D[1] + dt * S)
             if self.N is not None:
@@ -421,9 +419,8 @@ class _Strang:
                     f"divergence-form consistency lost at t={t:.6g}: "
                     f"|lap(nD) - n| = {resid:.3e} vs scale {scale:.3e}")
             spectra["n"] = self.N
-        return KGZState(t=t, packed={
-            name: tuple(Spectrum(g, h.copy()) for h in hats)
-            for name, hats in spectra.items()})
+        return KGZState(g, t, {name: tuple(h.copy() for h in hats)
+                               for name, hats in spectra.items()})
 
 
 def _march(data: InitialData, T: float, dt: float, *, kicks,
@@ -460,8 +457,7 @@ def _march(data: InitialData, T: float, dt: float, *, kicks,
             # a deferred step leaves E*, whose label is its midpoint
             tau = k * dt + 0.5 * dt
             on_source(tau, products, KGZState(
-                tau if march.pending else (k + 1) * dt,
-                {"E": tuple(Spectrum(g, h) for h in march.E)}))
+                g, tau if march.pending else (k + 1) * dt, {"E": march.E}))
         if not march.pending:
             store(march.state())
             times.append((k + 1) * dt)
@@ -543,7 +539,7 @@ def _xnorm_levels(marches: list, j: int) -> dict:
     """Iterate j's X-distance levels now: E to depth 2 on iterate j-1's
     products (none for the free flow, j = 0) and n to depth 1."""
     state = marches[j].state()
-    src = marches[j - 1].products(with_s=False)[0].values if j else 0.0
+    src = marches[j - 1].products(with_s=False)[0] if j else 0.0
     return {"E": state_levels(state, "E", [src]), "n": state_levels(state, "n")}
 
 

@@ -29,6 +29,13 @@ def windowed_random_jet(grid, seed, t=0.8, components=1, depth=2):
         for j in range(depth + 1)])
 
 
+def pack(grid, hat):
+    """Reference packing: the dealias box of a whole half spectrum of shape
+    (components, n, n//2 + 1), as Grid.box_rfft returns it."""
+    rows, cols = grid.spectral["box"]
+    return hat[..., rows, :cols]
+
+
 def dealias(f):
     """Reference 2/3-rule dealiasing of a Field: every mode outside the
     grid's dealias mask zeroed, one transform each way."""

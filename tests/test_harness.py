@@ -39,6 +39,11 @@ snap_every = 10
 """
 
 
+# the base text of the bad-config cases, a valid config on its own
+BAD_CONFIG_BASE = {"points_per_axis": "64", "L": "12", "dt": "0.05",
+                   "T": "1.5"}
+
+
 def write_config(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -249,7 +254,7 @@ class TestStreamedRun:
         want = {
             "sup_E": [s.field("E").magnitude().max() for s in full.states],
             "sup_n_shell": probe.sups,
-            "gst_wave_low": xnorm_terms(full, 0.1),
+            "gst_wave_low": xnorm_terms(full),
         }
         for which, m in (("E", 1), ("n", 0)):
             want[f"energy_{which}"] = [
@@ -274,13 +279,13 @@ class TestStreamedRun:
             list(midpoints(20, 0.1)[::3])
         for (_, got), want_src in zip(live.sources, full.source_history[::3],
                                       strict=True):
-            assert all(np.array_equal(a.values, b.values)
+            assert all(np.array_equal(a, b)
                        for a, b in zip(got, want_src, strict=True))
         # with a DuhamelSum, each state's packed E and nothing else
         assert [state.t for state in live.states] == list(full.times)
         for slim, state in zip(live.states, full.states, strict=True):
             assert list(slim.packed) == ["E"]
-            assert all(np.array_equal(a.values, b.values) for a, b in
+            assert all(np.array_equal(a, b) for a, b in
                        zip(slim.packed["E"], state.packed["E"], strict=True))
 
     def test_ghost_snapshot_transforms(self, grid64, transforms):
@@ -385,7 +390,7 @@ class TestSourceDumps:
                     f, t = read_field(
                         tmp_path / out / f"src{w}_t{tau:08.3f}.kgz")
                     assert t == tau
-                    assert np.array_equal(f.values, src.field().values)
+                    assert np.array_equal(f.values, full.grid.box_irfft(src))
 
 
 class TestScatterVerb:
@@ -523,12 +528,32 @@ class TestCli:
         calls = []
         monkeypatch.setattr(harness, "evolve",
                             lambda *args, **kwargs: calls.append(args))
-        path = write_config(tmp_path, (
-            "points_per_axis = 64\nL = 12\ndt = 0.05\nT = 1.5\n" + line + "\n"))
+        # the case's keys replace the base's, so no key is repeated
+        keys = {entry.partition("=")[0].strip() for entry in line.split("\n")}
+        base = "".join(f"{key} = {value}\n" for key, value in
+                       BAD_CONFIG_BASE.items() if key not in keys)
+        path = write_config(tmp_path, base + line + "\n")
         code = main(["run", str(path), "--out", str(tmp_path / "out"),
                      "--quiet"])
+        err = capsys.readouterr().err
         assert code == 2
-        assert capsys.readouterr().err.startswith("config error: ")
+        assert err.startswith("config error: ") and "repeated" not in err
+        assert calls == []
+
+    def test_repeated_key_exits_before_compute(self, tmp_path, monkeypatch,
+                                               capsys):
+        calls = []
+        monkeypatch.setattr(harness, "evolve",
+                            lambda *args, **kwargs: calls.append(args))
+        path = write_config(tmp_path, "".join(
+            f"{key} = {value}\n" for key, value in BAD_CONFIG_BASE.items())
+            + "# a later line does not win\nT = 2.0\n")
+        code = main(["run", str(path), "--out", str(tmp_path / "out"),
+                     "--quiet"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == (f"config error: {path}:6: repeated key 'T', "
+                       "first set on line 4\n")
         assert calls == []
 
     @pytest.mark.parametrize("case", [

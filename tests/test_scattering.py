@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kgz2d.grid import Field, FieldPair, Spectrum, make_grid, read_field
+from kgz2d.grid import Field, FieldPair, make_grid, read_field
 from kgz2d.propagator import LinearOperator, free_step
 from kgz2d import scattering
 from kgz2d.scattering import (
@@ -26,7 +26,7 @@ from kgz2d.scattering import (
 from kgz2d.system import (InitialData, KGZState, _march, evolve,
                           gaussian_data)
 
-from conftest import dealias
+from conftest import dealias, pack
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +54,7 @@ def linear_march(data, T, dt, kicks):
     solution map of picard_map with kicks that need not come from a
     guess."""
     g = data.grid
-    packed = [tuple(Spectrum.pack(g, g.rfft(f.values)) for f in pair)
+    packed = [tuple(pack(g, g.rfft(f.values)) for f in pair)
               for pair in kicks]
     return _march(data, T, dt, kicks=packed, store_every=1,
                   record_sources=False)
@@ -74,7 +74,7 @@ def with_history(traj, history):
     (Q, S) fields, packed as the march packs its own: truncated to the
     dealias box."""
     g = traj.grid
-    packed = [tuple(Spectrum.pack(g, g.rfft(f.values)) for f in pair)
+    packed = [tuple(pack(g, g.rfft(f.values)) for f in pair)
               for pair in history]
     return dataclasses.replace(traj, source_history=packed)
 
@@ -265,7 +265,7 @@ class TestResidualSeries:
         times, res = residual_series(nonlinear_run.states, profile.data_plus,
                                      s_values)
         picked = nonlinear_run.states[5::7]
-        slim = [KGZState(state.t, {"E": state.packed["E"]})
+        slim = [KGZState(state.grid, state.t, {"E": state.packed["E"]})
                 for state in picked]
         got_times, got = residual_series(slim, profile.data_plus, s_values)
         assert np.array_equal(got_times, times[5::7])

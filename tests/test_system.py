@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kgz2d.energy_diag import xnorm_distance
-from kgz2d.grid import Field, FieldPair, Grid, Spectrum, laplacian, make_grid
+from kgz2d.grid import Field, FieldPair, Grid, laplacian, make_grid
 from kgz2d.harness import RunConfig
 from kgz2d.propagator import InstabilityError, LinearOperator, free_step
 from kgz2d.scattering import midpoints
@@ -20,9 +20,9 @@ from kgz2d.system import (
     picard_map,
     picard_solve,
 )
-from kgz2d.system import _products
+from kgz2d.system import _products, _Strang
 
-from conftest import dealias
+from conftest import dealias, pack
 
 
 @pytest.fixture(scope="module")
@@ -159,8 +159,7 @@ class TestEvolve:
         data = gaussian_data(grid64, 1e-2)
         guess = evolve(data, 1.0, 0.1)
         Q, S = guess.source_history[0]
-        guess.source_history[0] = (Q, Spectrum(grid64, np.full_like(
-            S.values, np.nan)))
+        guess.source_history[0] = (Q, np.full_like(S, np.nan))
         with pytest.raises(InstabilityError, match="t=0.1:"):
             picard_map(guess, data)
 
@@ -227,6 +226,25 @@ class TestDirectN:
         b = evolve_direct_n(data, 2.0, 0.1, record_sources=False, store_every=20)
         assert np.max(np.abs(a.states[-1].n.u.values
                              - b.states[-1].n.u.values)) == 0.0
+
+    @staticmethod
+    def perturbed_direct_march(grid, factor):
+        """A direct march one step in, with n scaled by factor, so that
+        |lap(n_delta) - n| is |factor - 1| of n's scale."""
+        march = _Strang(gaussian_data(grid, 1e-2), 1.0, 0.1, direct_n=True)
+        march.step("self")
+        march.N = (factor * march.N[0], march.N[1])
+        return march
+
+    def test_consistency_guard_fires(self, grid64):
+        march = self.perturbed_direct_march(grid64, 1.0 + 1e-6)
+        with pytest.raises(InstabilityError,
+                           match="divergence-form consistency lost at t=0.1:"):
+            march.state()
+
+    def test_consistency_guard_passes_round_off(self, grid64):
+        march = self.perturbed_direct_march(grid64, 1.0 + 1e-10)
+        assert march.state().t == pytest.approx(0.1)
 
 
 class TestPicard:
@@ -453,16 +471,16 @@ class TestJet:
         state = traj.states[5]
         q, s = traj.products(5)
         m_sq = 1.0 if which == "E" else 0.0
-        source = {"E": q.unpack(), "n": -g.spectral["k_sq"] * s.unpack(),
-                  "n_delta": s.unpack()}[which]
+        source = {"E": g.unpack(q), "n": -g.spectral["k_sq"] * g.unpack(s),
+                  "n_delta": g.unpack(s)}[which]
         want = g.irfft((-g.spectral["k_sq"] - m_sq) * state.spectra(which)[0]
                        + source)
         utt = traj.jet(5, which)["utt"]
         assert np.array_equal(utt, want)
         # the same equation written in physical space
         pair = state.pair(which)
-        source = {"E": q.field(), "n": laplacian(s.field()),
-                  "n_delta": s.field()}[which]
+        q, s = (Field(g, g.box_irfft(src)) for src in (q, s))
+        source = {"E": q, "n": laplacian(s), "n_delta": s}[which]
         physical = (laplacian(pair.u).values - m_sq * pair.u.values
                     + source.values)
         assert np.max(np.abs(utt - physical)) \
@@ -478,8 +496,8 @@ class TestJet:
 
 def held_arrays(obj) -> list:
     """Every array an object holds, through dataclasses, dicts and
-    sequences; a Spectrum counts as one array, a Grid as none."""
-    if isinstance(obj, (Spectrum, np.ndarray)):
+    sequences; a Grid counts as none."""
+    if isinstance(obj, np.ndarray):
         return [obj]
     if isinstance(obj, Grid):
         return []
@@ -495,16 +513,29 @@ def held_arrays(obj) -> list:
 class TestState:
     @pytest.mark.parametrize("flow, count", [(evolve, 4), (evolve_direct_n, 6)])
     def test_holds_only_packed_spectra(self, grid64, flow, count):
-        # (E, E_t) and (n_delta, n_delta_t), plus the direct flow's (n, n_t)
-        traj = flow(gaussian_data(grid64, 1e-2), 1.0, 0.1,
-                    record_sources=False, store_every=5)
+        # (E, E_t) and (n_delta, n_delta_t), plus the direct flow's (n, n_t);
+        # every step's (Q, S); and E alone in the state on_source gets
         rows, cols = grid64.spectral["box"]
+
+        def packed(arrays):
+            return all(type(a) is np.ndarray and a.dtype == complex
+                       and a.shape[1:] == (len(rows), cols) for a in arrays)
+
+        handed = []
+        streams = ({"on_source": lambda tau, sources, state: handed.append(
+            (sources, state))} if flow is evolve else {})
+        traj = flow(gaussian_data(grid64, 1e-2), 1.0, 0.1, store_every=5,
+                    **streams)
         for state in traj.states:
             held = held_arrays(state)
-            assert len(held) == count
-            assert all(isinstance(a, Spectrum)
-                       and a.values.shape[1:] == (len(rows), cols)
-                       for a in held)
+            assert len(held) == count and packed(held)
+        history = held_arrays(traj.source_history)
+        assert len(history) == 2 * 10 and packed(history)
+        assert len(handed) == (10 if flow is evolve else 0)
+        for sources, state in handed:
+            held = held_arrays(state)
+            assert len(held) == 2 and packed(held)
+            assert packed(held_arrays(sources))
 
 
 def full_plane_march(data, steps, dt, kicks="self", direct_n=False,
@@ -527,7 +558,7 @@ def full_plane_march(data, steps, dt, kicks="self", direct_n=False,
         spectra = {"E": (Eu, Eut), "n_delta": (Du, Dut)}
         if direct_n:
             spectra["n"] = (Nu, Nut)
-        return {name: [Spectrum.pack(g, h).values for h in hats]
+        return {name: [pack(g, h) for h in hats]
                 for name, hats in spectra.items()}
 
     states, record, kg, w = [packed()], [], kg_half, w_half
@@ -537,9 +568,9 @@ def full_plane_march(data, steps, dt, kicks="self", direct_n=False,
         Nu, Nut = w(Nu, Nut)
         n_mid = g.irfft(Nu if direct_n else -k_sq * Du)
         sources = _products(g, g.irfft(Eu), n_mid)
-        record.append([src.values for src in sources])
+        record.append(list(sources))
         if kicks is not None:
-            Q, S = (src.unpack() for src in (
+            Q, S = (g.unpack(src) for src in (
                 sources if kicks == "self" else kicks[k]))
             Eut = Eut + dt * Q
             Dut = Dut + dt * S
@@ -562,10 +593,10 @@ def assert_same_march(traj, states, record):
         assert state.packed.keys() == ref.keys()
         for name, levels in ref.items():
             for spec, want in zip(state.packed[name], levels, strict=True):
-                assert np.array_equal(spec.values, want)
+                assert np.array_equal(spec, want)
     for sources, want in zip(traj.source_history, record, strict=True):
         for src, w in zip(sources, want, strict=True):
-            assert np.array_equal(src.values, w)
+            assert np.array_equal(src, w)
 
 
 class TestBoxMarchReference:
@@ -670,5 +701,5 @@ class TestPicardFixedPoint:
                 assert np.array_equal(pa.ut.values, pb.ut.values)
         for a, b in zip(mapped.source_history, traj.source_history,
                         strict=True):
-            assert all(np.array_equal(x.values, y.values)
+            assert all(np.array_equal(x, y)
                        for x, y in zip(a, b, strict=True))

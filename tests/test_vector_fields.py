@@ -10,7 +10,6 @@ from kgz2d.grid import (
     laplacian,
     make_grid,
     partial,
-    Spectrum,
 )
 from kgz2d import vector_fields
 from kgz2d.propagator import LinearOperator, free_step
@@ -109,7 +108,7 @@ def plain_terms(terms, planes):
     total = None
     for term in terms:
         *coef, name = term.lstrip("-").split("*")
-        hat = Spectrum(g, planes.levels[name.count("t")]).unpack()
+        hat = g.unpack(planes.levels[name.count("t")])
         for axis in name.lstrip("ut"):
             hat = g.spectral["d" + axis] * hat
         value = g.irfft(hat)
