@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -117,10 +118,14 @@ class Grid:
         return cache["radial_unit"]
 
     def rfft(self, values: np.ndarray) -> np.ndarray:
-        return np.fft.rfft2(values, axes=(-2, -1))
+        out = np.zeros(values.shape[:-2] + (self.n, self.n // 2 + 1), complex)
+        return _by_live_run(values, out, lambda v, o: np.fft.rfft2(v, out=o))
 
     def irfft(self, hat: np.ndarray) -> np.ndarray:
-        return np.fft.irfft2(hat, s=(self.n, self.n), axes=(-2, -1))
+        # irfftn: numpy's irfft2 drops out=
+        return _by_live_run(hat, np.zeros(hat.shape[:-2] + (self.n, self.n)),
+                            lambda h, o: np.fft.irfftn(
+                                h, (self.n,) * 2, (-2, -1), out=o))
 
     # A band-limited field is packed as its rfft coefficients inside the 2/3
     # dealias box: a bare (components, rows, cols) complex array, the box's
@@ -135,15 +140,20 @@ class Grid:
     def box_rfft(self, values: np.ndarray) -> np.ndarray:
         """The packed dealias-box coefficients of physical values."""
         rows, cols = self.spectral["box"]
-        half = np.fft.rfft(values, axis=-1)[..., :cols]
-        return np.fft.fft(half, axis=-2)[..., rows, :]
+        def transform(v, o):
+            o[...] = np.fft.fft(np.fft.rfft(v)[..., :cols], axis=-2)[..., rows, :]
+        # rows outermost in memory, as the fancy index leaves them for parseval
+        out = np.zeros((len(rows),) + values.shape[:-2] + (cols,), complex)
+        return _by_live_run(values, np.moveaxis(out, 0, -2), transform)
 
     def box_irfft(self, box: np.ndarray) -> np.ndarray:
         """The physical field of packed dealias-box coefficients."""
         rows, cols = self.spectral["box"]
-        columns = np.zeros(box.shape[:-2] + (self.n, cols), dtype=complex)
-        columns[..., rows, :] = box
-        return np.fft.irfft(np.fft.ifft(columns, axis=-2), n=self.n, axis=-1)
+        def transform(b, o):
+            columns = np.zeros(b.shape[:-2] + (self.n, cols), dtype=complex)
+            columns[..., rows, :] = b
+            np.fft.irfft(np.fft.ifft(columns, axis=-2, out=columns), self.n, out=o)
+        return _by_live_run(box, np.zeros(box.shape[:-2] + (self.n,) * 2), transform)
 
     def unpack(self, box: np.ndarray) -> np.ndarray:
         """The half spectrum of packed coefficients, zero outside the box."""
@@ -182,6 +192,20 @@ class Grid:
         full = hat.shape[-2:] == self.spectral["k_sq"].shape
         k_sq = self.spectral["k_sq" if full else "box_k_sq"]
         return math.sqrt(self.parseval(hat, (1.0 + k_sq) ** s))
+
+
+def _by_live_run(values: np.ndarray, out: np.ndarray, transform):
+    """transform(values[run], out[run]) over each maximal run of leading
+    components (a 2-D array is one) not all zero: every Grid transform skips
+    the all-zero ones, whose part of out, zero-filled, stays +0.0 (their
+    transform could hold -0.0, a sign no result reads).  Returns out."""
+    lead, dest = (values, out) if values.ndim > 2 else (values[None], out[None])
+    stop = 0
+    for live, run in groupby(lead.any(axis=tuple(range(1, lead.ndim))).tolist()):
+        start, stop = stop, stop + len(list(run))
+        if live:
+            transform(lead[start:stop], dest[start:stop])
+    return out
 
 
 def make_grid(points_per_axis: int, length: float) -> Grid:

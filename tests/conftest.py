@@ -1,7 +1,11 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from kgz2d.grid import Field, FieldPair, Grid, bump_window, make_grid
+from kgz2d.system import gaussian_data
 from kgz2d.vector_fields import WordPlanes
 
 
@@ -50,6 +54,16 @@ def gaussian_pair(grid, amplitude=1e-2, width=1.0, components=1):
     return FieldPair(Field(grid, vals), Field(grid, zeros))
 
 
+def turned_data(grid, angle, amplitude):
+    """gaussian_data with E0 turned by angle in the plane of E's two
+    components: angle 0 is gaussian_data itself, any other makes both
+    components live."""
+    data = gaussian_data(grid, amplitude)
+    u = data.E0.values[0]
+    return dataclasses.replace(data, E0=Field(grid, np.stack(
+        [np.cos(angle) * u, np.sin(angle) * u])))
+
+
 @pytest.fixture(scope="session")
 def grid32():
     return make_grid(32, np.pi)
@@ -85,5 +99,32 @@ def transforms(monkeypatch):
     def reset():
         calls.update(dict.fromkeys(names, 0))
         return calls
+
+    return reset
+
+
+@pytest.fixture
+def planes(monkeypatch):
+    """Counts of component planes transformed from the moment of reset, by
+    the numpy.fft entry point each Grid transform calls once per run of
+    live components: whole-plane forward ("rfft", rfft2) and inverse
+    ("irfft", irfftn), and the first pass of a pruned forward ("box_rfft",
+    rfft) and the last of a pruned inverse ("box_irfft", irfft).  An array
+    of shape (c, n, n) or (c, rows, cols) counts c planes, a 2-D one 1."""
+    entries = {"rfft": "rfft2", "irfft": "irfftn",
+               "box_rfft": "rfft", "box_irfft": "irfft"}
+    counts = dict.fromkeys(entries, 0)
+    for name, entry in entries.items():
+        original = getattr(np.fft, entry)
+
+        def counted(a, *args, _name=name, _original=original, **kwargs):
+            counts[_name] += math.prod(np.shape(a)[:-2])
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, entry, counted)
+
+    def reset():
+        counts.update(dict.fromkeys(entries, 0))
+        return counts
 
     return reset

@@ -26,6 +26,8 @@ from kgz2d.propagator import InstabilityError, LinearOperator, free_step
 from kgz2d.scattering import midpoints
 from kgz2d.system import evolve, feed, gaussian_data, state_source
 
+from conftest import turned_data
+
 
 SMALL_CONFIG = """
 # small smoke configuration
@@ -309,6 +311,19 @@ class TestStreamedRun:
         feed(want, state, state_source(state, "n"))
         assert np.array_equal(snaps.ghost.rows, want.rows)
         assert want.rows[0][0] > 0
+
+    @pytest.mark.parametrize("angle, inverse_planes", [(0.0, 11), (0.6, 12)])
+    def test_ghost_snapshot_planes(self, grid64, planes, angle,
+                                   inverse_planes):
+        # the same snapshot's transforms by component: E (2) and n (1)
+        # pruned inverse for sup_E and the shell probe, n's 9 word planes
+        # (1 each), and |E|^2 (1) pruned forward; polarised E's zero
+        # component is not inverted
+        state = evolve(turned_data(grid64, angle, 0.3), 0.2, 0.1).states[-1]
+        calls = planes()
+        RunDiagnostics(grid64, True, 0.1, 0).add(state)
+        assert calls == {"rfft": 0, "irfft": 0, "box_rfft": 1,
+                         "box_irfft": inverse_planes}
 
     def test_run_and_scatter_keep_no_states(self, tmp_path, monkeypatch):
         marches = []

@@ -22,7 +22,7 @@ from kgz2d.system import (
 )
 from kgz2d.system import _products, _Strang
 
-from conftest import dealias, pack
+from conftest import dealias, pack, turned_data
 
 
 @pytest.fixture(scope="module")
@@ -440,6 +440,50 @@ class TestTrajectory:
         data, _ = small_run
         with pytest.raises(ValueError, match="must be True or False"):
             evolve(data, 1.0, 0.1, record_sources=bad)
+
+
+class TestPolarisedData:
+    """gaussian_data is polarised: E0 = (a g, 0), E1 = 0.  -nE and
+    lap(|E|^2) are invariant under constant rotations of E, so E's second
+    component solves the linear homogeneous -box E_2 + E_2 = -n E_2 from
+    zero data and stays exactly zero; the transforms skip it."""
+
+    @staticmethod
+    def assert_polarised(*packed):
+        # each packed (components, rows, cols) array's second component
+        assert all(not np.any(b[1]) for b in packed)
+
+    def test_second_component_stays_zero(self, grid64):
+        data = gaussian_data(grid64, 0.1)
+        states, sources = [], []
+        evolve(data, 1.8, 0.1, store_every=3, record_sources=False,
+               on_snapshot=states.append,
+               on_source=lambda tau, qs, state: sources.append(
+                   (qs[0], *state.box("E"))))
+        assert len(states) == 7 and len(sources) == 18
+        for flow in (evolve_direct_n, free_flow):
+            traj = flow(data, 1.8, 0.1)
+            states += traj.states
+            sources += [(Q,) for Q, _ in traj.source_history]
+        iterates = []
+        picard_solve(data, 1.8, 0.1, tol=1e-7, on_snapshot=iterates.append)
+        assert sum(state.t == 0.0 for state in iterates) >= 3
+        for state in states + iterates:
+            self.assert_polarised(*state.box("E"))
+        for packed in sources:
+            self.assert_polarised(*packed)
+
+    @pytest.mark.parametrize("angle, planes_made", [(0.0, 4), (0.6, 6)])
+    def test_march_step_planes(self, grid64, planes, angle, planes_made):
+        # a coupled step's midpoint products: E (2 components) and n (1)
+        # pruned inverse, -nE (2) and |E|^2 (1) pruned forward; polarised
+        # E's zero component is transformed neither way
+        march = _Strang(turned_data(grid64, angle, 0.1), 1.0, 0.1)
+        calls = planes()
+        march.step("self")
+        half = planes_made // 2
+        assert calls == {"rfft": 0, "irfft": 0,
+                         "box_rfft": half, "box_irfft": half}
 
 
 class TestJet:

@@ -229,6 +229,27 @@ class TestTransformCounts:
         assert calls == {"rfft": 3, "irfft": 0,
                          "box_rfft": 0, "box_irfft": 11}
 
+    @pytest.mark.parametrize("polarised, counts", [
+        (False, {"rfft": 6, "irfft": 0, "box_rfft": 0, "box_irfft": 18}),
+        (True, {"rfft": 3, "irfft": 0, "box_rfft": 0, "box_irfft": 11})])
+    def test_xnorm_distance_snapshot_planes(self, grid64, planes, polarised,
+                                            counts):
+        # the same transforms counted by component: dE's 7 planes of 2
+        # components and dn's 4 of 1 inverse, and rot, L1 and L2's values
+        # of 2 components forward.  On polarised E, whose second component
+        # is zero at every level, as gaussian_data's stays, that component
+        # is transformed nowhere
+        def jets(seed):
+            E = windowed_random_jet(grid64, seed, components=2)
+            if polarised:
+                E.levels = [np.stack([lv[0], 0 * lv[1]]) for lv in E.levels]
+            return {"E": E, "n": windowed_random_jet(grid64, seed + 1)}
+
+        a, b = OneSnapshot(grid64, jets(42)), OneSnapshot(grid64, jets(44))
+        calls = planes()
+        xnorm_distance(a, b)
+        assert calls == counts
+
     def test_word_table_reads_each_plane_once(self, grid64, transforms):
         # the 7 words |I| <= 1 and their first derivatives read 9 planes
         # without u itself, each one pruned inverse transform
