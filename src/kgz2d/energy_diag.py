@@ -267,6 +267,8 @@ def _xnorm_snapshot(g, t: float, a: dict, b: dict) -> float:
     reads its packed spectrum from the jet (WordPlanes.packed), whose
     weight box_k_sq is grad_sq on the box, so only rot, L1 and L2 take a
     whole-plane rfft."""
+    if a["E"][0].shape != b["E"][0].shape:
+        raise ValueError("the two sides hold different E components")
     R = g.R
     weight = jbracket(t) ** (-XNORM_DELTA)
     dE, dn = ([la - lb for la, lb in zip(a[which], b[which])]

@@ -42,6 +42,7 @@ from .system import (
     feed,
     gaussian_data,
     picard_solve,
+    widen,
 )
 
 __all__ = [
@@ -130,6 +131,10 @@ class RunConfig:
             raise ConfigError(f"scatter_s must be nonnegative with a finite "
                               f"weight (1+|k|^2)^s up to |k|^2 = {k_sq:.4g}, "
                               f"got {self.scatter_s}")
+        if len(set(self.scatter_s)) < len(self.scatter_s) or (
+                "scatter" in self.diagnostics and not self.scatter_s):
+            raise ConfigError(f"scatter_s must list distinct indices, one at "
+                              f"least for scatter, got {self.scatter_s}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.fit_t2) and self.fit_t2 >= 0):
@@ -383,10 +388,9 @@ def _dump_states(snaps: RunDiagnostics, out_dir: Path):
     for t, fields in snaps.dumps:
         for name, f in fields.items():
             write_field(out_dir / f"{name}_t{t:08.3f}.kgz", f, t)
-    for tau, sources in snaps.sources:
-        for name, q in zip(("srcQ", "srcS"), sources):
-            write_field(out_dir / f"{name}_t{tau:08.3f}.kgz",
-                        Field(g, g.box_irfft(q)), tau)
+    for tau, (Q, S) in snaps.sources:
+        for name, v in (("srcQ", widen(g.box_irfft(Q))), ("srcS", g.box_irfft(S))):
+            write_field(out_dir / f"{name}_t{tau:08.3f}.kgz", Field(g, v), tau)
 
 
 def _out_dir(config: RunConfig, out_dir) -> Path:

@@ -27,6 +27,7 @@ import numpy as np
 
 from .grid import Field, FieldPair, Grid, write_field
 from .propagator import LinearOperator
+from .system import widen
 
 __all__ = [
     "ScatterProfile",
@@ -162,7 +163,7 @@ def launch_from(state) -> FieldPair:
     """data+ = S1(-t) E(t) of a state at t, rotated in the dealias box."""
     g = state.grid
     rotate = LinearOperator(g, 1, box=True).rotation(-state.t)
-    return FieldPair(*(Field(g, g.box_irfft(b))
+    return FieldPair(*(Field(g, widen(g.box_irfft(b)))
                        for b in rotate(*state.box("E"))))
 
 
@@ -215,9 +216,9 @@ def residual_series(states, data_plus: FieldPair, s_values):
     needs its packed "E" only.
 
     The launch data+ is packed to the dealias box once; E+ is propagated
-    there exactly (one rotation per state, shared by every s) and
-    subtracted from the state's packed spectra.  Returns (times,
-    residuals), residuals of shape (len(s_values), len(states)).
+    there exactly (one rotation per state, shared by every s) on the
+    state's live E components and subtracted from its packed spectra.
+    Returns (times, residuals), of shape (len(s_values), len(states)).
     """
     g = data_plus.grid
     if any(state.grid != g for state in states):
@@ -226,8 +227,10 @@ def residual_series(states, data_plus: FieldPair, s_values):
     u0, ut0 = (g.box_rfft(f.values) for f in (data_plus.u, data_plus.ut))
     res = np.empty((len(s_values), len(states)))
     for k, state in enumerate(states):
-        up, upt = op.rotation(state.t)(u0, ut0)
         e, et = state.packed["E"]
+        if np.any(u0[len(e):]) or np.any(ut0[len(e):]):
+            raise ValueError("the launch has E components the state dropped")
+        up, upt = op.rotation(state.t)(u0[:len(e)], ut0[:len(e)])
         du, dut = e - up, et - upt
         for i, s in enumerate(s_values):
             res[i, k] = g.hs_norm(du, s) + g.hs_norm(dut, max(s - 1.0, 0.0))
@@ -245,12 +248,13 @@ class DuhamelTail:
 
     def __init__(self, grid: Grid, dt: float, t_max: float, probes):
         self.grid, self.dt, self.t_max = grid, dt, t_max
-        self.op = LinearOperator(grid, 1, box=True)
-        shape = (2, 2) + grid.spectral["box_k_sq"].shape
-        self.sums = {t: np.zeros(shape, dtype=complex) for t in probes}
+        self.op, self.probes = LinearOperator(grid, 1, box=True), probes
+        self.sums = {}  # sized by the first Q, which has E's components
 
     def add(self, tau: float, sources, state) -> None:
         Q = sources[0]
+        if not self.sums:
+            self.sums = {t: np.zeros((2,) + Q.shape, complex) for t in self.probes}
         for t, acc in self.sums.items():
             if t < tau < self.t_max:
                 for level, kick in zip(acc, self.op.rotation(t - tau)(0.0, Q)):

@@ -59,12 +59,17 @@ __all__ = [
 SUPPORT_FLOOR = 1e-14
 
 
+def widen(E: np.ndarray) -> np.ndarray:
+    """A physical E of the march's components, the dropped ones as +0.0."""
+    return np.concatenate([E, np.zeros((2 - len(E),) + E.shape[1:])])
+
+
 @dataclass(frozen=True, eq=False)
 class KGZState:
     """One time's state as the march holds it: packed maps "E", "n_delta"
     (and "n" for the direct-n flow only; else n = lap(n_delta) is derived)
-    to the packed box arrays (Grid.box_rfft) of (u, u_t).  Physical pairs
-    are built on access."""
+    to the packed box arrays (Grid.box_rfft) of (u, u_t), E's of its live
+    components (_Strang).  Physical pairs are built on access, E widened."""
 
     grid: Grid
     t: float
@@ -82,12 +87,13 @@ class KGZState:
         return tuple(self.grid.unpack(b) for b in self.box(which))
 
     def pair(self, which: str) -> FieldPair:
-        g = self.grid
-        return FieldPair(*(Field(g, g.box_irfft(b)) for b in self.box(which)))
+        g, fit = self.grid, widen if which == "E" else np.asarray
+        return FieldPair(*(Field(g, fit(g.box_irfft(b))) for b in self.box(which)))
 
     def field(self, which: str) -> Field:
         """The physical u of the pair alone, for readers of u only."""
-        return Field(self.grid, self.grid.box_irfft(self.box(which)[0]))
+        g, fit = self.grid, widen if which == "E" else np.asarray
+        return Field(g, fit(g.box_irfft(self.box(which)[0])))
 
     @property
     def E(self) -> FieldPair:
@@ -184,7 +190,8 @@ def state_levels(state: KGZState, which: str, sources=()) -> list:
     """The packed jet levels (u, u_t[, u_tt[, u_ttt]]) of `which` at a state:
     its pair, then a level per packed source of the field's equation given
     (the source, then its rate), u_tt = (-|k|^2 - m^2) u + source and u_ttt
-    likewise from u_t.  They are linear in (state, sources)."""
+    likewise from u_t.  They are linear in (state, sources); E's hold the
+    state's live components."""
     op = -state.grid.spectral["box_k_sq"] - (1.0 if which == "E" else 0.0)
     levels = list(state.box(which))
     for j, src in enumerate(sources):
@@ -236,7 +243,7 @@ def _products(g: Grid, E: np.ndarray, n: np.ndarray | None = None, *,
               rate=None, with_s: bool = True
               ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """The packed, so 2/3-dealiased, quadratic sources (Q, S) = (-nE, |E|^2)
-    of physical E (2 components) and n; Q is None without n, S without
+    of physical E (any components) and n; Q is None without n, S without
     with_s.  With rate = (E_t, n_t) they are the time derivatives -(n_t E
     + n E_t) and 2 E.E_t.
     """
@@ -333,7 +340,10 @@ def _steps_for(T: float, dt: float) -> int:
 
 class _Strang:
     """One march's state, packed to the dealias box (so dealiased once, and
-    its quadratic products alias-free), and its Strang step.  _march drives
+    its quadratic products alias-free), and its Strang step.  -nE and
+    lap(|E|^2) are invariant under constant rotations of E, so a component
+    whose data are zero stays zero: E keeps its live components alone, up
+    to the last not all zero in E0 or E1 (at least one).  _march drives
     one, deferring each trailing half step that no stored state reads, so
     two kicks are one R(dt) apart; picard_solve's sweep drives one per
     iterate, in lockstep, and like picard_map never defers."""
@@ -353,8 +363,10 @@ class _Strang:
         self.full = ([op.rotation(dt) for op in ops] if store_every > 1
                      else None)
         self.lap = -g.spectral["box_k_sq"]
-        self.E, self.D = ((g.box_rfft(u.values), g.box_rfft(ut.values)) for u, ut
-                          in ((data.E0, data.E1), (data.n0_delta, data.n1_delta)))
+        E = [f.values for f in (data.E0, data.E1)]
+        live = np.trim_zeros(np.any([v.any(axis=(1, 2)) for v in E], axis=0), "b")
+        self.E = tuple(g.box_rfft(v[:max(len(live), 1)]) for v in E)
+        self.D = tuple(g.box_rfft(f.values) for f in (data.n0_delta, data.n1_delta))
         self.N = tuple(self.lap * a for a in self.D) if direct_n else None
         self.limit = 1e6 * (self._scale() + 1e-300)
 
@@ -390,6 +402,8 @@ class _Strang:
             made = self.products()
         if kick is not None:
             Q, S = made if kick == "self" else kick
+            if Q.shape != self.E[1].shape:
+                raise ValueError(f"kick {Q.shape} on E {self.E[1].shape}")
             self.E = (self.E[0], self.E[1] + dt * Q)
             self.D = (self.D[0], self.D[1] + dt * S)
             if self.N is not None:

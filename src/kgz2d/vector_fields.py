@@ -112,9 +112,9 @@ WORD_WEIGHTS = {w.letters: tuple(word_terms(d + w.letters)
 
 class WordPlanes(dict):
     """The planes of word terms at time t of packed jet levels (u, u_t[,
-    u_tt[, u_ttt]]), each one pruned inverse transform, made on first use
-    and kept.  The levels held are the derivative budget: a plane of a
-    higher time derivative raises ValueError."""
+    u_tt[, u_ttt]]), E's of its live components, each one pruned inverse
+    transform, made on first use and kept.  The levels held are the
+    derivative budget: a plane of a higher time derivative raises ValueError."""
 
     def __init__(self, grid: Grid, t: float, levels):
         self.grid, self.t, self.levels = grid, t, levels

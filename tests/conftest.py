@@ -40,6 +40,13 @@ def pack(grid, hat):
     return hat[..., rows, :cols]
 
 
+def cut(want, live):
+    """An untrimmed reference cut to a trimmed result's leading live
+    components: the components it drops must be exactly zero."""
+    assert not np.any(want[live:])
+    return want[:live]
+
+
 def dealias(f):
     """Reference 2/3-rule dealiasing of a Field: every mode outside the
     grid's dealias mask zeroed, one transform each way."""

@@ -26,7 +26,7 @@ from kgz2d.propagator import InstabilityError, LinearOperator, free_step
 from kgz2d.scattering import midpoints
 from kgz2d.system import evolve, feed, gaussian_data, state_source
 
-from conftest import turned_data
+from conftest import cut, turned_data
 
 
 SMALL_CONFIG = """
@@ -141,7 +141,7 @@ def run_configs(draw):
             st.sampled_from(["decay", "energies", "scatter"]), unique=True))),
         delta=draw(unit_open), kappa=draw(unit_open), eta=draw(unit_open),
         scatter_s=tuple(draw(st.lists(st.floats(0.0, 4.0), min_size=1,
-                                      max_size=3))),
+                                      max_size=3, unique=True))),
         fit_t1=draw(st.floats(0.1, 50.0)), fit_t2=draw(st.floats(0.0, 50.0)),
         picard_tol=draw(st.floats(1e-12, 1.0)),
         picard_max_iter=draw(st.integers(2, 50)),
@@ -405,7 +405,8 @@ class TestSourceDumps:
                     f, t = read_field(
                         tmp_path / out / f"src{w}_t{tau:08.3f}.kgz")
                     assert t == tau
-                    assert np.array_equal(f.values, full.grid.box_irfft(src))
+                    assert np.array_equal(cut(f.values, len(src)),
+                                          full.grid.box_irfft(src))
 
 
 class TestScatterVerb:
@@ -537,7 +538,10 @@ class TestCli:
         "width = 1e200", "width = 1e-200", "width = 1e-5\ncenter = 0.1 0.1",
         # (1 + |k|^2)^1000 overflows at n=64, L=12, where |k|^2 reaches 140;
         # it used to print two numpy RuntimeWarnings and exit 3
-        "scatter_s = 1 1e3"])
+        "scatter_s = 1 1e3",
+        # a repeated index wrote its outputs twice, and none marched the
+        # whole run for no scatter output; both exited 0
+        "scatter_s = 1 1", "scatter_s =\ndiagnostics = decay, scatter"])
     def test_bad_config_exits_before_compute(self, tmp_path, monkeypatch,
                                              capsys, line):
         calls = []
@@ -553,6 +557,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("config error: ") and "repeated" not in err
+        assert calls == []
+
+    def test_scatter_verb_without_an_index_exits_before_compute(
+            self, tmp_path, monkeypatch, capsys):
+        # the verb adds the scatter diagnostics the config does not list
+        calls = []
+        monkeypatch.setattr(harness, "evolve",
+                            lambda *args, **kwargs: calls.append(args))
+        path = write_config(tmp_path, "".join(
+            f"{key} = {value}\n" for key, value in BAD_CONFIG_BASE.items())
+            + "scatter_s =\n")
+        code = main(["scatter", str(path), "--out", str(tmp_path / "out"),
+                     "--quiet"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: scatter_s")
         assert calls == []
 
     def test_repeated_key_exits_before_compute(self, tmp_path, monkeypatch,

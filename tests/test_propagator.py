@@ -20,7 +20,7 @@ from conftest import dealias, gaussian_pair, pack
 
 def zero_sources(grid):
     def source(t):
-        return (Field(grid, np.zeros((2, grid.n, grid.n))),
+        return (Field(grid, np.zeros((1, grid.n, grid.n))),
                 Field(grid, np.zeros((1, grid.n, grid.n))))
     return source
 
@@ -29,7 +29,8 @@ def linear_solve(data, T, dt, source):
     """The linear KGZ system from `data`, kicked at every step midpoint tau
     with source(tau) = (Q, S): the solution map applied to a free-flow guess
     whose recorded midpoint sources are replaced by the given ones, packed
-    (so dealiased) as the march packs its own."""
+    (so dealiased) as the march packs its own.  Q has as many components as
+    the march's E, one for gaussian_data."""
     guess = free_flow(data, T, dt)
     g = data.grid
     history = [tuple(pack(g, g.rfft(f.values)) for f in source(tau))
@@ -303,7 +304,7 @@ class TestSolveLinear:
     def test_instability_abort(self, grid64):
         def exploding(t):
             grow = np.exp(t * 40.0)
-            return (Field(grid64, np.full((2, 64, 64), grow)),
+            return (Field(grid64, np.full((1, 64, 64), grow)),
                     Field(grid64, np.full((1, 64, 64), grow)))
 
         with pytest.raises(InstabilityError, match="amplitude exceeded"):
@@ -315,7 +316,7 @@ class TestSolveLinear:
         bump = np.exp(-grid64.R**2)[None]
 
         def huge(t):
-            return (Field(grid64, 1e307 * np.concatenate([bump, bump])),
+            return (Field(grid64, 1e307 * bump),
                     Field(grid64, 1e307 * bump))
 
         with np.errstate(all="ignore"):

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kgz2d.energy_diag import xnorm_distance
-from kgz2d.grid import Field, FieldPair, Grid, laplacian, make_grid
-from kgz2d.harness import RunConfig
+from kgz2d.grid import Field, FieldPair, Grid, laplacian, make_grid, read_field
+from kgz2d.harness import RunConfig, run_scatter
 from kgz2d.propagator import InstabilityError, LinearOperator, free_step
-from kgz2d.scattering import midpoints
+from kgz2d.scattering import midpoints, residual_series, scatter_launch
 from kgz2d.system import (
     InitialData,
     PicardNonConvergence,
@@ -20,9 +20,9 @@ from kgz2d.system import (
     picard_map,
     picard_solve,
 )
-from kgz2d.system import _products, _Strang
+from kgz2d.system import _march, _products, _Strang
 
-from conftest import dealias, pack, turned_data
+from conftest import cut, dealias, pack, turned_data
 
 
 @pytest.fixture(scope="module")
@@ -444,40 +444,82 @@ class TestTrajectory:
 
 class TestPolarisedData:
     """gaussian_data is polarised: E0 = (a g, 0), E1 = 0.  -nE and
-    lap(|E|^2) are invariant under constant rotations of E, so E's second
-    component solves the linear homogeneous -box E_2 + E_2 = -n E_2 from
-    zero data and stays exactly zero; the transforms skip it."""
+    lap(|E|^2) are invariant under constant rotations of E, so a component
+    whose data are zero stays exactly zero, and the march keeps E's leading
+    live components alone: one.  The same data turned onto e2, E0 = (0, a
+    g), keep two, the first all zero.  The arithmetic is componentwise, so
+    their second component is the untrimmed computation of the e1 march's
+    only one, bit for bit."""
 
     @staticmethod
-    def assert_polarised(*packed):
-        # each packed (components, rows, cols) array's second component
-        assert all(not np.any(b[1]) for b in packed)
+    def along_e2(data):
+        g = data.grid
+        return InitialData(E0=Field(g, data.E0.values[::-1]), E1=data.E1,
+                           n0_delta=data.n0_delta, n1_delta=data.n1_delta)
+
+    @staticmethod
+    def packed_E(data):
+        """Every packed E array of the fused, direct-n and free marches
+        (stored states and each on_source Q with the E after it) and of
+        every Picard-sweep iterate, in order."""
+        got, iterates = [], []
+        for kicks, direct_n in (("self", False), ("self", True), (None, False)):
+            traj = _march(data, 1.8, 0.1, kicks=kicks, store_every=3,
+                          record_sources=True, direct_n=direct_n,
+                          on_source=lambda tau, qs, state: got.extend(
+                              (qs[0], *state.box("E"))))
+            assert len(traj.states) == 7
+            got += [b for state in traj.states for b in state.box("E")]
+        ratios = picard_solve(data, 1.8, 0.1, tol=1e-7,
+                              on_snapshot=iterates.append)
+        assert sum(state.t == 0.0 for state in iterates) >= 3
+        return got + [b for state in iterates for b in state.box("E")], ratios
 
     def test_second_component_stays_zero(self, grid64):
         data = gaussian_data(grid64, 0.1)
-        states, sources = [], []
-        evolve(data, 1.8, 0.1, store_every=3, record_sources=False,
-               on_snapshot=states.append,
-               on_source=lambda tau, qs, state: sources.append(
-                   (qs[0], *state.box("E"))))
-        assert len(states) == 7 and len(sources) == 18
-        for flow in (evolve_direct_n, free_flow):
-            traj = flow(data, 1.8, 0.1)
-            states += traj.states
-            sources += [(Q,) for Q, _ in traj.source_history]
-        iterates = []
-        picard_solve(data, 1.8, 0.1, tol=1e-7, on_snapshot=iterates.append)
-        assert sum(state.t == 0.0 for state in iterates) >= 3
-        for state in states + iterates:
-            self.assert_polarised(*state.box("E"))
-        for packed in sources:
-            self.assert_polarised(*packed)
+        (e1, e1_ratios), (e2, e2_ratios) = (
+            self.packed_E(d) for d in (data, self.along_e2(data)))
+        assert len(e1) == len(e2) == 3 * (3 * 18 + 2 * 7) + 2 * 33
+        for one, two in zip(e1, e2):
+            assert one.shape[0] == 1 and two.shape[0] == 2
+            assert np.array_equal(one[0], two[1]) and not np.any(two[0])
+        assert e1_ratios == e2_ratios
+
+    def test_physical_E_is_widened_with_plus_zero(self, grid64, tmp_path):
+        # state.E, the srcQ dumps and the launch, with the E dumps beside
+        data = gaussian_data(grid64, 0.1)
+        state = evolve(data, 0.5, 0.1).states[-1]
+        run_scatter(RunConfig(points_per_axis=64, L=12.0, T=1.5, dt=0.05,
+                              snap_every=10, diagnostics=("decay",)),
+                    tmp_path, quiet=True)
+        dumps = [read_field(p)[0] for p in sorted(tmp_path.glob("*.kgz"))
+                 if p.name.startswith(("E_", "srcQ_", "scatter_"))]
+        assert len(dumps) == 4 + 3 + 4
+        for f in [state.E.u, state.E.ut] + dumps:
+            assert f.components == 2 and np.any(f.values[0])
+            assert not np.any(f.values[1])
+            assert not np.any(np.signbit(f.values[1]))
+
+    def test_launch_meets_states_of_its_own_components(self, grid64):
+        # a one-component state minus a two-component launch would
+        # broadcast into both components; the residual equals the e2
+        # march's, whose E keeps both, and a launch with a live component
+        # the states dropped raises
+        data = gaussian_data(grid64, 0.1)
+        runs = [evolve(d, 1.8, 0.1, store_every=3)
+                for d in (data, self.along_e2(data))]
+        launches = [scatter_launch(traj, 1.5) for traj in runs]
+        (_, one), (_, two) = (residual_series(traj.states, launch, [1.0, 2.0])
+                              for traj, launch in zip(runs, launches))
+        assert np.all(one > 0)
+        assert np.max(np.abs(one - two)) <= 1e-13 * np.max(two)
+        with pytest.raises(ValueError, match="E components"):
+            residual_series(runs[0].states, launches[1], [1.0])
 
     @pytest.mark.parametrize("angle, planes_made", [(0.0, 4), (0.6, 6)])
     def test_march_step_planes(self, grid64, planes, angle, planes_made):
-        # a coupled step's midpoint products: E (2 components) and n (1)
-        # pruned inverse, -nE (2) and |E|^2 (1) pruned forward; polarised
-        # E's zero component is transformed neither way
+        # a coupled step's midpoint products: E (2 components, polarised 1)
+        # and n (1) pruned inverse, -nE (as E) and |E|^2 (1) pruned forward
         march = _Strang(turned_data(grid64, angle, 0.1), 1.0, 0.1)
         calls = planes()
         march.step("self")
@@ -521,12 +563,12 @@ class TestJet:
                        + source)
         utt = traj.jet(5, which)["utt"]
         assert np.array_equal(utt, want)
-        # the same equation written in physical space
+        # the same equation written in physical space, on E's live part
         pair = state.pair(which)
         q, s = (Field(g, g.box_irfft(src)) for src in (q, s))
         source = {"E": q, "n": laplacian(s), "n_delta": s}[which]
-        physical = (laplacian(pair.u).values - m_sq * pair.u.values
-                    + source.values)
+        physical = cut(laplacian(pair.u).values - m_sq * pair.u.values,
+                       len(utt)) + source.values
         assert np.max(np.abs(utt - physical)) \
             <= 1e-13 * np.max(np.abs(physical))
 
@@ -616,7 +658,8 @@ def full_plane_march(data, steps, dt, kicks="self", direct_n=False,
         if kicks is not None:
             Q, S = (g.unpack(src) for src in (
                 sources if kicks == "self" else kicks[k]))
-            Eut = Eut + dt * Q
+            # a march's recorded Q holds its E's live components alone
+            Eut = Eut + dt * np.pad(Q, ((0, len(Eut) - len(Q)), (0, 0), (0, 0)))
             Dut = Dut + dt * S
             Nut = Nut + dt * (-k_sq * S)
         kg, w = kg_full, w_full
@@ -631,16 +674,17 @@ def full_plane_march(data, steps, dt, kicks="self", direct_n=False,
 
 def assert_same_march(traj, states, record):
     """A march's stored states and source record are the reference's, bit
-    for bit."""
+    for bit: E and Q on their live components, the reference's others
+    exactly zero."""
     assert len(traj.states) == len(states)
     for state, ref in zip(traj.states, states):
         assert state.packed.keys() == ref.keys()
         for name, levels in ref.items():
             for spec, want in zip(state.packed[name], levels, strict=True):
-                assert np.array_equal(spec, want)
+                assert np.array_equal(spec, cut(want, len(spec)))
     for sources, want in zip(traj.source_history, record, strict=True):
         for src, w in zip(sources, want, strict=True):
-            assert np.array_equal(src, w)
+            assert np.array_equal(src, cut(w, len(src)))
 
 
 class TestBoxMarchReference:
@@ -703,7 +747,7 @@ class TestReversibility:
             scale = max(np.max(np.abs(u.values)), 1e-300)
             got = back.box(which)
             want = (g.box_rfft(u.values), -g.box_rfft(ut.values))
-            for x, y in zip(got, want):
+            for x, y in zip(got, (cut(w, len(got[0])) for w in want)):
                 assert np.max(np.abs(g.box_irfft(x - y))) <= 1e-12 * scale
 
 
