@@ -273,6 +273,8 @@ def _xnorm_snapshot(g, t: float, a: dict, b: dict) -> float:
     weight = jbracket(t) ** (-XNORM_DELTA)
     dE, dn = ([la - lb for la, lb in zip(a[which], b[which])]
               for which in ("E", "n"))
+    if not any(np.any(d) for d in dE + dn):
+        return 0.0  # a causal map's iterates agree on their first steps
     planes_E, planes_n = WordPlanes(g, t, dE), WordPlanes(g, t, dn)
     cone_w = (jbracket(t + R) / jbracket(t - R)) ** 2
     total = 0.0
@@ -376,16 +378,20 @@ def kg_pointwise(planes: WordPlanes, gamma_first: np.ndarray,
     return lhs, rhs
 
 
+# the extra-decay inequality each field's ratio reads
+POINTWISE = {"n_delta": hessian_pointwise, "E": kg_pointwise}
+
+
 class ExtraDecayRatios:
     """Extra-decay ratio series from levels (u, u_t, u_tt) and the source F,
-    at t >= 1: the max over |x| <= 3t of lhs/rhs from pointwise(planes,
-    |d Gamma u|, |F|), hessian_pointwise or kg_pointwise.  |d Gamma u| sums
-    the d_t, d_1 and d_2 rows of the single-letter words."""
+    at t >= 1: the max over |x| <= 3t of lhs/rhs from POINTWISE[which](
+    planes, |d Gamma u|, |F|).  |d Gamma u| sums the d_t, d_1 and d_2 rows
+    of the single-letter words."""
 
     depth, sourced = 2, True
 
-    def __init__(self, grid: Grid, which: str, pointwise):
-        self.grid, self.which, self.pointwise = grid, which, pointwise
+    def __init__(self, grid: Grid, which: str):
+        self.grid, self.which, self.pointwise = grid, which, POINTWISE[which]
         self.times, self.values = [], []
 
     def add(self, t: float, levels, source) -> None:

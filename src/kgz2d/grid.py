@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import groupby
 
 import numpy as np
 
@@ -118,14 +117,10 @@ class Grid:
         return cache["radial_unit"]
 
     def rfft(self, values: np.ndarray) -> np.ndarray:
-        out = np.zeros(values.shape[:-2] + (self.n, self.n // 2 + 1), complex)
-        return _by_live_run(values, out, lambda v, o: np.fft.rfft2(v, out=o))
+        return np.fft.rfft2(values, axes=(-2, -1))
 
     def irfft(self, hat: np.ndarray) -> np.ndarray:
-        # irfftn: numpy's irfft2 drops out=
-        return _by_live_run(hat, np.zeros(hat.shape[:-2] + (self.n, self.n)),
-                            lambda h, o: np.fft.irfftn(
-                                h, (self.n,) * 2, (-2, -1), out=o))
+        return np.fft.irfft2(hat, s=(self.n, self.n), axes=(-2, -1))
 
     # A band-limited field is packed as its rfft coefficients inside the 2/3
     # dealias box: a bare (components, rows, cols) complex array, the box's
@@ -140,20 +135,15 @@ class Grid:
     def box_rfft(self, values: np.ndarray) -> np.ndarray:
         """The packed dealias-box coefficients of physical values."""
         rows, cols = self.spectral["box"]
-        def transform(v, o):
-            o[...] = np.fft.fft(np.fft.rfft(v)[..., :cols], axis=-2)[..., rows, :]
         # rows outermost in memory, as the fancy index leaves them for parseval
-        out = np.zeros((len(rows),) + values.shape[:-2] + (cols,), complex)
-        return _by_live_run(values, np.moveaxis(out, 0, -2), transform)
+        return np.fft.fft(np.fft.rfft(values)[..., :cols], axis=-2)[..., rows, :]
 
     def box_irfft(self, box: np.ndarray) -> np.ndarray:
         """The physical field of packed dealias-box coefficients."""
         rows, cols = self.spectral["box"]
-        def transform(b, o):
-            columns = np.zeros(b.shape[:-2] + (self.n, cols), dtype=complex)
-            columns[..., rows, :] = b
-            np.fft.irfft(np.fft.ifft(columns, axis=-2, out=columns), self.n, out=o)
-        return _by_live_run(box, np.zeros(box.shape[:-2] + (self.n,) * 2), transform)
+        columns = np.zeros(box.shape[:-2] + (self.n, cols), dtype=complex)
+        columns[..., rows, :] = box
+        return np.fft.irfft(np.fft.ifft(columns, axis=-2, out=columns), self.n)
 
     def unpack(self, box: np.ndarray) -> np.ndarray:
         """The half spectrum of packed coefficients, zero outside the box."""
@@ -192,20 +182,6 @@ class Grid:
         full = hat.shape[-2:] == self.spectral["k_sq"].shape
         k_sq = self.spectral["k_sq" if full else "box_k_sq"]
         return math.sqrt(self.parseval(hat, (1.0 + k_sq) ** s))
-
-
-def _by_live_run(values: np.ndarray, out: np.ndarray, transform):
-    """transform(values[run], out[run]) over each maximal run of leading
-    components (a 2-D array is one) not all zero: every Grid transform skips
-    the all-zero ones, whose part of out, zero-filled, stays +0.0 (their
-    transform could hold -0.0, a sign no result reads).  Returns out."""
-    lead, dest = (values, out) if values.ndim > 2 else (values[None], out[None])
-    stop = 0
-    for live, run in groupby(lead.any(axis=tuple(range(1, lead.ndim))).tolist()):
-        start, stop = stop, stop + len(list(run))
-        if live:
-            transform(lead[start:stop], dest[start:stop])
-    return out
 
 
 def make_grid(points_per_axis: int, length: float) -> Grid:
@@ -334,8 +310,8 @@ def write_field(path, f: Field, t: float = 0.0) -> None:
         fh.write(data.tobytes())
 
 
-def read_field(path, grid: Grid | None = None) -> tuple[Field, float]:
-    """Read a dumped field; returns (field, t).  Builds the grid if absent."""
+def read_field(path) -> tuple[Field, float]:
+    """Read a dumped field; returns (field, t) on the grid its header names."""
     with open(path, "rb") as fh:
         header = fh.readline().decode("ascii")
         parts = header.split()
@@ -347,9 +323,5 @@ def read_field(path, grid: Grid | None = None) -> tuple[Field, float]:
     if len(raw) != comps * n * n * 8:
         raise ValueError(f"{path}: expected {comps * n * n * 8} data bytes "
                          f"after the header, found {len(raw)}")
-    if grid is None:
-        grid = make_grid(n, length)
-    elif grid.n != n or grid.length != length:
-        raise ValueError("dump does not match the supplied grid")
     data = np.frombuffer(raw, dtype="<f8").reshape(comps, n, n)
-    return Field(grid, np.swapaxes(data, 1, 2).copy()), t
+    return Field(make_grid(n, length), np.swapaxes(data, 1, 2).copy()), t

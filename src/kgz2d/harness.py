@@ -317,10 +317,11 @@ class RunDiagnostics:
     each state to be stored and add_source(tau, (Q, S), state) with each
     step's midpoint products and the E after it, both in time order.
 
-    The state's physical E and n, built once, give sup_E, the shell probe
-    and every snap_every-th snapshot's dumps (kept until written); with
-    energies, its spectra give the energies and n's packed jet levels,
-    with a source made from that E, the ghost ones.
+    The state's physical E, of its live components, and n, built once,
+    give sup_E, the shell probe and every snap_every-th snapshot's dumps
+    (kept until written, E widened); with energies, its spectra give the
+    energies and n's packed jet levels, with a source made from that E,
+    the ghost ones.
     The packed (Q, S) of every snap_every-th step are kept for the source
     dumps.  With a DuhamelSum (the scatter diagnostics), every step feeds
     it, and each state's packed E is kept for the residual.
@@ -343,21 +344,21 @@ class RunDiagnostics:
             self.duhamel.add(tau, sources, state)
 
     def add(self, state) -> None:
-        E, n = state.field("E"), state.field("n")
+        g, n = self.grid, state.field("n")
+        E = g.box_irfft(state.box("E")[0])
         if self.snap_every and len(self.sup_E) % self.snap_every == 0:
-            self.dumps.append((state.t, {"E": E, "n": n,
+            self.dumps.append((state.t, {"E": Field(g, widen(E)), "n": n,
                                          "nDelta": state.field("n_delta")}))
         if self.duhamel is not None:
             self.states.append(replace(state, packed={"E": state.packed["E"]}))
-        self.sup_E.append(E.magnitude().max())
+        self.sup_E.append(np.sqrt(np.sum(E**2, axis=0)).max())
         self.shells.add(state.t, n.values[0])
         if self.ghost is not None:
             for which, m in (("E", 1), ("n", 0)):
                 self.energies[which].append(
-                    spectral_energy(self.grid, *state.spectra(which), m))
+                    spectral_energy(g, *state.spectra(which), m))
             # n's source by state_source's rule, on the E made above
-            feed(self.ghost, state,
-                 _driving(self.grid, "n", *_products(self.grid, E.values)))
+            feed(self.ghost, state, _driving(g, "n", *_products(g, E)))
 
     def series(self) -> dict:
         series = {"sup_E": np.array(self.sup_E),

@@ -113,12 +113,12 @@ def transforms(monkeypatch):
 @pytest.fixture
 def planes(monkeypatch):
     """Counts of component planes transformed from the moment of reset, by
-    the numpy.fft entry point each Grid transform calls once per run of
-    live components: whole-plane forward ("rfft", rfft2) and inverse
-    ("irfft", irfftn), and the first pass of a pruned forward ("box_rfft",
-    rfft) and the last of a pruned inverse ("box_irfft", irfft).  An array
-    of shape (c, n, n) or (c, rows, cols) counts c planes, a 2-D one 1."""
-    entries = {"rfft": "rfft2", "irfft": "irfftn",
+    the numpy.fft entry point each Grid transform calls: whole-plane
+    forward ("rfft", rfft2) and inverse ("irfft", irfft2), and the first
+    pass of a pruned forward ("box_rfft", rfft) and the last of a pruned
+    inverse ("box_irfft", irfft).  An array of shape (c, n, n) or
+    (c, rows, cols) counts c planes, a 2-D one 1."""
+    entries = {"rfft": "rfft2", "irfft": "irfft2",
                "box_rfft": "rfft", "box_irfft": "irfft"}
     counts = dict.fromkeys(entries, 0)
     for name, entry in entries.items():

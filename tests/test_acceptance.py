@@ -33,8 +33,6 @@ from kgz2d.energy_diag import (
     KSRatios,
     MultiplierResiduals,
     energy,
-    hessian_pointwise,
-    kg_pointwise,
 )
 from kgz2d.grid import Field, FieldPair, make_grid, read_field, write_field
 from kgz2d.harness import RunConfig, RunDiagnostics, fit_envelope, run
@@ -189,8 +187,8 @@ def desk_march(desk_data):
                            duhamel=DuhamelSum(g, DESK_DT, t_max, (1.0,)))
     tails = DuhamelTail(g, DESK_DT, t_max, (0.0,) + PROBES)
     strided = RunDiagnostics(g, energies=True, delta=0.1, snap_every=0)
-    hessian = ExtraDecayRatios(g, "n_delta", hessian_pointwise)
-    kg = ExtraDecayRatios(g, "E", kg_pointwise)
+    hessian = ExtraDecayRatios(g, "n_delta")
+    kg = ExtraDecayRatios(g, "E")
 
     def on_snapshot(state):
         if len(snaps.sup_E) % 3 == 0:

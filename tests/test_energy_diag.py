@@ -335,21 +335,20 @@ class TestRatios:
 
     def test_hessian_free_wave_bounded(self, free_kg_run):
         times, series = free_kg_run.feed(ExtraDecayRatios(
-            free_kg_run.grid, "n_delta", hessian_pointwise)).series()
+            free_kg_run.grid, "n_delta")).series()
         assert np.all(np.isfinite(series))
         assert np.max(series) <= 10.0
 
     def test_kg_free_bounded(self, free_kg_run):
         times, series = free_kg_run.feed(ExtraDecayRatios(
-            free_kg_run.grid, "E", kg_pointwise)).series()
+            free_kg_run.grid, "E")).series()
         assert np.all(np.isfinite(series))
         assert np.max(series) <= 10.0
 
     def test_zero_run_ratios(self, grid64):
         traj = zero_run(grid64, T=2.0)
-        _, h = traj.feed(ExtraDecayRatios(grid64, "n_delta",
-                                          hessian_pointwise)).series()
-        _, k = traj.feed(ExtraDecayRatios(grid64, "E", kg_pointwise)).series()
+        _, h = traj.feed(ExtraDecayRatios(grid64, "n_delta")).series()
+        _, k = traj.feed(ExtraDecayRatios(grid64, "E")).series()
         assert len(h) == len(k) == 11
         assert np.all(h == 0.0) and np.all(k == 0.0)
 
@@ -453,10 +452,10 @@ READERS = {
     "ks_n": (lambda g: KSRatios(g, "n"),
              lambda traj: reference_ks_ratio(traj, "n")),
     "hessian_n_delta": (
-        lambda g: ExtraDecayRatios(g, "n_delta", hessian_pointwise),
+        lambda g: ExtraDecayRatios(g, "n_delta"),
         lambda traj: reference_extra_decay(traj, "n_delta",
                                            hessian_pointwise)),
-    "kg_E": (lambda g: ExtraDecayRatios(g, "E", kg_pointwise),
+    "kg_E": (lambda g: ExtraDecayRatios(g, "E"),
              lambda traj: reference_extra_decay(traj, "E", kg_pointwise)),
     "multiplier_E": (lambda g: MultiplierResiduals(g, "E", 0.1, 0.05),
                      lambda traj: reference_multiplier_residual(traj, "E")),
@@ -501,10 +500,9 @@ class TestReducers:
         # its product reads pruned inverse (E, and n for -nE), the product
         # pruned forward (|E|^2 is not formed for E); no whole plane
         traj = evolve(gaussian_data(grid64, 1e-2), 0.5, 0.1)
-        for which, pointwise, inverses in (("n_delta", hessian_pointwise, 6),
-                                           ("E", kg_pointwise, 12)):
+        for which, inverses in (("n_delta", 6), ("E", 12)):
             calls = transforms()
-            ratios = traj.feed(ExtraDecayRatios(grid64, which, pointwise))
+            ratios = traj.feed(ExtraDecayRatios(grid64, which))
             assert ratios.times == [] and len(traj) == 6
             assert calls == {"rfft": 0, "irfft": 0, "box_rfft": 6,
                              "box_irfft": inverses}

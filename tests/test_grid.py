@@ -266,10 +266,10 @@ def reference_box_irfft(g, box):
     return np.fft.irfft(np.fft.ifft(columns, axis=-2), n=g.n, axis=-1)
 
 
-# Each Grid transform's numpy calls on the whole array, as they ran before
-# the transforms skipped zero components: the per-component reference, and
-# the output layout (box_rfft's fancy index leaves its rows outermost in
-# memory, the order Grid.parseval's sums follow)
+# Each Grid transform's numpy calls on the whole array, written out here
+# apart from grid.py: the per-component reference, and the output layout
+# (box_rfft's fancy index leaves its rows outermost in memory, the order
+# Grid.parseval's sums follow)
 REFERENCE_TRANSFORMS = {
     "rfft": lambda g, a: np.fft.rfft2(a, axes=(-2, -1)),
     "irfft": lambda g, a: np.fft.irfft2(a, s=(g.n, g.n), axes=(-2, -1)),
@@ -281,12 +281,12 @@ REFERENCE_TRANSFORMS = {
 
 
 class TestZeroComponents:
-    """Every transform runs only over the leading components that are not
-    all zero and gives each all-zero one exact +0.0.  Today's whole-array
-    transform of +0 data gives -0.0 in a few imaginary entries, where the
-    skip gives +0.0; no output reads that sign (every reader squares, adds
-    or multiplies the coefficients), so array_equal, which equates the two
-    zeros, is the exactness asserted."""
+    """Every transform of stacked components, some of them all zero, equals
+    the transform of each component alone and keeps the whole-array
+    layout; an all-zero component stays zero.  A forward transform of +0
+    data can hold -0.0 in a few imaginary entries; no output reads that
+    sign (every reader squares, adds or multiplies the coefficients), so
+    array_equal, which equates the two zeros, is the exactness asserted."""
 
     @pytest.mark.parametrize("n", [16, 64])
     @pytest.mark.parametrize("name", sorted(REFERENCE_TRANSFORMS))
@@ -318,7 +318,6 @@ class TestZeroComponents:
         for c, zero in zip(stack, zeroed):
             if zero:
                 assert not np.any(c)
-                assert not np.any(np.signbit(c.real) | np.signbit(c.imag))
 
 
 class TestParseval:

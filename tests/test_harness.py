@@ -315,10 +315,10 @@ class TestStreamedRun:
     @pytest.mark.parametrize("angle, inverse_planes", [(0.0, 11), (0.6, 12)])
     def test_ghost_snapshot_planes(self, grid64, planes, angle,
                                    inverse_planes):
-        # the same snapshot's transforms by component: E (2) and n (1)
-        # pruned inverse for sup_E and the shell probe, n's 9 word planes
-        # (1 each), and |E|^2 (1) pruned forward; polarised E's zero
-        # component is not inverted
+        # the same snapshot's transforms by component: E's live ones (1
+        # polarised, 2 turned) and n (1) pruned inverse for sup_E and the
+        # shell probe, n's 9 word planes (1 each), and |E|^2 (1) pruned
+        # forward
         state = evolve(turned_data(grid64, angle, 0.3), 0.2, 0.1).states[-1]
         calls = planes()
         RunDiagnostics(grid64, True, 0.1, 0).add(state)

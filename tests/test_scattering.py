@@ -287,9 +287,8 @@ class TestPersistence:
         write_profile(prefix, profile)
         for part, pair_field in (("u", profile.data_plus.u),
                                  ("ut", profile.data_plus.ut)):
-            back, t = read_field(f"{prefix}_{part}.kgz",
-                                 profile.data_plus.grid)
-            assert t == 0.0
+            back, t = read_field(f"{prefix}_{part}.kgz")
+            assert back.grid == profile.data_plus.grid and t == 0.0
             assert np.array_equal(back.values, pair_field.values)
         meta = dict(item.split("=")
                     for item in (tmp_path / "prof_meta.txt").read_text().split())

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from kgz2d.energy_diag import (GhostEnergies, jbracket, spectral_energy,
-                               xnorm_distance)
+from kgz2d.energy_diag import (GhostEnergies, _xnorm_snapshot, jbracket,
+                               spectral_energy, xnorm_distance)
 from kgz2d.grid import (
     Field,
     FieldPair,
@@ -236,19 +236,26 @@ class TestTransformCounts:
                                             counts):
         # the same transforms counted by component: dE's 7 planes of 2
         # components and dn's 4 of 1 inverse, and rot, L1 and L2's values
-        # of 2 components forward.  On polarised E, whose second component
-        # is zero at every level, as gaussian_data's stays, that component
-        # is transformed nowhere
+        # of 2 components forward.  Polarised E is packed, as the march
+        # packs gaussian_data's, to its one live component
         def jets(seed):
-            E = windowed_random_jet(grid64, seed, components=2)
-            if polarised:
-                E.levels = [np.stack([lv[0], 0 * lv[1]]) for lv in E.levels]
-            return {"E": E, "n": windowed_random_jet(grid64, seed + 1)}
+            return {"E": windowed_random_jet(
+                        grid64, seed, components=1 if polarised else 2),
+                    "n": windowed_random_jet(grid64, seed + 1)}
 
         a, b = OneSnapshot(grid64, jets(42)), OneSnapshot(grid64, jets(44))
         calls = planes()
         xnorm_distance(a, b)
         assert calls == counts
+
+    def test_identical_sides_transform_nothing(self, grid64, planes):
+        # a causal map's iterates agree bit for bit on their first steps,
+        # where the distance is exactly 0.0 and makes no plane
+        side = {"E": windowed_random_jet(grid64, 46).levels,
+                "n": windowed_random_jet(grid64, 47).levels[:2]}
+        calls = planes()
+        assert _xnorm_snapshot(grid64, 0.8, side, side) == 0.0
+        assert calls == dict.fromkeys(calls, 0)
 
     def test_word_table_reads_each_plane_once(self, grid64, transforms):
         # the 7 words |I| <= 1 and their first derivatives read 9 planes
