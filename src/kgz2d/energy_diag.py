@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Field, FieldPair, Grid
+from .propagator import MASS
 from .vector_fields import (LETTERS, WORD_WEIGHTS, WordPlanes, all_words,
                             word_terms)
 
@@ -115,9 +116,6 @@ def energy(p: FieldPair, m: int) -> float:
     return spectral_energy(g, g.rfft(p.u.values), g.rfft(p.ut.values), m)
 
 
-_MASS = {"E": 1, "n": 0, "n_delta": 0}
-
-
 class GhostEnergies:
     """E_gst(t, Gamma^I u) of one field, fed add(t, levels) with the packed
     level spectra (u, u_t, u_tt) of each snapshot's jet in time order: rows
@@ -137,7 +135,7 @@ class GhostEnergies:
         self._acc, self._prev = np.zeros(len(self.words)), None
 
     def add(self, t: float, levels) -> None:
-        g, m, delta = self.grid, _MASS[self.which], self.delta
+        g, m, delta = self.grid, MASS[self.which], self.delta
         weight = jbracket(t - g.R) ** (-(1.0 + delta))
         planes = WordPlanes(g, t, levels)
         integ, row = np.empty((2, len(self.words)))
@@ -192,7 +190,7 @@ class MultiplierResiduals:
         self.rows = []  # per snapshot: t, source, boundary, ghost, kappa
 
     def add(self, t: float, levels, source) -> None:
-        g, mass, delta, kappa = self.grid, _MASS[self.which], self.delta, self.kappa
+        g, mass, delta, kappa = self.grid, MASS[self.which], self.delta, self.kappa
         rho = np.sqrt(g.R**2 + g.h**2)
         grad_rho_defect = g.h**2 / (g.R**2 + g.h**2)  # 1 - |grad rho|^2
         planes = WordPlanes(g, t, levels)

@@ -29,7 +29,7 @@ import numpy as np
 from .energy_diag import (DiagnosticsReport, GhostEnergies, energy, jbracket,
                           spectral_energy)
 from .grid import Field, make_grid, read_field, write_field
-from .propagator import InstabilityError
+from .propagator import MASS, InstabilityError
 from .scattering import (DuhamelSum, TailDivergenceError, in_tail_window,
                          launch_from, midpoints, residual_series,
                          scatter_profile, write_profile)
@@ -100,7 +100,7 @@ class RunConfig:
         if not (math.isfinite(self.amplitude) and self.amplitude >= 0):
             raise ConfigError(
                 f"amplitude must be finite and nonnegative, got {self.amplitude}")
-        for name in ("L", "T", "dt", "width", "fit_t1"):
+        for name in ("L", "T", "width", "fit_t1"):
             if not (math.isfinite(v := getattr(self, name)) and v > 0):
                 raise ConfigError(f"{name} must be finite and positive, got {v}")
         if len(self.center) != 2:
@@ -110,12 +110,9 @@ class RunConfig:
                               f"got {self.center}")
         try:
             grid = make_grid(self.points_per_axis, self.L)
-            steps = _steps_for(self.T, self.dt)
+            _steps_for(self.T, self.dt, self.store_every)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        if self.store_every < 1 or steps % self.store_every:
-            raise ConfigError(f"store_every={self.store_every} does not "
-                              f"divide the {steps} steps")
         if self.snap_every < 0:
             raise ConfigError(f"snap_every must be >= 0 (0 for no dumps), "
                               f"got {self.snap_every}")
@@ -176,8 +173,7 @@ _TUPLE_KEYS = {"center": float, "scatter_s": float, "diagnostics": str}
 def parse_config(path) -> RunConfig:
     """Parse a flat UTF-8 `key = value` file with # comments, each key once."""
     values, seen = {}, {}
-    known = {f.name: f.type for f in dc_fields(RunConfig)}
-    proto = RunConfig()
+    defaults = {f.name: f.default for f in dc_fields(RunConfig)}
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -194,7 +190,7 @@ def parse_config(path) -> RunConfig:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in known:
+        if key not in defaults:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in seen:
             raise ConfigError(f"{path}:{lineno}: repeated key {key!r}, "
@@ -205,7 +201,7 @@ def parse_config(path) -> RunConfig:
                 conv = _TUPLE_KEYS[key]
                 values[key] = tuple(conv(x) for x in val.replace(",", " ").split())
             else:
-                current = getattr(proto, key)
+                current = defaults[key]
                 if isinstance(current, int):
                     values[key] = int(val)
                 elif isinstance(current, float):
@@ -354,9 +350,9 @@ class RunDiagnostics:
         self.sup_E.append(np.sqrt(np.sum(E**2, axis=0)).max())
         self.shells.add(state.t, n.values[0])
         if self.ghost is not None:
-            for which, m in (("E", 1), ("n", 0)):
+            for which in ("E", "n"):
                 self.energies[which].append(
-                    spectral_energy(g, *state.spectra(which), m))
+                    spectral_energy(g, *state.spectra(which), MASS[which]))
             # n's source by state_source's rule, on the E made above
             feed(self.ghost, state, _driving(g, "n", *_products(g, E)))
 

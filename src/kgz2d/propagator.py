@@ -20,6 +20,7 @@ import numpy as np
 from .grid import Field, FieldPair, Grid
 
 __all__ = [
+    "MASS",
     "LinearOperator",
     "free_step",
     "forced_step",
@@ -29,6 +30,10 @@ __all__ = [
 
 class InstabilityError(RuntimeError):
     """Raised when an evolution blows past 1e6 x the initial field scale."""
+
+
+# each field's Klein-Gordon mass: E's equation is Klein-Gordon, n's a wave
+MASS = {"E": 1, "n": 0, "n_delta": 0}
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from itertools import pairwise
 import numpy as np
 
 from .grid import Field, FieldPair, Grid, laplacian
-from .propagator import InstabilityError, LinearOperator
+from .propagator import MASS, InstabilityError, LinearOperator
 from .vector_fields import WordPlanes
 
 __all__ = [
@@ -128,13 +128,6 @@ class Trajectory:
     kind: str  # "coupled" | "direct" | "free" | "picard"
     snapshot_sources: list | None = None
 
-    def __post_init__(self):
-        dts = np.diff(self.times)
-        if len(dts) and not np.allclose(dts, dts[0], rtol=1e-9, atol=1e-12):
-            raise ValueError("trajectory times are not uniformly spaced")
-        if len(dts) and np.any(dts <= 0):
-            raise ValueError("trajectory times must be strictly increasing")
-
     def __len__(self):
         return len(self.states)
 
@@ -192,7 +185,7 @@ def state_levels(state: KGZState, which: str, sources=()) -> list:
     (the source, then its rate), u_tt = (-|k|^2 - m^2) u + source and u_ttt
     likewise from u_t.  They are linear in (state, sources); E's hold the
     state's live components."""
-    op = -state.grid.spectral["box_k_sq"] - (1.0 if which == "E" else 0.0)
+    op = -state.grid.spectral["box_k_sq"] - MASS[which]
     levels = list(state.box(which))
     for j, src in enumerate(sources):
         levels.append(op * levels[j] + src)
@@ -260,7 +253,7 @@ def _products(g: Grid, E: np.ndarray, n: np.ndarray | None = None, *,
 
 @dataclass(frozen=True, eq=False)
 class InitialData:
-    """Cauchy data (E0, E1, n0_delta, n1_delta); n0, n1 are their Laplacians.
+    """Cauchy data (E0, E1, n0_delta, n1_delta), with n = lap(n_delta).
     unresolved: the share of n0's grid energy outside the 2/3 dealias box,
     which the march drops (resolved data: about 1e-12; nan on overflow)."""
 
@@ -286,8 +279,8 @@ class InitialData:
         # with headroom for its spectral-differentiation round-off
         fields = [(f, SUPPORT_FLOOR) for f in
                   (self.E0, self.E1, self.n0_delta, self.n1_delta)]
-        fields += [(f, 10.0 * SUPPORT_FLOOR)
-                   for f in (Field(g, g.irfft(n0_hat)), self.n1)]
+        fields += [(f, 10.0 * SUPPORT_FLOOR) for f in
+                   (Field(g, g.irfft(n0_hat)), laplacian(self.n1_delta))]
         for f, floor in fields:
             peak = float(np.max(np.abs(f.values)))
             if peak == 0.0:
@@ -300,14 +293,6 @@ class InitialData:
     @property
     def grid(self) -> Grid:
         return self.E0.grid
-
-    @property
-    def n0(self) -> Field:
-        return laplacian(self.n0_delta)
-
-    @property
-    def n1(self) -> Field:
-        return laplacian(self.n1_delta)
 
 
 def gaussian_data(grid: Grid, amplitude: float, width: float = 1.0,
@@ -331,10 +316,18 @@ def gaussian_data(grid: Grid, amplitude: float, width: float = 1.0,
 # coupled stepper
 # ---------------------------------------------------------------------------
 
-def _steps_for(T: float, dt: float) -> int:
-    steps = int(round(T / dt))
+def _steps_for(T: float, dt: float, store_every: int = 1) -> int:
+    """The step count of a march over [0, T] by dt that stores a state every
+    store_every steps: the one rule for a valid time grid, checked before
+    any step."""
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
+    steps = int(round(T / dt)) if np.isfinite(T) else 0
     if steps < 1 or abs(steps * dt - T) > 1e-9 * max(1.0, T):
         raise ValueError(f"dt={dt} does not divide T={T}")
+    if store_every < 1 or steps % store_every:
+        raise ValueError(f"store_every={store_every} does not divide "
+                         f"the {steps} steps")
     return steps
 
 
@@ -354,9 +347,9 @@ class _Strang:
         if not T + data.radius < g.length:
             raise ValueError(f"wrap-free window violated: T + R = "
                              f"{T + data.radius:.3g} >= L = {g.length:.3g}")
-        self.steps, self.dt, self.k = _steps_for(T, dt), dt, 0
+        self.steps, self.dt, self.k = _steps_for(T, dt, store_every), dt, 0
         self.store_every, self.pending = store_every, False
-        ops = [LinearOperator(g, m, box=True) for m in (1, 0)]
+        ops = [LinearOperator(g, MASS[f], box=True) for f in ("E", "n_delta")]
         self.half = [op.rotation(0.5 * dt) for op in ops]
         # R(dt) is built here if the march fuses: built mid-march on first
         # use, its arrays left heap holes that raised a 512^2 run's peak RSS

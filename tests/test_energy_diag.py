@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from kgz2d.energy_diag import (
-    _MASS,
     _Q_STEP,
     _Q_ZMAX,
     LETTERS,
@@ -27,6 +26,7 @@ from kgz2d.energy_diag import (
     xnorm_terms,
 )
 from kgz2d.grid import Field, FieldPair, make_grid, partial
+from kgz2d.propagator import MASS
 from kgz2d.system import (evolve, feed, free_flow, gaussian_data, picard_map,
                           state_levels)
 from kgz2d.vector_fields import WordPlanes, all_words, word_terms
@@ -417,7 +417,7 @@ def reference_extra_decay(traj, which, pointwise):
 def reference_multiplier_residual(traj, which, delta=0.1, kappa=0.05):
     """The multiplier identity's imbalance as one loop over a stored
     trajectory, before it became a reducer (MultiplierResiduals)."""
-    mass = _MASS[which]
+    mass = MASS[which]
     g = traj.grid
     rho = np.sqrt(g.R**2 + g.h**2)
     grad_rho_defect = g.h**2 / (g.R**2 + g.h**2)  # 1 - |grad rho|^2

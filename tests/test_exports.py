@@ -1,9 +1,11 @@
-"""Every exported name is reached by something other than an export list.
+"""Every exported name, and every method and property, is reached by
+something other than an export list.
 
-A name in a module's `__all__` counts as reached when it is used (as a
+A name in a module's `__all__`, or a method or property (dunders aside) of
+a class a package module defines, counts as reached when it is used (as a
 name, an attribute or an imported name) in a package module other than
 `__init__.py`, in a demo, in the acceptance tests, in the benchmark's
-microbenchmarks, or in the span targets of the benchmark's tracer.  Unit
+microbenchmarks or tracer, or in the tracer's span targets.  Unit
 tests do not count: code that only they reach is deleted with them.  Every
 span target of the tracer must also still resolve on its module or class,
 and every name the microbenchmarks import must still resolve on the package.
@@ -37,6 +39,15 @@ def used_names(tree: ast.Module) -> set[str]:
     return names
 
 
+def members(tree: ast.Module) -> list[str]:
+    """The methods and properties of the module's classes, as Class.name,
+    dunders excluded."""
+    return [f"{node.name}.{item.name}" for node in tree.body
+            if isinstance(node, ast.ClassDef) for item in node.body
+            if isinstance(item, ast.FunctionDef)
+            and not (item.name.startswith("__") and item.name.endswith("__"))]
+
+
 def targets(tree: ast.Module) -> tuple:
     """The (module, attribute, span name) entries of TARGETS."""
     for node in tree.body:
@@ -59,12 +70,15 @@ def parse(path: Path) -> ast.Module:
 def unreached() -> list[str]:
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
     users = modules + sorted((ROOT / "demos").glob("*.py")) + [
-        ROOT / "tests" / "test_acceptance.py", ROOT / "bench" / "micro.py"]
+        ROOT / "tests" / "test_acceptance.py", ROOT / "bench" / "micro.py",
+        ROOT / "bench" / "tracing.py"]
     reached = tracer_targets(parse(ROOT / "bench" / "tracing.py"))
     for path in users:
         reached |= used_names(parse(path))
-    return [name for path in modules for name in exported(parse(path))
-            if name not in reached]
+    names = [name for path in modules
+             for name in exported(parse(path)) + members(parse(path))]
+    return [name for name in names
+            if name.rpartition(".")[2] not in reached]
 
 
 def test_every_export_is_reached():

@@ -51,11 +51,6 @@ class TestInitialData:
         assert gaussian_data(make_grid(64, 40.0), 1e-2).unresolved > 0.1
         assert zero_data(grid64).unresolved == 0.0
 
-    def test_derived_n_is_laplacian(self, grid64):
-        data = gaussian_data(grid64, 1e-2)
-        ref = laplacian(data.n0_delta)
-        assert np.array_equal(data.n0.values, ref.values)
-
     def test_zero_data_radius(self, grid64):
         assert zero_data(grid64).radius == 0.0
 
@@ -103,7 +98,7 @@ class TestEvolve:
         for n, dt in ((96, 0.1), (192, 0.05)):
             g = make_grid(n, 12.0)
             traj = evolve(gaussian_data(g, 1e-2), 3.0, dt,
-                          record_sources=False, store_every=1000)
+                          record_sources=False, store_every=round(3.0 / dt))
             fields[n] = traj.states[-1].E.u.values
         diff = np.max(np.abs(fields[96] - fields[192][:, ::2, ::2]))
         assert diff / np.max(np.abs(fields[192])) <= 1e-4
@@ -162,6 +157,40 @@ class TestEvolve:
         guess.source_history[0] = (Q, np.full_like(S, np.nan))
         with pytest.raises(InstabilityError, match="t=0.1:"):
             picard_map(guess, data)
+
+
+class TestTimeGrid:
+    """A march's time grid is checked by one rule before the first step:
+    nothing reaches on_snapshot where the entry point takes one."""
+
+    @staticmethod
+    def rejected(flow, grid, T, dt, match, **kwargs):
+        seen = []
+        if flow in (evolve, picard_solve):
+            kwargs["on_snapshot"] = seen.append
+        with pytest.raises(ValueError, match=match):
+            flow(gaussian_data(grid, 1e-2), T, dt, **kwargs)
+        assert seen == []
+
+    @pytest.mark.parametrize("flow", [evolve, evolve_direct_n, free_flow,
+                                      picard_solve])
+    @pytest.mark.parametrize("T, dt", [(-1.0, -0.1), (1.0, 0.0),
+                                       (1.0, float("nan"))])
+    def test_dt_must_be_finite_and_positive(self, grid64, flow, T, dt):
+        self.rejected(flow, grid64, T, dt, "dt must be finite and positive")
+
+    @pytest.mark.parametrize("flow", [evolve, evolve_direct_n, free_flow,
+                                      picard_solve])
+    def test_T_must_be_a_whole_number_of_steps(self, grid64, flow):
+        # +inf and nan fail the wrap-free check first; -inf reaches the rule
+        self.rejected(flow, grid64, -float("inf"), 0.1, "does not divide T")
+
+    @pytest.mark.parametrize("flow", [evolve, evolve_direct_n, free_flow])
+    @pytest.mark.parametrize("store_every", [0, -2, 3])
+    def test_store_every_must_divide_the_steps(self, grid64, flow,
+                                                store_every):
+        self.rejected(flow, grid64, 1.0, 0.1, f"store_every={store_every} "
+                      "does not divide the 10 steps", store_every=store_every)
 
 
 class TestFusedMarch:
